@@ -82,13 +82,17 @@ class AlgebraDescriptor:
     def trace(self, x: np.ndarray) -> complex:
         return complex(np.diag(x) @ self.weight_vector)
 
-    def inner(self, a: np.ndarray, b: np.ndarray) -> complex:
-        """Trace inner product <a, b> = tau(b* a)."""
-        return complex(np.einsum("kd,kd,d->", b.conj(), a, self.weight_vector))
+    def inner(self, a: np.ndarray, b: np.ndarray) -> complex | np.ndarray:
+        """Trace inner product <a, b> = tau(b* a); slice by slice, as an
+        array, for stacks of shape (..., n, n)."""
+        val = np.einsum("...kd,...kd,d->...", b.conj(), a, self.weight_vector)
+        return complex(val) if val.ndim == 0 else val
 
-    def two_norm(self, x: np.ndarray) -> float:
-        val = np.einsum("kd,kd,d->", x.conj(), x, self.weight_vector).real
-        return float(np.sqrt(max(val, 0.0)))
+    def two_norm(self, x: np.ndarray) -> float | np.ndarray:
+        """Trace 2-norm; slice by slice, as an array, for stacks."""
+        val = np.einsum("...kd,...kd,d->...", x.conj(), x, self.weight_vector).real
+        norms = np.sqrt(np.maximum(val, 0.0))
+        return float(norms) if norms.ndim == 0 else norms
 
     def block_matrix(self, blocks: list[np.ndarray]) -> np.ndarray:
         """Assemble a block-diagonal element from per-block matrices."""
@@ -132,7 +136,9 @@ def orthonormalize(candidates, inner, drop_tol: float = GRAM_DROP_TOL) -> np.nda
 
 
 def _coords(stack: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return np.einsum("bkd,kd,d->b", stack.conj(), x, weights)
+    """Coefficients of x, or of each slice of a (..., n, n) stack, over the
+    trace-orthonormal basis ``stack``."""
+    return np.einsum("bkd,...kd,d->...b", stack.conj(), x, weights)
 
 
 @dataclass(frozen=True, eq=False)

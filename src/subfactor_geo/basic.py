@@ -68,26 +68,27 @@ class BasicConstruction:
         """tau1(b* a)."""
         return complex(np.vdot(b, a)) / self.dim_l2
 
-    def two_norm1(self, a: np.ndarray) -> float:
-        return float(np.linalg.norm(a)) / np.sqrt(self.dim_l2)
+    def two_norm1(self, a: np.ndarray) -> float | np.ndarray:
+        """tau1 2-norm; slice by slice, as an array, for (..., D, D) stacks."""
+        if a.ndim == 2:
+            return float(np.linalg.norm(a)) / np.sqrt(self.dim_l2)
+        return np.linalg.norm(a, axis=(-2, -1)) / np.sqrt(self.dim_l2)
 
-    def project_m1(self, y: np.ndarray) -> tuple[np.ndarray, float]:
-        """tau1-orthogonal projection onto span(m1_basis) and its residual."""
-        c = np.einsum("krs,rs->k", self.m1_basis.conj(), y) / self.dim_l2
+    def project_m1(self, y: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+        """tau1-orthogonal projection onto span(m1_basis) and its residual,
+        slice by slice for stacks."""
+        c = np.einsum("krs,...rs->...k", self.m1_basis.conj(), y) / self.dim_l2
         proj = np.tensordot(c, self.m1_basis, axes=1)
         return proj, self.two_norm1(y - proj)
 
-    def membership_defect(self, y: np.ndarray) -> float:
+    def membership_defect(self, y: np.ndarray) -> float | np.ndarray:
         return self.project_m1(y)[1]
 
     def _e1_coords(self, y: np.ndarray) -> np.ndarray:
-        """Coefficients of the projection of y onto left_rep(M), over the
-        left images of the M basis (tau1-orthonormal by Markov
-        compatibility)."""
-        return np.einsum("irs,rs->i", self.left_cache.conj(), y) / self.dim_l2
-
-    def _e1_coords_many(self, ys: np.ndarray) -> np.ndarray:
-        return np.einsum("irs,trs->ti", self.left_cache.conj(), ys) / self.dim_l2
+        """Coefficients of the projection of y (or of each slice of a stack)
+        onto left_rep(M), over the left images of the M basis
+        (tau1-orthonormal by Markov compatibility)."""
+        return np.einsum("irs,...rs->...i", self.left_cache.conj(), y) / self.dim_l2
 
     def pullback(self, y: np.ndarray, check: bool = True) -> np.ndarray:
         """Inverse of left_rep on its image."""
@@ -103,11 +104,12 @@ class BasicConstruction:
 
 
 def expectation_E1(bc: BasicConstruction, y: np.ndarray) -> np.ndarray:
-    """tau1-orthogonal projection of y in M1 onto left_rep(M).
+    """tau1-orthogonal projection of y in M1 onto left_rep(M), slice by
+    slice for a stack.
 
     Satisfies E1(p) = lam * 1 and the M-bimodule property.
     """
-    defect = bc.membership_defect(y)
+    defect = np.max(bc.membership_defect(y))
     if defect > MEMBERSHIP_TOL:
         raise MembershipError(
             f"input is outside the extension algebra (defect {defect:.3e})", defect=defect

@@ -230,8 +230,10 @@ def cmd_geodesic(cfg: RunConfig) -> int:
 def cmd_log(cfg: RunConfig, q0_path: str, q1_path: str) -> int:
     bc = _construct(cfg)
     try:
-        q0 = load_matrix(open(q0_path, encoding="utf-8").read())
-        q1 = load_matrix(open(q1_path, encoding="utf-8").read())
+        with open(q0_path, encoding="utf-8") as fh:
+            q0 = load_matrix(fh.read())
+        with open(q1_path, encoding="utf-8") as fh:
+            q1 = load_matrix(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read projection file: {exc}") from exc
     pt0 = orbit_point_from_witness(bc, orbit_section_theta(bc, q0))

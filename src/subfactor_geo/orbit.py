@@ -39,6 +39,7 @@ from .linalg import (
     nearest_unitary,
     op_norm,
     spectral_function,
+    unitary_defect,
 )
 from .tolerances import LIFT_TOL, spectral_tol
 
@@ -180,6 +181,7 @@ def delta_q(point: OrbitPoint, z: np.ndarray) -> TangentVector:
 def _tangent_projection_matrix(
     bc: BasicConstruction, q: np.ndarray, x: np.ndarray, gate: bool = True
 ) -> np.ndarray:
+    """(1/2 lam) [E1(xq - qx), q]; q and x may be matching (T, D, D) stacks."""
     comm = x @ q - q @ x
     if gate:
         e1 = expectation_E1(bc, comm)
@@ -246,13 +248,10 @@ class DiscreteCurve:
     def __post_init__(self) -> None:
         if self.samples.ndim != 3 or self.samples.shape[0] < 2:
             raise DomainError("a curve needs at least two samples")
-        gaps = [
-            op_norm(self.samples[i + 1] - self.samples[i])
-            for i in range(self.samples.shape[0] - 1)
-        ]
-        if max(gaps) >= 0.5:
+        gap = op_norm(np.diff(self.samples, axis=0)).max()
+        if gap >= 0.5:
             raise DomainError(
-                f"curve is under-resolved: consecutive op-norm gap {max(gaps):.3f} >= 0.5"
+                f"curve is under-resolved: consecutive op-norm gap {gap:.3f} >= 0.5"
             )
 
     @property
@@ -273,11 +272,7 @@ def sample_geodesic(
         raise DomainError("grid must have at least one interval")
     ts = np.linspace(t0, t1, grid_n + 1)
     exps = _exp_family(z, ts)
-    lexp = point.bc.left_many(exps)
-    q = point.q
-    samples = np.einsum("tab,bc,tdc->tad", lexp, q, lexp.conj())
-    witnesses = np.einsum("tab,bc->tac", exps, point.witness)
-    return DiscreteCurve(bc=point.bc, samples=samples, witnesses=witnesses)
+    return curve_from_unitaries(point.bc, exps, base=point)
 
 
 def curve_from_unitaries(
@@ -287,8 +282,8 @@ def curve_from_unitaries(
     if base is None:
         base = base_point(bc)
     lus = bc.left_many(us)
-    samples = np.einsum("tab,bc,tdc->tad", lus, base.q, lus.conj())
-    witnesses = np.einsum("tab,bc->tac", us, base.witness)
+    samples = (lus @ base.q) @ dagger(lus)
+    witnesses = us @ base.witness
     return DiscreteCurve(bc=bc, samples=samples, witnesses=witnesses)
 
 
@@ -361,12 +356,8 @@ def geodesic_equation_residual(
     h = 1.0 / grid_n
     curve = sample_geodesic(point, z, grid_n + 4, t0=-2.0 * h, t1=1.0 + 2.0 * h)
     acc = _diff4_second(curve.samples, h)
-    qs = curve.samples[2:-2]
-    worst = 0.0
-    for i in range(acc.shape[0]):
-        resid = _tangent_projection_matrix(point.bc, qs[i], acc[i], gate=False)
-        worst = max(worst, point.bc.two_norm1(resid))
-    return worst
+    resid = _tangent_projection_matrix(point.bc, curve.samples[2:-2], acc, gate=False)
+    return float(point.bc.two_norm1(resid).max())
 
 
 def covariant_derivative(curve: DiscreteCurve, field: np.ndarray) -> np.ndarray:
@@ -374,11 +365,7 @@ def covariant_derivative(curve: DiscreteCurve, field: np.ndarray) -> np.ndarray:
     project onto the tangent space at each node."""
     if field.shape != curve.samples.shape:
         raise DomainError("field is not sampled on the curve's grid")
-    dot = _diff2(field, curve.dt)
-    out = np.empty_like(field)
-    for i in range(field.shape[0]):
-        out[i] = _tangent_projection_matrix(curve.bc, curve.samples[i], dot[i])
-    return out
+    return _tangent_projection_matrix(curve.bc, curve.samples, _diff2(field, curve.dt))
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +393,9 @@ def horizontal_lift(curve: DiscreteCurve) -> np.ndarray:
     dt = curve.dt
     qdot = _diff4(qs, dt)
     # generator at nodes from the closed inversion (1/2 lam) E1(vq - qv)
-    gen = np.empty((T,) + bc.inc.identity().shape, dtype=complex)
-    for i in range(T):
-        comm = qdot[i] @ qs[i] - qs[i] @ qdot[i]
-        coeff = bc._e1_coords(comm) / (2.0 * bc.lam)
-        zi = bc.inc.from_coords(coeff)
-        gen[i] = 0.5 * (zi - dagger(zi))
+    comm = qdot @ qs - qs @ qdot
+    zs = bc.inc.from_coords(bc._e1_coords(comm) / (2.0 * bc.lam))
+    gen = 0.5 * (zs - dagger(zs))
     # cubic midpoint interpolation of the generator
     mids = np.empty((T - 1,) + gen.shape[1:], dtype=complex)
     if T >= 4:
@@ -440,9 +424,7 @@ def horizontal_lift(curve: DiscreteCurve) -> np.ndarray:
             f"lift reconstruction defect {recon:.3e} exceeds {LIFT_TOL:.1e}; "
             f"re-sample the curve on a finer grid"
         )
-    unit = max(
-        op_norm(dagger(lift[i]) @ lift[i] - ident) for i in range(T)
-    )
+    unit = unitary_defect(lift).max()
     if unit > spectral_tol():
         raise RefinementError(f"lift unitarity defect {unit:.3e}")
     if horiz > LIFT_TOL:
@@ -457,42 +439,16 @@ def lift_defects(curve: DiscreteCurve, lift: np.ndarray) -> tuple[float, float]:
     """(reconstruction, horizontality) defects of a candidate lift."""
     bc = curve.bc
     qs = curve.samples
-    T = qs.shape[0]
     llift = bc.left_many(lift)
-    recon = max(
-        op_norm(llift[i] @ qs[0] @ dagger(llift[i]) - qs[i]) for i in range(T)
-    )
-    gdot = _diff4(lift, curve.dt)
-    w0 = _witness_at_start(curve)
-    inc = bc.inc
-    horiz = 0.0
-    for i in range(T):
-        v = gdot[i] @ dagger(lift[i])
-        wi = lift[i] @ w0
-        e = wi @ expectation_E(inc, dagger(wi) @ v @ wi) @ dagger(wi)
-        horiz = max(horiz, inc.two_norm(e))
-    return recon, horiz
+    recon = op_norm((llift @ qs[0]) @ dagger(llift) - qs).max()
+    v = _diff4(lift, curve.dt) @ dagger(lift)
+    ws = lift @ _witness_at_start(curve)
+    e = ws @ expectation_E(bc.inc, dagger(ws) @ v @ ws) @ dagger(ws)
+    return float(recon), float(bc.inc.two_norm(e).max())
 
 
 # ---------------------------------------------------------------------------
 # lengths and energy
-
-
-def _velocity_norms(
-    bc: BasicConstruction, path: np.ndarray, space: str, order: int = 2
-) -> tuple[np.ndarray, np.ndarray]:
-    if path.ndim != 3 or path.shape[0] < 2:
-        raise DomainError("length functionals need at least two samples")
-    dt = 1.0 / (path.shape[0] - 1)
-    vel = _diff2(path, dt) if order == 2 else _diff4(path, dt)
-    if space == "orbit":
-        two = np.array([bc.two_norm1(v) for v in vel])
-    elif space == "lift":
-        two = np.array([bc.inc.two_norm(v) for v in vel])
-    else:
-        raise DomainError(f"unknown space {space!r}; use 'orbit' or 'lift'")
-    ops = np.array([op_norm(v) for v in vel])
-    return two, ops
 
 
 def curve_lengths(
@@ -510,23 +466,18 @@ def curve_lengths(
     for ambient-algebra-valued paths.  order 4 swaps the central
     differences for wider stencils when comparisons need the extra digits.
     """
-    two, ops = _velocity_norms(bc, path, space, order=order)
+    if path.ndim != 3 or path.shape[0] < 2:
+        raise DomainError("length functionals need at least two samples")
+    if space not in ("orbit", "lift"):
+        raise DomainError(f"unknown space {space!r}; use 'orbit' or 'lift'")
+    if metric not in ("two_norm", "op_norm", "energy"):
+        raise DomainError(f"unknown metric {metric!r}")
     dt = 1.0 / (path.shape[0] - 1)
-    if metric == "two_norm":
-        return _simpson(two, dt)
+    vel = _diff2(path, dt) if order == 2 else _diff4(path, dt)
     if metric == "op_norm":
-        return _simpson(ops, dt)
-    if metric == "energy":
-        return _simpson(two**2, dt)
-    raise DomainError(f"unknown metric {metric!r}")
-
-
-def _energy4(bc: BasicConstruction, path: np.ndarray) -> float:
-    """Energy with fourth-order velocities (internal cross-check accuracy)."""
-    dt = 1.0 / (path.shape[0] - 1)
-    vel = _diff4(path, dt)
-    vals = np.array([bc.inc.two_norm(v) ** 2 for v in vel])
-    return _simpson(vals, dt)
+        return _simpson(op_norm(vel), dt)
+    two = bc.two_norm1(vel) if space == "orbit" else bc.inc.two_norm(vel)
+    return _simpson(two if metric == "two_norm" else two**2, dt)
 
 
 @dataclass(frozen=True)
@@ -560,12 +511,8 @@ def first_variation(
     if minus.shape != zero.shape or plus.shape != zero.shape:
         raise DomainError("family slices must share one sampling grid")
     inc = bc.inc
-    ident = inc.identity()
     for path in (minus, zero, plus):
-        worst = max(
-            op_norm(dagger(path[i]) @ path[i] - ident)
-            for i in range(0, path.shape[0], max(1, path.shape[0] // 8))
-        )
+        worst = unitary_defect(path[:: max(1, path.shape[0] // 8)]).max()
         if worst > 1e-8:
             raise DomainError(f"family samples are not unitary (defect {worst:.3e})")
     T = zero.shape[0]
@@ -576,16 +523,14 @@ def first_variation(
     xdot = _diff4(x0, dt)
     # real trace inner product <a, b> = Re tau(a* b); the adjoint matters
     # for the sign since the logarithmic derivatives are anti-Hermitian
-    prod_boundary = [
-        float(np.real(inc.trace(dagger(x0[i]) @ y0[i]))) for i in (0, -1)
-    ]
-    boundary = prod_boundary[1] - prod_boundary[0]
-    integrand = np.array(
-        [float(np.real(inc.trace(dagger(xdot[i]) @ y0[i]))) for i in range(T)]
-    )
-    integral = _simpson(integrand, dt)
+    prod_boundary = inc.amb.inner(y0[[0, -1]], x0[[0, -1]]).real
+    boundary = float(prod_boundary[1] - prod_boundary[0])
+    integral = _simpson(inc.amb.inner(y0, xdot).real, dt)
     value = boundary - integral
-    fd = (_energy4(bc, plus) - _energy4(bc, minus)) / (4.0 * h)
+    fd = (
+        curve_lengths(bc, plus, "energy", space="lift", order=4)
+        - curve_lengths(bc, minus, "energy", space="lift", order=4)
+    ) / (4.0 * h)
     defect = abs(value - fd)
     tol_used = max(1e-5, 10.0 * h * h)
     return FirstVariationResult(
@@ -840,18 +785,13 @@ def minimality_experiment(
         w = w / max(op_norm(w), 1e-12)
 
         def family(s: float) -> np.ndarray:
-            bumps = np.einsum("t,ab->tab", s * bump, w)
-            pert = np.stack([spectral_function(b, "exp") for b in bumps])
-            return np.einsum("tab,tbc->tac", geo_us, pert)
+            return geo_us @ spectral_function((s * bump)[:, None, None] * w, "exp")
 
         us = family(perturbation_scale)
         pert_curve = curve_from_unitaries(bc, us, base=point)
         l2 = curve_lengths(bc, pert_curve.samples, "two_norm", order=4)
         linf = curve_lengths(bc, pert_curve.samples, "op_norm", order=4)
-        disp = max(
-            op_norm(pert_curve.samples[i] - point.q)
-            for i in range(pert_curve.samples.shape[0])
-        )
+        disp = op_norm(pert_curve.samples - point.q).max()
         within = linf <= probe_radius
         margin = l2 - l2_geo
         violation = within and margin < -1e-6

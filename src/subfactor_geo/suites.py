@@ -102,7 +102,7 @@ def _p_commuting_unitary_path(
     comp = np.eye(bc.dim_l2) - p
     a = _random_m1_antihermitian(bc, rng, scale)
     a = p @ a @ p + comp @ a @ comp
-    return np.stack([spectral_function(t * a, "exp") for t in ts])
+    return spectral_function(ts[:, None, None] * a, "exp")
 
 
 def _subalgebra_antihermitian(
@@ -128,15 +128,12 @@ def _poly_unitary_path(
     for s in scales:
         a = random_antihermitian(rng, basis)
         gens.append((s / max(op_norm(a), 1e-12)) * a)
-    out = []
-    for t in ts:
-        acc = np.zeros_like(gens[0])
-        tp = t
-        for a in gens:
-            acc = acc + tp * a
-            tp *= t
-        out.append(spectral_function(acc, "exp"))
-    return np.stack(out)
+    acc = np.zeros((len(ts),) + gens[0].shape, dtype=complex)
+    tp = ts
+    for a in gens:
+        acc = acc + tp[:, None, None] * a
+        tp = tp * ts
+    return spectral_function(acc, "exp")
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +379,7 @@ def _suite_lifts(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]:
         ) - np.einsum("tab,bc->tac", curve.samples, lz)
         cov = covariant_derivative(curve, field)
         dt = 1.0 / grid_geo
-        worst_cov = max(worst_cov, max(bc.two_norm1(c) for c in cov) - 8.0 * dt * dt)
+        worst_cov = max(worst_cov, bc.two_norm1(cov).max() - 8.0 * dt * dt)
         l2 = curve_lengths(bc, curve.samples, "two_norm")
         f2 = curve_lengths(bc, curve.samples, "energy")
         worst_cs = max(worst_cs, abs(l2 * l2 - f2))
@@ -446,7 +443,9 @@ def _suite_lifts(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]:
         # arbitrary alternate lift: right-translate by a unitary path in N
         a1 = _subalgebra_antihermitian(inc, rng, 0.4)
         a2 = _subalgebra_antihermitian(inc, rng, 0.3)
-        vs = np.stack([spectral_function(t * a1 + t * t * a2, "exp") for t in ts])
+        vs = spectral_function(
+            ts[:, None, None] * a1 + (ts * ts)[:, None, None] * a2, "exp"
+        )
         alt = np.einsum("tab,tbc->tac", lift, vs)
         l2_alt = curve_lengths(bc, alt, "two_norm", space="lift")
         linf_alt = curve_lengths(bc, alt, "op_norm", space="lift")
@@ -458,7 +457,7 @@ def _suite_lifts(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]:
         eq_lift = np.einsum("tab,bc->tac", lift, v0)
         l2_eq = curve_lengths(bc, eq_lift, "two_norm", space="lift")
         v_rec = np.einsum("tba,tbc->tac", lift.conj(), eq_lift)
-        drift = max(op_norm(v_rec[i] - v0) for i in range(0, len(ts), len(ts) // 8))
+        drift = op_norm(v_rec[:: len(ts) // 8] - v0).max()
         lv0 = bc.left(v0)
         worst_eq = max(
             worst_eq,
@@ -567,13 +566,10 @@ def _suite_variation(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]
         w1 = w1 / max(op_norm(w1), 1e-12)
         w2 = random_antihermitian(rng, inc.amb_basis)
         w2 = w2 / max(op_norm(w2), 1e-12)
-        profiles = np.stack([w1 + t * w2 for t in ts])
+        profiles = w1 + ts[:, None, None] * w2
 
         def fam(s):
-            bumps = np.stack(
-                [spectral_function(s * profiles[i], "exp") for i in range(len(ts))]
-            )
-            return np.einsum("tab,tbc->tac", us, bumps)
+            return us @ spectral_function(s * profiles, "exp")
 
         res = first_variation(bc, fam(-h), us, fam(h), h)
         worst_fd = max(worst_fd, res.defect)
@@ -591,16 +587,13 @@ def _suite_variation(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]
     worst_crit = 0.0
     for _ in range(n_crit):
         z = random_horizontal(inc, rng, op_scale=rng.uniform(0.2, 0.8))
-        us = np.stack([spectral_function(t * z, "exp") for t in ts])
+        us = spectral_function(ts[:, None, None] * z, "exp")
         w = random_antihermitian(rng, inc.amb_basis)
         w = w / max(op_norm(w), 1e-12)
         bump = 16.0 * ts * ts * (1.0 - ts) ** 2
 
         def fam(s):
-            bumps = np.stack(
-                [spectral_function(s * bump[i] * w, "exp") for i in range(len(ts))]
-            )
-            return np.einsum("tab,tbc->tac", us, bumps)
+            return us @ spectral_function((s * bump)[:, None, None] * w, "exp")
 
         res = first_variation(bc, fam(-h), us, fam(h), h)
         worst_crit = max(worst_crit, abs(res.value))
@@ -648,11 +641,8 @@ def _suite_minimality(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord
     w = random_antihermitian(rng, bc.inc.amb_basis)
     w = 0.05 * w / max(op_norm(w), 1e-12)
     bump = 16.0 * ts * ts * (1.0 - ts) ** 2
-    us = np.stack(
-        [
-            spectral_function(t * z2, "exp") @ spectral_function(bump[i] * w, "exp")
-            for i, t in enumerate(ts)
-        ]
+    us = spectral_function(ts[:, None, None] * z2, "exp") @ spectral_function(
+        bump[:, None, None] * w, "exp"
     )
     curve = curve_from_unitaries(bc, us)
     poly = shorten_to_polygonal(curve, segment_bound=0.25)
@@ -820,14 +810,9 @@ def _suite_degeneracy(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord
     def curve_gap(x: np.ndarray) -> float:
         lx = bc.left(x)
         gen = lx @ p - p @ dagger(lx)
-        worst = 0.0
-        for t in t_grid:
-            ev = spectral_function(t * gen, "exp")
-            eu = spectral_function(t * lx, "exp")
-            worst = max(
-                worst, op_norm(ev @ p @ dagger(ev) - eu @ p @ dagger(eu))
-            )
-        return worst
+        ev = spectral_function(t_grid[:, None, None] * gen, "exp")
+        eu = spectral_function(t_grid[:, None, None] * lx, "exp")
+        return op_norm(ev @ p @ dagger(ev) - eu @ p @ dagger(eu)).max()
 
     n_deg = max(6, cfg.trials // 10)
     worst_fwd = 0.0

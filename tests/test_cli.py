@@ -1,6 +1,9 @@
 """End-to-end command-line behavior: artifacts, determinism, exit codes."""
 
+import gc
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +145,24 @@ def test_geodesic_then_log_round_trip(tmp_path, capsys):
     assert op_norm(z_in - z_out) < 1e-7
     doc = json.loads((tmp_path / "log.json").read_text())
     assert doc["residual"] <= 1e-8
+
+
+def test_log_closes_projection_files(tmp_path, capsys, monkeypatch):
+    code, _, _ = run(capsys, "geodesic", "--out", str(tmp_path), *FAST)
+    assert code == 0
+    # a file left open warns when it is collected; as an error that lands
+    # in the unraisable hook rather than propagating out of main()
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        code, _, _ = run(
+            capsys, "log", "--out", str(tmp_path), *FAST,
+            str(tmp_path / "q_start.txt"), str(tmp_path / "q_end.txt"),
+        )
+        gc.collect()
+    assert code == 0
+    assert [u.exc_value for u in unraisable] == []
 
 
 def test_log_far_endpoints_exit_three(tmp_path, capsys):

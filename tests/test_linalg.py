@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subfactor_geo.errors import BranchCutError, DomainError
 from subfactor_geo.linalg import (
+    _op_norm_within,
     antiherm_defect,
     dagger,
     dump_matrix,
@@ -201,3 +204,127 @@ def test_op_norm_is_largest_singular_value(rng):
     a = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     assert abs(op_norm(a) - np.linalg.svd(a, compute_uv=False).max()) < 1e-13
     assert op_norm(np.zeros((0, 0))) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# stacks and the Frobenius gate
+
+
+def random_stack(rng, shape, kind):
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == "herm":
+        return (a + dagger(a)) / 2.0
+    if kind == "antiherm":
+        return (a - dagger(a)) / 2.0
+    return a
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+def test_stacked_op_norm_is_bitwise_the_slice_loop(rng, n):
+    stack = random_stack(rng, (3, 5, n, n), "general")
+    norms = op_norm(stack)
+    assert norms.shape == (3, 5)
+    loop = np.array([[op_norm(stack[i, j]) for j in range(5)] for i in range(3)])
+    assert np.array_equal(norms, loop)
+    assert isinstance(op_norm(stack[0, 0]), float)
+    assert op_norm(np.zeros((4, 0, 0))).shape == (4,)
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+@pytest.mark.parametrize("f", ["exp", "cos", "sin", "sinc", "square", "sqrt"])
+@pytest.mark.parametrize("kind", ["herm", "antiherm"])
+def test_stacked_spectral_function_is_bitwise_the_slice_loop(rng, n, f, kind):
+    stack = random_stack(rng, (7, n, n), kind)
+    stack[0] = 0.0  # the zero slice reads both ways; it must not split the stack
+    if f == "sqrt":
+        if kind == "antiherm":
+            with pytest.raises(DomainError, match="Hermitian input"):
+                spectral_function(stack, f)
+            return
+        stack = stack @ stack
+    out = spectral_function(stack, f)
+    loop = np.stack([spectral_function(h, f) for h in stack])
+    assert np.array_equal(out, loop)
+    # a (2, 7) stack of stacks gives the same slices
+    assert np.array_equal(spectral_function(np.stack([stack, stack]), f)[1], loop)
+
+
+def test_spectral_function_gate_runs_no_svd_on_exact_input(rng, monkeypatch):
+    herm = random_stack(rng, (5, 4, 4), "herm")
+    anti = random_stack(rng, (5, 4, 4), "antiherm")
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the Frobenius bounds should settle exact input")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for h in (herm, anti, herm[0], anti[0]):
+        spectral_function(h, "exp")
+
+
+def test_spectral_function_rejects_mixed_stack(rng):
+    stack = np.stack([random_herm(rng, 3), random_antiherm(rng, 3)])
+    with pytest.raises(DomainError, match="mixes Hermitian and anti-Hermitian"):
+        spectral_function(stack, "exp")
+
+
+def test_domain_errors_report_exact_op_norm_defects(rng):
+    bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex) + random_herm(rng, 2)
+    msg = f"defect {herm_defect(bad):.3e}) nor anti-Hermitian (defect {antiherm_defect(bad):.3e})"
+    with pytest.raises(DomainError, match=r"^matrix is neither") as exc:
+        spectral_function(bad, "exp")
+    assert msg in str(exc.value)
+    stack = np.stack([random_herm(rng, 2), random_herm(rng, 2), bad])
+    with pytest.raises(DomainError, match=r"^slice \(2,\) is neither") as exc:
+        spectral_function(stack, "exp")
+    assert msg in str(exc.value)
+
+    near = spectral_function(random_antiherm(rng, 3), "exp") * (1.0 + 1e-6)
+    with pytest.raises(DomainError) as exc:
+        log_unitary_principal(near)
+    assert f"defect {unitary_defect(near):.3e}" in str(exc.value)
+    skew = random_antiherm(rng, 3) + 1e-6 * np.eye(3)
+    with pytest.raises(DomainError) as exc:
+        polar_antihermitian(skew)
+    assert f"defect {antiherm_defect(skew):.3e}" in str(exc.value)
+
+
+def _with_singular_values(rng, svals):
+    n = len(svals)
+    u = spectral_function(random_antiherm(rng, n, scale=2.0), "exp")
+    v = spectral_function(random_antiherm(rng, n, scale=2.0), "exp")
+    return (u * np.asarray(svals)) @ dagger(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    profile=st.sampled_from(["flat", "spike", "random"]),
+    log_tol=st.floats(-12.0, 1.0),
+    rel=st.sampled_from([-1e-3, -1e-9, -1e-12, -1e-13, -1e-15, 0.0, 1e-15, 1e-13, 1e-12, 1e-9, 1e-3]),
+)
+def test_frobenius_gate_matches_exact_test(seed, n, profile, log_tol, rel):
+    rng = np.random.default_rng(seed)
+    tol = 10.0**log_tol
+    top = tol * (1.0 + rel)
+    if profile == "flat":
+        # op-norm at the bound, Frobenius norm sqrt(n) times larger
+        svals = np.full(n, top)
+    elif profile == "spike":
+        # Frobenius norm within roundoff of the op-norm
+        svals = np.concatenate([[top], np.full(n - 1, 1e-9 * top)])
+    else:
+        svals = np.concatenate([[top], top * rng.uniform(0.0, 1.0, n - 1)])
+    a = _with_singular_values(rng, svals)
+    assert _op_norm_within(a, tol) == (op_norm(a) <= tol)
+    stack = np.stack([a, 0.5 * a, 2.0 * a, np.zeros_like(a)])
+    assert np.array_equal(_op_norm_within(stack, tol), op_norm(stack) <= tol)
+
+
+def test_frobenius_gate_boundary_below_tol_with_frobenius_above(rng):
+    tol = 1e-10
+    for n in (2, 4, 16):
+        a = _with_singular_values(rng, np.full(n, tol * (1.0 - 1e-14)))
+        assert op_norm(a) <= tol < np.linalg.norm(a)
+        assert _op_norm_within(a, tol) is True
+        assert _op_norm_within(a * (1.0 + 1e-13), tol) is False

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from subfactor_geo.algebra import (
+    expectation_E,
     random_antihermitian,
     random_element,
     random_horizontal,
@@ -455,3 +456,118 @@ def test_convexity_rejects_wide_triples(constructions, rng):
     u2 = spectral_function(2.0j * sx, "exp")
     with pytest.raises(RadiusError):
         convexity_probe(bc, u0, u0, u2)
+
+
+# ---------------------------------------------------------------------------
+# stacked curve functionals against per-sample reference loops
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+def _reference_gaps(samples):
+    return [op_norm(samples[i + 1] - samples[i]) for i in range(samples.shape[0] - 1)]
+
+
+def test_curve_functionals_match_per_sample_reference(constructions):
+    from subfactor_geo.orbit import _diff2, _diff4, _simpson
+
+    bc = constructions["tensor(2,2)"]
+    inc = bc.inc
+    rng = np.random.default_rng(424242)
+    z = random_horizontal(inc, rng, op_scale=0.4)
+    w = random_antihermitian(rng, inc.amb_basis)
+    w = 0.2 * w / op_norm(w)
+    us = wiggly_unitary_path(bc, z, w, 96)
+    curve = curve_from_unitaries(bc, us)
+    lift = horizontal_lift(curve)
+
+    # lengths: every metric, both spaces, both stencils
+    for space, path, norm2 in (
+        ("orbit", curve.samples, bc.two_norm1),
+        ("lift", lift, inc.two_norm),
+    ):
+        for order, diff in ((2, _diff2), (4, _diff4)):
+            dt = 1.0 / (path.shape[0] - 1)
+            vel = diff(path, dt)
+            two = np.array([norm2(v) for v in vel])
+            ops = np.array([op_norm(v) for v in vel])
+            expected = {
+                "two_norm": _simpson(two, dt),
+                "op_norm": _simpson(ops, dt),
+                "energy": _simpson(two**2, dt),
+            }
+            for metric, ref in expected.items():
+                got = curve_lengths(bc, path, metric, space=space, order=order)
+                assert _close(got, ref), (space, order, metric, got, ref)
+
+    # lift defects
+    qs = curve.samples
+    llift = bc.left_many(lift)
+    recon_ref = max(
+        op_norm(llift[i] @ qs[0] @ dagger(llift[i]) - qs[i]) for i in range(len(qs))
+    )
+    gdot = _diff4(lift, curve.dt)
+    horiz_ref = 0.0
+    for i in range(len(qs)):
+        v = gdot[i] @ dagger(lift[i])
+        wi = lift[i] @ curve.witnesses[0]
+        e = wi @ expectation_E(inc, dagger(wi) @ v @ wi) @ dagger(wi)
+        horiz_ref = max(horiz_ref, inc.two_norm(e))
+    recon, horiz = lift_defects(curve, lift)
+    assert abs(recon - recon_ref) <= 1e-12
+    assert abs(horiz - horiz_ref) <= 1e-12
+
+    # first variation of an endpoint-fixing bump family
+    ts = np.linspace(0.0, 1.0, 97)
+    bump = 16.0 * ts**2 * (1.0 - ts) ** 2
+    w2 = random_antihermitian(rng, inc.amb_basis)
+    w2 = w2 / op_norm(w2)
+    h = 1e-3
+
+    def family(s):
+        return np.stack(
+            [us[i] @ spectral_function(s * bump[i] * w2, "exp") for i in range(len(ts))]
+        )
+
+    minus, plus = family(-h), family(h)
+    res = first_variation(bc, minus, us, plus, h)
+    dt = 1.0 / (len(ts) - 1)
+    udot = _diff4(us, dt)
+    x0 = np.stack([dagger(us[i]) @ udot[i] for i in range(len(ts))])
+    y0 = np.stack([dagger(us[i]) @ (plus[i] - minus[i]) / (2.0 * h) for i in range(len(ts))])
+    xdot = _diff4(x0, dt)
+    boundary = float(
+        np.real(inc.trace(dagger(x0[-1]) @ y0[-1]))
+        - np.real(inc.trace(dagger(x0[0]) @ y0[0]))
+    )
+    integral = _simpson(
+        np.array([np.real(inc.trace(dagger(xdot[i]) @ y0[i])) for i in range(len(ts))]), dt
+    )
+
+    def energy4(path):
+        vel = _diff4(path, dt)
+        return _simpson(np.array([inc.two_norm(v) ** 2 for v in vel]), dt)
+
+    fd = (energy4(plus) - energy4(minus)) / (4.0 * h)
+    assert _close(res.boundary_term, boundary)
+    assert _close(res.integral_term, integral)
+    assert _close(res.value, boundary - integral)
+    assert _close(res.fd_value, fd)
+
+    # the gap check accepts and rejects exactly where the loop's maximum
+    # gap crosses 0.5, and reports that maximum; a six times faster curve
+    # crosses it between strides 16 and 24
+    fast = curve_from_unitaries(bc, wiggly_unitary_path(bc, 6.0 * z, w, 96)).samples
+    verdicts = []
+    for stride in (1, 8, 16, 24, 48):
+        coarse = fast[::stride]
+        gap = max(_reference_gaps(coarse))
+        verdicts.append(gap < 0.5)
+        if gap < 0.5:
+            DiscreteCurve(bc=bc, samples=coarse)
+        else:
+            with pytest.raises(DomainError, match=f"gap {gap:.3f} >= 0.5"):
+                DiscreteCurve(bc=bc, samples=coarse)
+    assert verdicts == [True, True, True, False, False]
