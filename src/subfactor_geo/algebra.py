@@ -118,21 +118,38 @@ class AlgebraDescriptor:
                     e[off + i, off + j] = 1.0 / np.sqrt(w)
                     units.append(e)
             off += d
-        return orthonormalize(units, self.inner)
+        return orthonormalize(units, self.weight_vector)
 
 
-def orthonormalize(candidates, inner, drop_tol: float = GRAM_DROP_TOL) -> np.ndarray:
-    """Gram-Schmidt with re-orthogonalization; drops dependent directions."""
-    basis: list[np.ndarray] = []
-    for cand in candidates:
-        v = np.array(cand, dtype=complex)
+def orthonormalize(candidates, weights, real: bool = False) -> np.ndarray:
+    """Orthonormal basis of the span of a stack of candidates, in order.
+
+    The inner product is <a, b> = sum conj(b) a w over the trailing axes,
+    where ``weights`` broadcasts against them (a trace weight vector, or
+    1/D for tau1); ``real`` keeps only its real part.  Classical
+    Gram-Schmidt with one re-orthogonalization pass, each pass two
+    matrix-vector products against the basis built so far; a candidate
+    whose residual norm is at most GRAM_DROP_TOL is dropped as dependent.
+    """
+    cands = np.asarray(candidates, dtype=complex)
+    shape = cands.shape[1:]
+    flat = cands.reshape(len(cands), -1)
+    w = np.broadcast_to(np.asarray(weights, dtype=float), shape).reshape(-1)
+    # rows are added by doubling: the rank is often far below min(n, N)
+    basis = np.empty((min(len(flat), 64), flat.shape[1]), dtype=complex)
+    k = 0
+    for v in flat:
         for _ in range(2):
-            for b in basis:
-                v = v - inner(v, b) * b
-        nrm = np.sqrt(max(inner(v, v).real, 0.0))
-        if nrm > drop_tol:
-            basis.append(v / nrm)
-    return np.stack(basis) if basis else np.zeros((0,) + np.shape(candidates[0]), dtype=complex)
+            # conj(<v, b_i>) for every basis element b_i at once
+            c = basis[:k] @ np.conj(v * w)
+            v = v - (c.real if real else c.conj()) @ basis[:k]
+        nrm = np.sqrt((v.real**2 + v.imag**2) @ w)
+        if nrm > GRAM_DROP_TOL:
+            if k == len(basis):
+                basis = np.concatenate([basis, np.empty_like(basis)])
+            basis[k] = v / nrm
+            k += 1
+    return basis[:k].reshape((k,) + shape).copy()
 
 
 def _coords(stack: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -448,7 +465,7 @@ def make_custom_inclusion(
     if m_span is None:
         amb_basis = amb.canonical_basis()
     else:
-        amb_basis = orthonormalize([amb.identity()] + list(m_span), amb.inner)
+        amb_basis = orthonormalize([amb.identity()] + list(m_span), amb.weight_vector)
     inc = Inclusion(
         sub=sub,
         amb=amb,

@@ -14,10 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Inclusion, pimsner_popa_validate, random_element
+from .algebra import (
+    Inclusion,
+    expectation_E,
+    orthonormalize,
+    pimsner_popa_validate,
+    random_element,
+)
 from .errors import ConstructionError, DomainError, MembershipError
 from .linalg import dagger, op_norm
-from .tolerances import GRAM_DROP_TOL, MEMBERSHIP_TOL, spectral_tol
+from .tolerances import MEMBERSHIP_TOL, spectral_tol
 
 __all__ = [
     "BasicConstruction",
@@ -90,6 +96,10 @@ class BasicConstruction:
         (tau1-orthonormal by Markov compatibility)."""
         return np.einsum("irs,...rs->...i", self.left_cache.conj(), y) / self.dim_l2
 
+    def _e1_unchecked(self, y: np.ndarray) -> np.ndarray:
+        """E1 of y, or of each slice of a stack, without the membership check."""
+        return np.tensordot(self._e1_coords(y), self.left_cache, axes=1)
+
     def pullback(self, y: np.ndarray, check: bool = True) -> np.ndarray:
         """Inverse of left_rep on its image."""
         c = self._e1_coords(y)
@@ -114,7 +124,7 @@ def expectation_E1(bc: BasicConstruction, y: np.ndarray) -> np.ndarray:
         raise MembershipError(
             f"input is outside the extension algebra (defect {defect:.3e})", defect=defect
         )
-    return np.tensordot(bc._e1_coords(y), bc.left_cache, axes=1)
+    return bc._e1_unchecked(y)
 
 
 def reduce_R(bc: BasicConstruction, y: np.ndarray) -> np.ndarray:
@@ -184,9 +194,7 @@ def build_basic_construction(inc: Inclusion) -> BasicConstruction:
         "ikd,rkd,d->ir", np.conj(np.transpose(basis, (0, 2, 1))), basis.conj(), w
     )
     left_adj = np.tensordot(coords_adj, left_cache, axes=1)
-    star_defect = max(
-        op_norm(left_adj[i] - dagger(left_cache[i])) for i in range(d)
-    )
+    star_defect = float(op_norm(left_adj - dagger(left_cache)).max())
     if star_defect > tol:
         raise ConstructionError(f"left_rep does not intertwine adjoints (defect {star_defect:.3e})")
     coords_prod = np.einsum("iskd,rkd,d->isr", prods, basis.conj(), w)
@@ -216,90 +224,107 @@ def build_basic_construction(inc: Inclusion) -> BasicConstruction:
     if op_norm(jones_p @ jones_p - jones_p) > tol or op_norm(jones_p - dagger(jones_p)) > tol:
         raise ConstructionError("trace projection is not a projection")
 
-    # extension algebra basis: M plus M p M, orthonormalized under tau1
-    gens = [left_cache[i] for i in range(d)]
-    for i in range(d):
-        lip = left_cache[i] @ jones_p
-        for j in range(d):
-            gens.append(lip @ left_cache[j])
-    m1_list: list[np.ndarray] = []
-    for cand in gens:
-        v = cand.astype(complex)
-        for _ in range(2):
-            for b in m1_list:
-                v = v - (np.vdot(b, v) / d) * b
-        nrm = np.linalg.norm(v) / np.sqrt(d)
-        if nrm > GRAM_DROP_TOL:
-            m1_list.append(v / nrm)
-    m1_basis = np.stack(m1_list)
-
     bc = BasicConstruction(
         inc=inc,
         l2_basis=basis,
         left_cache=left_cache,
         jones_p=jones_p,
-        m1_basis=m1_basis,
+        m1_basis=orthonormalize(_m1_generators(left_cache, jones_p), 1.0 / d),
         lam=inc.lam,
     )
-    _check_build_properties(bc)
+    _gate_properties(bc)
     return bc
 
 
-def _check_build_properties(bc: BasicConstruction) -> None:
-    """Basis-element verification of the defining compression properties."""
-    tol = spectral_tol()
-    p = bc.jones_p
-    inc = bc.inc
-    d = bc.dim_l2
-    from .algebra import expectation_E
+def _m1_generators(left_cache: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Spanning stack of M1: left(b_i) for every basis element of M, then
+    left(b_i) p left(b_j) in i-major order."""
+    d = left_cache.shape[0]
+    gens = np.empty((d + d * d, d, d), dtype=complex)
+    gens[:d] = left_cache
+    np.matmul((left_cache @ p)[:, None], left_cache[None], out=gens[d:].reshape(d, d, d, d))
+    return gens
 
-    # p x p = E(x) p
-    defect2 = max(
-        op_norm(p @ bc.left_cache[i] @ p - bc.left(expectation_E(inc, inc.amb_basis[i])) @ p)
-        for i in range(d)
+
+# Defects of the defining properties of the trace projection, shared by the
+# build gate and the verifier; each is the worst over its stacked probes.
+
+
+def _span_residual(bc: BasicConstruction, ys: np.ndarray, onb: np.ndarray) -> float:
+    """Largest tau1 2-norm distance of a slice of ``ys`` from the span of
+    the tau1-orthonormal stack ``onb``."""
+    c = np.einsum("krs,trs->tk", onb.conj(), ys) / bc.dim_l2
+    return float(bc.two_norm1(ys - np.tensordot(c, onb, axes=1)).max())
+
+
+def _compression_defect(bc: BasicConstruction, xs: np.ndarray) -> float:
+    """Property 2, p x p = E(x) p, over a stack of elements of M."""
+    p = bc.jones_p
+    ex = bc.left_many(expectation_E(bc.inc, xs))
+    return float(op_norm(p @ bc.left_many(xs) @ p - ex @ p).max())
+
+
+def _commutation_defect(bc: BasicConstruction) -> float:
+    """Property 3, its reverse inclusion: N commutes with p."""
+    p = bc.jones_p
+    ln = bc.left_many(bc.inc.embed_basis)
+    return float(op_norm(ln @ p - p @ ln).max())
+
+
+def _corner_defect(bc: BasicConstruction) -> float:
+    """Property 4: n -> n p is multiplicative and p M1 p lies in N p."""
+    p = bc.jones_p
+    e = bc.inc.embed_basis
+    n = len(e)
+    lnp = bc.left_many(e) @ p
+    prods = (e[:, None] @ e[None]).reshape((n * n,) + e.shape[1:])
+    mult = (lnp[:, None] @ lnp[None]).reshape((n * n,) + p.shape) - bc.left_many(prods) @ p
+    corner = _span_residual(bc, p @ bc.m1_basis @ p, lnp / np.sqrt(bc.lam))
+    return max(float(op_norm(mult).max()), corner)
+
+
+def _module_defect(bc: BasicConstruction) -> float:
+    """Property 5: M1 p = M p."""
+    p = bc.jones_p
+    return _span_residual(bc, bc.m1_basis @ p, bc.left_cache @ p / np.sqrt(bc.lam))
+
+
+def _norm_bound_defect(bc: BasicConstruction, xs: np.ndarray) -> float:
+    """Property 6, sqrt(lam) ||x|| <= ||x p|| <= ||x||, over a stack of
+    elements of M."""
+    a = op_norm(xs)
+    ap = op_norm(bc.left_many(xs) @ bc.jones_p)
+    return float(max(0.0, (ap - a).max(), (np.sqrt(bc.lam) * a - ap).max()))
+
+
+def _e1p_defect(bc: BasicConstruction) -> float:
+    """Property 7: E1(p) = lam 1 and tau1(p) = lam."""
+    p = bc.jones_p
+    return max(
+        op_norm(bc._e1_unchecked(p) - bc.lam * np.eye(bc.dim_l2)),
+        abs(bc.tau1(p) - bc.lam),
     )
-    if defect2 > tol:
-        raise ConstructionError(
-            f"property 2 fails: p x p differs from E(x) p by {defect2:.3e}"
-        )
-    # the subalgebra commutes with p and n -> n p is multiplicative
-    lam = bc.lam
-    embeds = [bc.left(e) for e in inc.embed_basis]
-    defect4 = 0.0
-    for i, li in enumerate(embeds):
-        defect4 = max(defect4, op_norm(li @ p - p @ li))
-        for j, lj in enumerate(embeds):
-            prod = inc.embed_basis[i] @ inc.embed_basis[j]
-            defect4 = max(defect4, op_norm((li @ p) @ (lj @ p) - bc.left(prod) @ p))
-    if defect4 > tol:
-        raise ConstructionError(
-            f"property 4 fails: n -> n p is not a *-isomorphism (defect {defect4:.3e})"
-        )
-    # M1 p = M p: every m1 basis element compresses into span(left(M) p)
-    mp = np.stack([bc.left_cache[i] @ p for i in range(d)]) / np.sqrt(lam)
-    defect5 = 0.0
-    for y in bc.m1_basis:
-        yp = y @ p
-        c = np.einsum("krs,rs->k", mp.conj(), yp) / d
-        defect5 = max(defect5, bc.two_norm1(yp - np.tensordot(c, mp, axes=1)))
-    if defect5 > tol:
-        raise ConstructionError(f"property 5 fails: M1 p exceeds M p by {defect5:.3e}")
-    # norm compression bounds on basis elements
-    sq = np.sqrt(lam)
-    defect6 = 0.0
-    for i in range(d):
-        a_norm = op_norm(inc.amb_basis[i])
-        ap_norm = op_norm(bc.left_cache[i] @ p)
-        defect6 = max(defect6, ap_norm - a_norm, sq * a_norm - ap_norm)
-    if defect6 > tol:
-        raise ConstructionError(
-            f"property 6 fails: compression norm bounds violated by {defect6:.3e}"
-        )
-    # E1(p) = lam 1
-    e1p = np.tensordot(bc._e1_coords(p), bc.left_cache, axes=1)
-    defect7 = op_norm(e1p - lam * np.eye(d))
-    if defect7 > tol:
-        raise ConstructionError(f"E1(p) differs from lam*1 by {defect7:.3e}")
+
+
+def _gate_properties(bc: BasicConstruction) -> None:
+    """Refuse a construction failing property 2-7 on the basis of M.
+
+    Property 1 is left to the verifier: its commutator matrix has K D^2 x K
+    entries.  Property 8 already ran at the top of the build.
+    """
+    tol = spectral_tol()
+    basis = bc.inc.amb_basis
+    for index, what, defect in (
+        (2, "p x p differs from E(x) p", lambda: _compression_defect(bc, basis)),
+        (3, "the subalgebra does not commute with p", lambda: _commutation_defect(bc)),
+        (4, "n -> n p is not a *-isomorphism onto p M1 p", lambda: _corner_defect(bc)),
+        (5, "M1 p exceeds M p", lambda: _module_defect(bc)),
+        (6, "compression norm bounds violated", lambda: _norm_bound_defect(bc, basis)),
+        (7, "E1(p) differs from lam*1", lambda: _e1p_defect(bc)),
+    ):
+        value = defect()
+        if value > tol:
+            raise ConstructionError(f"property {index} fails: {what} by {value:.3e}")
 
 
 @dataclass(frozen=True)
@@ -342,7 +367,6 @@ def verify_construction_properties(
     k = bc.dim_m1
     lam = bc.lam
     rng = np.random.default_rng(seed)
-    from .algebra import expectation_E
 
     records: list[PropertyRecord] = []
 
@@ -353,20 +377,14 @@ def verify_construction_properties(
     comm_cols = []
     for a in range(k):
         prods = bc.m1_basis[a] @ bc.m1_basis          # (K, D, D)
-        cs = np.einsum("krs,brs->bk", bc.m1_basis.conj(), prods) / d
-        resid = prods - np.tensordot(cs, bc.m1_basis, axes=([1], [0]))
-        prod_defect = max(prod_defect, max(bc.two_norm1(r) for r in resid))
+        prod_defect = max(prod_defect, _span_residual(bc, prods, bc.m1_basis))
         rev = bc.m1_basis @ bc.m1_basis[a]
         trace_defect = max(
             trace_defect,
             float(np.abs(np.trace(prods, axis1=1, axis2=2) - np.trace(rev, axis1=1, axis2=2)).max()) / d,
         )
         comm_cols.append((prods - rev).reshape(k, d * d))
-    adj_defect = 0.0
-    for a in range(k):
-        adj = dagger(bc.m1_basis[a])
-        c = np.einsum("krs,rs->k", bc.m1_basis.conj(), adj) / d
-        adj_defect = max(adj_defect, bc.two_norm1(adj - np.tensordot(c, bc.m1_basis, axes=1)))
+    adj_defect = _span_residual(bc, dagger(bc.m1_basis), bc.m1_basis)
     comm_matrix = np.concatenate(comm_cols, axis=1).T  # (K*D^2, K)
     center = _nullspace(comm_matrix, rtol=1e-9)
     center_dim = center.shape[1]
@@ -389,28 +407,17 @@ def verify_construction_properties(
     )
 
     # 2: p x p = E(x) p
-    defect2 = max(
-        op_norm(p @ bc.left_cache[i] @ p - bc.left(expectation_E(inc, inc.amb_basis[i])) @ p)
-        for i in range(d)
-    )
+    defect2 = _compression_defect(bc, inc.amb_basis)
     records.append(
         PropertyRecord(2, "compression to the subalgebra", "E: M → N", defect2 <= tol, defect2)
     )
 
     # 3: relative commutant of p in M equals N
-    cols = np.stack(
-        [(bc.left_cache[i] @ p - p @ bc.left_cache[i]).reshape(d * d) for i in range(d)],
-        axis=1,
-    )
-    null = _nullspace(cols)
+    null = _nullspace((bc.left_cache @ p - p @ bc.left_cache).reshape(d, d * d).T)
     comm_dim = null.shape[1]
-    span_defect = 0.0
-    for col in null.T:
-        x = inc.from_coords(col)
-        span_defect = max(span_defect, inc.two_norm(x - expectation_E(inc, x)))
-    reverse_defect = max(
-        op_norm(bc.left(e) @ p - p @ bc.left(e)) for e in inc.embed_basis
-    )
+    xs = inc.from_coords(null.T)
+    span_defect = float(np.max(inc.two_norm(xs - expectation_E(inc, xs)), initial=0.0))
+    reverse_defect = _commutation_defect(bc)
     ok3 = (
         comm_dim == inc.embed_basis.shape[0]
         and span_defect <= 1e-9
@@ -428,17 +435,7 @@ def verify_construction_properties(
     )
 
     # 4: N -> Np is a *-isomorphism onto p M1 p
-    embeds = [bc.left(e) for e in inc.embed_basis]
-    np_basis = np.stack([li @ p for li in embeds]) / np.sqrt(lam)
-    defect4 = 0.0
-    for i, li in enumerate(embeds):
-        for j, lj in enumerate(embeds):
-            prod = inc.embed_basis[i] @ inc.embed_basis[j]
-            defect4 = max(defect4, op_norm((li @ p) @ (lj @ p) - bc.left(prod) @ p))
-    for y in bc.m1_basis:
-        pyp = p @ y @ p
-        c = np.einsum("krs,rs->k", np_basis.conj(), pyp) / d
-        defect4 = max(defect4, bc.two_norm1(pyp - np.tensordot(c, np_basis, axes=1)))
+    defect4 = _corner_defect(bc)
     records.append(
         PropertyRecord(
             4, "corner algebra is the subalgebra", "R(x) = (1/λ)E₁(xp)", defect4 <= tol, defect4
@@ -446,25 +443,15 @@ def verify_construction_properties(
     )
 
     # 5: M1 p = M p
-    mp = np.stack([bc.left_cache[i] @ p for i in range(d)]) / np.sqrt(lam)
-    defect5 = 0.0
-    for y in bc.m1_basis:
-        yp = y @ p
-        c = np.einsum("krs,rs->k", mp.conj(), yp) / d
-        defect5 = max(defect5, bc.two_norm1(yp - np.tensordot(c, mp, axes=1)))
+    defect5 = _module_defect(bc)
     records.append(
         PropertyRecord(5, "compressed module", "R(x) = (1/λ)E₁(xp)", defect5 <= tol, defect5)
     )
 
     # 6: norm bounds for the compression, basis plus samples
-    sq = np.sqrt(lam)
-    defect6 = 0.0
-    probes = [inc.amb_basis[i] for i in range(d)]
-    probes += [random_element(rng, inc.amb_basis) for _ in range(n_samples)]
-    for a in probes:
-        a_norm = op_norm(a)
-        ap_norm = op_norm(bc.left(a) @ p)
-        defect6 = max(defect6, ap_norm - a_norm, sq * a_norm - ap_norm)
+    samples = [random_element(rng, inc.amb_basis) for _ in range(n_samples)]
+    probes = np.concatenate([inc.amb_basis, np.reshape(samples, (-1,) + inc.amb_basis.shape[1:])])
+    defect6 = _norm_bound_defect(bc, probes)
     records.append(
         PropertyRecord(
             6, "compression norm bounds", "E(x*x) ≥ λ x*x", defect6 <= tol, defect6
@@ -472,8 +459,7 @@ def verify_construction_properties(
     )
 
     # 7: E1(p) = lam
-    e1p = np.tensordot(bc._e1_coords(p), bc.left_cache, axes=1)
-    defect7 = max(op_norm(e1p - lam * np.eye(d)), abs(bc.tau1(p) - lam))
+    defect7 = _e1p_defect(bc)
     records.append(PropertyRecord(7, "trace of the projection", "E₁(p) = λ", defect7 <= tol, defect7))
 
     # 8: the index inequality at the declared constant

@@ -52,6 +52,7 @@ from .orbit import (
     orbit_point_from_witness,
     orbit_section_theta,
     random_horizontal_at,
+    sample_convexity_triple,
     sample_geodesic,
 )
 from .report import SCHEMA_VERSION, render_table, write_csv_rows
@@ -325,9 +326,6 @@ def _sweep_minimality(bc: BasicConstruction, cfg: RunConfig, out: str) -> dict:
 def _sweep_convexity(bc: BasicConstruction, cfg: RunConfig, out: str) -> dict:
     seed = _require_seed(cfg)
     rng = np.random.default_rng([seed, 202])
-    from .algebra import random_antihermitian
-    from .linalg import spectral_function
-
     header = ["trial", "min_second_difference", "passed"]
     if cfg.trials == 0:
         write_csv_rows(os.path.join(out, "convexity.csv"), header, [])
@@ -335,12 +333,7 @@ def _sweep_convexity(bc: BasicConstruction, cfg: RunConfig, out: str) -> dict:
     rows = []
     violations = 0
     for k in range(cfg.trials):
-        tri = []
-        for _ in range(3):
-            a = random_antihermitian(rng, bc.inc.amb_basis)
-            a = rng.uniform(0.05, 0.25) * a / max(op_norm(a), 1e-12)
-            tri.append(spectral_function(a, "exp"))
-        rep = convexity_probe(bc, tri[0], tri[1], tri[2], grid_n=32)
+        rep = convexity_probe(bc, *sample_convexity_triple(bc.inc, rng), grid_n=32)
         ok = rep.min_second_difference >= -1e-8
         violations += int(not ok)
         rows.append([k, rep.min_second_difference, int(ok)])

@@ -10,12 +10,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import re
 from dataclasses import dataclass
 
-from .algebra import Inclusion, make_tensor_inclusion
+from .algebra import Inclusion
 from .errors import ConfigError
-from .families import FAMILY_NAMES, family_inclusion
+from .families import family_inclusion
 
 SUITE_NAMES: tuple[str, ...] = (
     "construction",
@@ -31,7 +30,6 @@ SUITE_NAMES: tuple[str, ...] = (
 _TOP_KEYS = {"inclusion", "seed", "suites", "grid", "trials", "tolerances", "output_dir"}
 _INCLUSION_KEYS = {"family", "lam"}
 _TOLERANCE_KEYS = {"spectral"}
-_TENSOR_RE = re.compile(r"^tensor\((\d+),(\d+)\)$")
 
 _MAX_SEED = 2**64 - 1
 
@@ -76,22 +74,10 @@ class RunConfig:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def build_inclusion(self) -> Inclusion:
-        inc = _resolve_family(self.family)
+        inc = family_inclusion(self.family)
         if self.lam_override is not None:
             inc = dataclasses.replace(inc, lam=self.lam_override)
         return inc
-
-
-def _resolve_family(name: str) -> Inclusion:
-    if name in FAMILY_NAMES:
-        return family_inclusion(name)
-    m = _TENSOR_RE.match(name)
-    if m:
-        return make_tensor_inclusion(int(m.group(1)), int(m.group(2)))
-    raise ConfigError(
-        f"unknown family {name!r}; built-ins: {', '.join(FAMILY_NAMES)} "
-        "(tensor(m,k) with other sizes is also accepted)"
-    )
 
 
 def _require(cond: bool, msg: str) -> None:

@@ -17,6 +17,7 @@ import numpy as np
 from .algebra import Inclusion, expectation_E, orthonormalize, random_antihermitian
 from .basic import BasicConstruction, reduce_R
 from .errors import ConstructionError, DomainError, RadiusError
+from .families import family_record
 from .linalg import dagger, herm_defect, op_norm, polar_antihermitian, spectral_function
 from .tolerances import spectral_tol
 
@@ -207,35 +208,21 @@ def degenerate_geodesic_closed_form(
     return q
 
 
-def _real_gram_schmidt(
-    candidates: list[np.ndarray], inc: Inclusion, drop_tol: float = 1e-9
-) -> list[np.ndarray]:
-    """Orthonormalize under the real part of the trace inner product."""
-    basis: list[np.ndarray] = []
-    for cand in candidates:
-        v = cand.astype(complex)
-        for _ in range(2):
-            for b in basis:
-                v = v - float(np.real(inc.amb.inner(v, b))) * b
-        nrm = np.sqrt(max(float(np.real(inc.amb.inner(v, v))), 0.0))
-        if nrm > drop_tol:
-            basis.append(v / nrm)
-    return basis
+def _kernel_bases(inc: Inclusion) -> tuple[np.ndarray, np.ndarray]:
+    """Trace-orthonormal basis of the expectation kernel, and a
+    real-orthonormal anti-Hermitian basis of the same kernel."""
+    w = inc.amb.weight_vector
+    ker = orthonormalize(inc.amb_basis - expectation_E(inc, inc.amb_basis), w)
+    ik = 1j * ker
+    # the anti-Hermitian parts of k and ik, interleaved per kernel element
+    cands = np.stack([0.5 * (ker - dagger(ker)), 0.5 * (ik - dagger(ik))], axis=1)
+    return ker, orthonormalize(cands.reshape((-1,) + ker.shape[1:]), w, real=True)
 
 
-def kernel_real_onb(inc: Inclusion) -> list[np.ndarray]:
+def kernel_real_onb(inc: Inclusion) -> np.ndarray:
     """Real-orthonormal anti-Hermitian basis of the expectation kernel
     (the horizontal directions at the base point)."""
-    complements = []
-    for b in inc.amb_basis:
-        complements.append(b - expectation_E(inc, b))
-    ker = orthonormalize(complements, inc.amb.inner, drop_tol=1e-9)
-    cands: list[np.ndarray] = []
-    for k in ker:
-        cands.append(0.5 * (k - dagger(k)))
-        ik = 1j * k
-        cands.append(0.5 * (ik - dagger(ik)))
-    return _real_gram_schmidt(cands, inc)
+    return _kernel_bases(inc)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +248,7 @@ def totally_geodesic_audit(inc: Inclusion) -> AuditReport:
     squares of anti-Hermitian directions).
     """
     tol = spectral_tol()
-    basis = kernel_real_onb(inc)
+    ker, basis = _kernel_bases(inc)
     worst = 0.0
     witness: tuple[np.ndarray, np.ndarray] | None = None
     for i, a in enumerate(basis):
@@ -274,8 +261,6 @@ def totally_geodesic_audit(inc: Inclusion) -> AuditReport:
                     witness = (a, b)
     holds = worst <= tol
 
-    complements = [b - expectation_E(inc, b) for b in inc.amb_basis]
-    ker = orthonormalize(complements, inc.amb.inner, drop_tol=1e-9)
     prod_worst = 0.0
     for a in ker:
         for b in ker:
@@ -318,40 +303,16 @@ def tangent_space_comparison(bc: BasicConstruction) -> TangentComparison:
     """Compare {y tangent to the projection manifold at p with E1(y) = 0}
     against the orbit tangent space at p, as real spans inside the
     extension algebra."""
-    inc = bc.inc
     p = bc.jones_p
-    basis = kernel_real_onb(inc)
-    d = bc.dim_l2
-
-    def real_onb(mats: list[np.ndarray]) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for m in mats:
-            v = m.astype(complex)
-            for _ in range(2):
-                for b in out:
-                    v = v - float(np.real(np.vdot(b, v))) / d * b
-            nrm = np.sqrt(max(float(np.real(np.vdot(v, v))) / d, 0.0))
-            if nrm > 1e-9:
-                out.append(v / nrm)
-        return out
-
-    free = []
-    for a in basis:
-        la = bc.left(a)
-        free.append(la @ p + p @ dagger(la))
-    orbit = []
-    for a in basis:
-        la = bc.left(a)
-        orbit.append(la @ p - p @ la)
-    free_onb = real_onb(free)
-    orbit_onb = real_onb(orbit)
+    la = bc.left_many(kernel_real_onb(bc.inc))
+    free = la @ p + p @ dagger(la)
+    orbit = la @ p - p @ la
+    free_onb = orthonormalize(free, 1.0 / bc.dim_l2, real=True)
+    orbit_onb = orthonormalize(orbit, 1.0 / bc.dim_l2, real=True)
     defect = 0.0
     for m, onb in ((free, orbit_onb), (orbit, free_onb)):
-        for v in m:
-            r = v.copy()
-            for b in onb:
-                r = r - float(np.real(np.vdot(b, r))) / d * b
-            defect = max(defect, float(np.linalg.norm(r)) / np.sqrt(d))
+        c = np.einsum("brs,trs->tb", onb.conj(), m).real / bc.dim_l2
+        defect = max(defect, float(bc.two_norm1(m - np.tensordot(c, onb, axes=1)).max()))
     return TangentComparison(
         dim_expectation_free=len(free_onb),
         dim_orbit_tangent=len(orbit_onb),
@@ -370,9 +331,9 @@ def sample_degenerate_direction(
     """
     from .algebra import random_horizontal
 
-    tag = inc.family_tag
-    if tag.startswith("tensor("):
-        m, k = _tensor_params(tag)
+    family = family_record(inc.family_tag)
+    if family is not None and family.tensor_mk is not None:
+        m, k = family.tensor_mk
         if k == 2:
             # Hermitian left factor times a traceless anti-Hermitian 2x2
             # right factor: the square collapses to the left factor alone
@@ -388,9 +349,6 @@ def sample_degenerate_direction(
             b = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
             b = 0.5 * (b - dagger(b))
             x = np.kron(b, np.eye(k))
-    elif tag.startswith("group_flip"):
-        # every kernel direction is degenerate for this family
-        x = random_horizontal(inc, rng)
     else:
         x = random_horizontal(inc, rng)
     res = degeneracy_test(inc, x)
@@ -416,8 +374,3 @@ def sample_nondegenerate_direction(
         "could not sample a direction with a visibly non-subalgebra square"
     )
 
-
-def _tensor_params(tag: str) -> tuple[int, int]:
-    inner = tag[len("tensor(") : -1]
-    m_str, k_str = inner.split(",")
-    return int(m_str), int(k_str)

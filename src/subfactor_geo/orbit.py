@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    Inclusion,
     expectation_E,
     random_antihermitian,
     random_horizontal,
@@ -75,6 +76,7 @@ __all__ = [
     "minimality_experiment",
     "MinimalityReport",
     "convexity_probe",
+    "sample_convexity_triple",
     "ConvexityReport",
 ]
 
@@ -103,7 +105,7 @@ class OrbitPoint:
             raise DomainError(
                 f"orbit point has trace {bc.tau1(q):.6f}, expected {bc.lam:.6f}"
             )
-        e1q = np.tensordot(bc._e1_coords(q), bc.left_cache, axes=1)
+        e1q = bc._e1_unchecked(q)
         if op_norm(e1q - bc.lam * np.eye(bc.dim_l2)) > tol:
             raise DomainError("orbit point fails E1(q) = lam * 1")
         w = self.witness
@@ -186,7 +188,7 @@ def _tangent_projection_matrix(
     if gate:
         e1 = expectation_E1(bc, comm)
     else:
-        e1 = np.tensordot(bc._e1_coords(comm), bc.left_cache, axes=1)
+        e1 = bc._e1_unchecked(comm)
     bracket = (e1 @ q - q @ e1) / (2.0 * bc.lam)
     return bracket
 
@@ -836,16 +838,13 @@ def convexity_probe(
     u1: np.ndarray,
     u2: np.ndarray,
     grid_n: int = 32,
-    seed: int | None = None,
 ) -> ConvexityReport:
     """Squared trace-norm log-distance from u0 to the unitary geodesic from
     u1 to u2, sampled on a grid; reports the smallest second difference.
 
     The three unitaries must be pairwise closer than sqrt(2 - sqrt(2)) in
-    operator norm.  The seed parameter is accepted for interface stability
-    and unused (the probe is deterministic in its inputs).
+    operator norm.
     """
-    del seed
     r = np.sqrt(2.0 - np.sqrt(2.0))
     pairs = [(u0, u1), (u0, u2), (u1, u2)]
     for a, b in pairs:
@@ -872,3 +871,17 @@ def convexity_probe(
         min_second_difference=min_second,
         passed=min_second >= -1e-8,
     )
+
+
+def sample_convexity_triple(
+    inc: Inclusion, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three unitaries of M, each exp of a Gaussian anti-Hermitian element
+    rescaled to an operator norm drawn from [0.05, 0.25]; pairwise inside
+    the convexity window."""
+    tri = []
+    for _ in range(3):
+        a = random_antihermitian(rng, inc.amb_basis)
+        a = rng.uniform(0.05, 0.25) * a / max(op_norm(a), 1e-12)
+        tri.append(spectral_function(a, "exp"))
+    return tuple(tri)

@@ -27,6 +27,7 @@ from .basic import (
 )
 from .config import SUITE_NAMES, RunConfig
 from .errors import RadiusError
+from .families import family_record
 from .grassmann import (
     degeneracy_test,
     degenerate_geodesic_closed_form,
@@ -57,22 +58,12 @@ from .orbit import (
     orbit_section_theta,
     random_horizontal_at,
     random_orbit_point,
+    sample_convexity_triple,
     sample_geodesic,
     shorten_to_polygonal,
     tangent_projection,
 )
 from .report import CheckRecord, RunReport, SuiteReport, record
-
-# Families for which every kernel direction squares into the subalgebra,
-# making the orbit totally geodesic in the ambient projection manifold.
-TOTALLY_GEODESIC_FAMILIES = {
-    "tensor(1,2)": True,
-    "tensor(1,3)": False,
-    "tensor(2,2)": False,
-    "group_flip(scalars)": True,
-    "group_flip(m2)": True,
-}
-
 
 def _suite_rng(cfg: RunConfig, suite: str) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, SUITE_NAMES.index(suite)])
@@ -666,12 +657,7 @@ def _suite_convexity(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]
     n_con = max(4, cfg.trials // 2)
     worst = 0.0
     for _ in range(n_con):
-        tri = []
-        for _ in range(3):
-            a = random_antihermitian(rng, inc.amb_basis)
-            a = rng.uniform(0.05, 0.25) * a / max(op_norm(a), 1e-12)
-            tri.append(spectral_function(a, "exp"))
-        rep = convexity_probe(bc, tri[0], tri[1], tri[2], grid_n=32)
+        rep = convexity_probe(bc, *sample_convexity_triple(inc, rng), grid_n=32)
         worst = max(worst, -rep.min_second_difference)
     recs.append(
         record(
@@ -871,7 +857,8 @@ def _suite_degeneracy(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord
     recs.append(record("polar factorization of skew directions", "x = u|x|", worst_pol, 1e-10, n_pol))
 
     audit = totally_geodesic_audit(inc)
-    expected = TOTALLY_GEODESIC_FAMILIES.get(inc.family_tag)
+    family = family_record(inc.family_tag)
+    expected = None if family is None else family.totally_geodesic
     ok = audit.holds if expected is None else audit.holds == expected
     if not audit.holds:
         # the witness pair has an anticommutator outside the subalgebra, so

@@ -13,6 +13,7 @@ from subfactor_geo.algebra import (
     make_custom_inclusion,
     make_group_flip_inclusion,
     make_tensor_inclusion,
+    orthonormalize,
     pimsner_popa_validate,
     random_antihermitian,
     random_element,
@@ -20,8 +21,11 @@ from subfactor_geo.algebra import (
     random_horizontal,
     random_unitary,
 )
+from subfactor_geo.basic import _m1_generators
 from subfactor_geo.errors import DomainError
+from subfactor_geo.grassmann import kernel_real_onb
 from subfactor_geo.linalg import dagger, op_norm, unitary_defect
+from subfactor_geo.tolerances import GRAM_DROP_TOL
 
 # sharp feasibility threshold of E(x*x) >= lam*x*x per family, worked out
 # from rank-one probes: tensor(m,k) saturates at 1/(min(m,k)*k), the flip
@@ -198,3 +202,101 @@ def test_coords_round_trip(bc, rng):
     inc = bc.inc
     x = random_element(rng, inc.amb_basis)
     assert inc.two_norm(inc.from_coords(inc.coords(x)) - x) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the batched Gram-Schmidt helper against the sequential one it replaced
+
+
+def reference_gram_schmidt(candidates, inner):
+    """Sequential modified Gram-Schmidt: one basis element at a time, two
+    passes, the same drop rule as the batched helper."""
+    basis = []
+    for cand in candidates:
+        v = np.array(cand, dtype=complex)
+        for _ in range(2):
+            for b in basis:
+                v = v - inner(v, b) * b
+        nrm = np.sqrt(max(inner(v, v).real, 0.0))
+        if nrm > GRAM_DROP_TOL:
+            basis.append(v / nrm)
+    return np.stack(basis)
+
+
+def assert_same_basis(new, ref):
+    assert new.shape == ref.shape
+    assert op_norm(new - ref).max() <= 1e-12
+
+
+def matrix_units(desc):
+    """The identity, then every matrix unit scaled to trace norm one."""
+    units = [desc.identity()]
+    off = 0
+    for d, w in zip(desc.block_dims, desc.trace_weights):
+        for i in range(d):
+            for j in range(d):
+                e = np.zeros((desc.ambient_dim, desc.ambient_dim), dtype=complex)
+                e[off + i, off + j] = 1.0 / np.sqrt(w)
+                units.append(e)
+        off += d
+    return units
+
+
+def test_canonical_basis_matches_sequential_gram_schmidt(inclusions):
+    descs = [AlgebraDescriptor((2, 1), (0.25, 0.5))]
+    for inc in inclusions.values():
+        descs += [inc.sub, inc.amb]
+    for desc in descs:
+        ref = reference_gram_schmidt(matrix_units(desc), desc.inner)
+        assert_same_basis(desc.canonical_basis(), ref)
+
+
+@pytest.mark.parametrize("name", ["tensor(2,2)", "group_flip(m2)"])
+def test_extension_basis_matches_sequential_gram_schmidt(constructions, name):
+    bc = constructions[name]
+    d = bc.dim_l2
+    lc, p = bc.left_cache, bc.jones_p
+    # the generators in the order the double loop listed them
+    gens = [lc[i] for i in range(d)]
+    gens += [lc[i] @ p @ lc[j] for i in range(d) for j in range(d)]
+    assert op_norm(_m1_generators(lc, p) - np.stack(gens)).max() <= 1e-12
+    ref = reference_gram_schmidt(gens, lambda a, b: np.vdot(b, a) / d)
+    assert_same_basis(orthonormalize(np.stack(gens), 1.0 / d), ref)
+    assert_same_basis(bc.m1_basis, ref)
+
+
+def test_kernel_real_basis_matches_sequential_gram_schmidt(inclusions):
+    for inc in inclusions.values():
+        ker = reference_gram_schmidt(
+            [b - expectation_E(inc, b) for b in inc.amb_basis], inc.amb.inner
+        )
+        cands = []
+        for k in ker:
+            cands += [0.5 * (k - dagger(k)), 0.5 * (1j * k - dagger(1j * k))]
+        ref = reference_gram_schmidt(cands, lambda a, b: inc.amb.inner(a, b).real)
+        assert_same_basis(kernel_real_onb(inc), ref)
+
+
+def test_orthonormalize_drops_dependent_candidates(rng):
+    desc = AlgebraDescriptor((2, 1), (0.25, 0.5))
+    w = desc.weight_vector
+    one = desc.identity()
+    a = random_element(rng, desc.canonical_basis())
+    zero = np.zeros_like(one)
+    basis = orthonormalize([one, zero, a, one, 3.0 * a, 2.0 * one - a, zero], w)
+    assert_same_basis(basis, orthonormalize([one, a], w))
+    assert len(basis) == 2
+    assert len(orthonormalize([zero], w)) == 0
+
+
+def test_orthonormalize_real_mode_is_real_orthonormal(rng):
+    desc = AlgebraDescriptor((2, 1), (0.25, 0.5))
+    w = desc.weight_vector
+    xs = [random_element(rng, desc.canonical_basis()) for _ in range(3)]
+    # x and ix are complex multiples but real-independent
+    cands = xs + [1j * x for x in xs] + [xs[0] + 1j * xs[1], -2.0 * xs[2]]
+    assert len(orthonormalize(cands, w)) == 3
+    basis = orthonormalize(cands, w, real=True)
+    assert len(basis) == 6
+    gram = np.array([[desc.inner(a, b).real for b in basis] for a in basis])
+    assert np.abs(gram - np.eye(6)).max() <= 1e-12

@@ -1,6 +1,7 @@
 """Extension-algebra build: frozen small cases and a Gram-solve oracle."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,21 @@ def test_wrong_lambda_fails_loudly():
     with pytest.raises(ConstructionError) as err:
         build_basic_construction(bad)
     assert "property" in str(err.value)
+
+
+def test_gate_and_verifier_share_the_property_defects():
+    inc = make_tensor_inclusion(1, 2)
+    bad = dataclasses.replace(inc, lam=0.3)
+    with pytest.raises(ConstructionError) as err:
+        build_basic_construction(bad)
+    found = re.fullmatch(r"property (\d) fails: .* by (\S+)", str(err.value))
+    assert found is not None
+    index = int(found.group(1))
+    # only the declared constant differs from the construction the gate saw
+    unchecked = dataclasses.replace(build_basic_construction(inc), inc=bad, lam=0.3)
+    rec = verify_construction_properties(unchecked).records[index - 1]
+    assert rec.index == index and not rec.passed
+    assert found.group(2) == f"{rec.worst_defect:.3e}"
 
 
 def test_dump_construction_round_trip(tmp_path, constructions):

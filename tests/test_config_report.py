@@ -13,6 +13,7 @@ from subfactor_geo.config import (
     parse_config,
 )
 from subfactor_geo.errors import ConfigError
+from subfactor_geo.families import family_inclusion, family_record
 from subfactor_geo.report import (
     ANCHOR_VOCABULARY,
     CheckRecord,
@@ -90,6 +91,16 @@ def test_arbitrary_tensor_sizes_accepted():
     assert abs(inc.lam - 1.0 / 16.0) < 1e-15
     with pytest.raises(ConfigError, match="unknown family"):
         parse_config({"inclusion": {"family": "sporadic"}, "seed": 1}).build_inclusion()
+
+
+def test_tensor_names_resolve_through_the_registry():
+    inc = parse_config({"inclusion": {"family": "tensor(3,2)"}, "seed": 1}).build_inclusion()
+    assert inc is family_inclusion("tensor(3,2)")
+    assert inc.family_tag == "tensor(3,2)"
+    assert family_record("tensor(3,2)").tensor_mk == (3, 2)
+    assert family_record("sporadic") is None
+    with pytest.raises(ConfigError, match="unknown family"):
+        family_inclusion("sporadic")
 
 
 def test_lam_override_reaches_inclusion():

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from subfactor_geo.algebra import expectation_E, random_element
 from subfactor_geo.errors import DomainError, RadiusError
+from subfactor_geo.families import FAMILY_NAMES, family_inclusion, family_record
 from subfactor_geo.grassmann import (
     degeneracy_test,
     degenerate_geodesic_closed_form,
@@ -226,3 +227,13 @@ def test_tangent_space_comparison_matches(bc):
     assert cmp_.match
     assert cmp_.dim_expectation_free == KERNEL_DIMS[bc.inc.family_tag]
     assert cmp_.span_defect <= 1e-9
+
+
+@pytest.mark.parametrize("name", [*FAMILY_NAMES, "tensor(1,4)", "tensor(3,2)"])
+def test_registry_facts_agree_with_the_audit(name, rng):
+    family = family_record(name)
+    inc = family_inclusion(name)
+    assert family.totally_geodesic is not None
+    assert totally_geodesic_audit(inc).holds == family.totally_geodesic
+    # the sampler takes its tensor sizes from the same record
+    assert degeneracy_test(inc, sample_degenerate_direction(inc, rng)).degenerate
