@@ -79,8 +79,10 @@ class AlgebraDescriptor:
     def identity(self) -> np.ndarray:
         return np.eye(self.ambient_dim, dtype=complex)
 
-    def trace(self, x: np.ndarray) -> complex:
-        return complex(np.diag(x) @ self.weight_vector)
+    def trace(self, x: np.ndarray) -> complex | np.ndarray:
+        """tau(x); slice by slice, as an array, for stacks of shape (..., n, n)."""
+        val = np.diagonal(x, axis1=-2, axis2=-1) @ self.weight_vector
+        return complex(val) if val.ndim == 0 else val
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> complex | np.ndarray:
         """Trace inner product <a, b> = tau(b* a); slice by slice, as an
@@ -189,7 +191,7 @@ class Inclusion:
     def identity(self) -> np.ndarray:
         return self.amb.identity()
 
-    def trace(self, x: np.ndarray) -> complex:
+    def trace(self, x: np.ndarray) -> complex | np.ndarray:
         return self.amb.trace(x)
 
     def two_norm(self, x: np.ndarray) -> float:

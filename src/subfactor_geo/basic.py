@@ -83,8 +83,7 @@ class BasicConstruction:
     def project_m1(self, y: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
         """tau1-orthogonal projection onto span(m1_basis) and its residual,
         slice by slice for stacks."""
-        c = np.einsum("krs,...rs->...k", self.m1_basis.conj(), y) / self.dim_l2
-        proj = np.tensordot(c, self.m1_basis, axes=1)
+        proj = _project_span(y, self.m1_basis, self.dim_l2)
         return proj, self.two_norm1(y - proj)
 
     def membership_defect(self, y: np.ndarray) -> float | np.ndarray:
@@ -197,11 +196,13 @@ def build_basic_construction(inc: Inclusion) -> BasicConstruction:
     star_defect = float(op_norm(left_adj - dagger(left_cache)).max())
     if star_defect > tol:
         raise ConstructionError(f"left_rep does not intertwine adjoints (defect {star_defect:.3e})")
+    # left(b_i b_j) = left(b_i) left(b_j), one row i (D matrices) at a time
     coords_prod = np.einsum("iskd,rkd,d->isr", prods, basis.conj(), w)
-    lhs = np.einsum("irt,jts->ijrs", left_cache, left_cache)
-    rhs = np.tensordot(coords_prod, left_cache, axes=([2], [0]))
-    homo_defect = float(
-        max(op_norm(lhs[i, j] - rhs[i, j]) for i in range(d) for j in range(d))
+    homo_defect = max(
+        float(
+            op_norm(left_cache[i] @ left_cache - np.tensordot(coords_prod[i], left_cache, 1)).max()
+        )
+        for i in range(d)
     )
     if homo_defect > tol:
         raise ConstructionError(
@@ -209,8 +210,8 @@ def build_basic_construction(inc: Inclusion) -> BasicConstruction:
         )
 
     # Markov compatibility: the normalized D-trace restricts to tau
-    markov = max(
-        abs(np.trace(left_cache[i]) / d - inc.trace(basis[i])) for i in range(d)
+    markov = float(
+        np.abs(np.trace(left_cache, axis1=1, axis2=2) / d - inc.trace(basis)).max()
     )
     if markov > tol:
         raise ConstructionError(
@@ -250,11 +251,20 @@ def _m1_generators(left_cache: np.ndarray, p: np.ndarray) -> np.ndarray:
 # build gate and the verifier; each is the worst over its stacked probes.
 
 
+def _project_span(ys: np.ndarray, onb: np.ndarray, d: int) -> np.ndarray:
+    """tau1-orthogonal projection of a D x D matrix, or of each slice of a
+    stack, onto the span of the tau1-orthonormal stack ``onb``: two GEMMs
+    on the flattened matrices."""
+    onb_flat = onb.reshape(len(onb), -1)
+    ys_flat = ys.reshape(ys.shape[:-2] + (-1,))
+    c = ys_flat @ onb_flat.conj().T / d
+    return (c @ onb_flat).reshape(ys.shape)
+
+
 def _span_residual(bc: BasicConstruction, ys: np.ndarray, onb: np.ndarray) -> float:
     """Largest tau1 2-norm distance of a slice of ``ys`` from the span of
     the tau1-orthonormal stack ``onb``."""
-    c = np.einsum("krs,trs->tk", onb.conj(), ys) / bc.dim_l2
-    return float(bc.two_norm1(ys - np.tensordot(c, onb, axes=1)).max())
+    return float(bc.two_norm1(ys - _project_span(ys, onb, bc.dim_l2)).max())
 
 
 def _compression_defect(bc: BasicConstruction, xs: np.ndarray) -> float:
@@ -309,8 +319,9 @@ def _e1p_defect(bc: BasicConstruction) -> float:
 def _gate_properties(bc: BasicConstruction) -> None:
     """Refuse a construction failing property 2-7 on the basis of M.
 
-    Property 1 is left to the verifier: its commutator matrix has K D^2 x K
-    entries.  Property 8 already ran at the top of the build.
+    Property 1 is left to the verifier: its closure clause multiplies all
+    K^2 pairs of basis elements of M1.  Property 8 already ran at the top of
+    the build.
     """
     tol = spectral_tol()
     basis = bc.inc.amb_basis
@@ -356,6 +367,51 @@ def _nullspace(a: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     return vh[rank:].conj().T
 
 
+def _algebra_defects(bc: BasicConstruction) -> tuple[float, float, float]:
+    """Property 1, its algebra and trace clauses, over all pairs (a, b) of
+    basis elements of M1: the largest tau1 2-norm distance of m_a m_b and
+    of m_a* from span(m1_basis), and the largest
+    |tau1(m_a m_b) - tau1(m_b m_a)|."""
+    basis = bc.m1_basis
+    k = bc.dim_m1
+    product = max(_span_residual(bc, basis[a] @ basis, basis) for a in range(k))
+    adjoint = _span_residual(bc, dagger(basis), basis)
+    # t[a, b] = trace(m_a m_b), one K x K product of the flattened stacks
+    t = basis.reshape(k, -1) @ np.swapaxes(basis, 1, 2).reshape(k, -1).T
+    trace = float(np.abs(t - t.T).max()) / bc.dim_l2
+    return product, adjoint, trace
+
+
+def _center_dim(bc: BasicConstruction) -> int:
+    """Dimension of the center of span(m1_basis), computed from the
+    generators of M1.
+
+    M1 is the algebra generated by left(M) and p (Jones 1983), and
+    m1_basis spans left(M) + left(M) p left(M), which holds those
+    generators and lies in M1.  Once the closure clause of property 1
+    holds, that span is closed under products, so it is M1, and an element
+    of it is central exactly when it commutes with p and with left(b_i) for
+    every basis element b_i of M: commuting with a generating set means
+    commuting with every product and sum of its members.  The commutant of
+    these D + 1 generators is cut down one generator at a time, in
+    coordinates over m1_basis: V starts as the identity, and each generator
+    g replaces V by V times the nullspace of the D^2 x v matrix of the
+    commutators [g, z], z running over the tau1-orthonormal elements that
+    the columns of V give.  No step is larger than D^2 x K.  When the
+    closure clause fails, property 1 already fails, and the count is the
+    dimension of the commutant of the generators within the span.
+    """
+    d = bc.dim_l2
+    v = np.eye(bc.dim_m1)
+    for g in (bc.jones_p, *bc.left_cache):
+        z = np.tensordot(v.T, bc.m1_basis, axes=1)
+        comm = (g @ z - z @ g).reshape(len(z), d * d).T
+        v = v @ _nullspace(comm, rtol=1e-9)
+        if v.shape[1] == 0:
+            break
+    return v.shape[1]
+
+
 def verify_construction_properties(
     bc: BasicConstruction, n_samples: int = 32, seed: int = 0
 ) -> ConstructionReport:
@@ -364,30 +420,15 @@ def verify_construction_properties(
     inc = bc.inc
     p = bc.jones_p
     d = bc.dim_l2
-    k = bc.dim_m1
     lam = bc.lam
     rng = np.random.default_rng(seed)
 
     records: list[PropertyRecord] = []
 
-    # 1: tau1 is a trace on the extension algebra, whose span is an algebra;
-    # center dimension recorded (trivial iff a factor)
-    prod_defect = 0.0
-    trace_defect = 0.0
-    comm_cols = []
-    for a in range(k):
-        prods = bc.m1_basis[a] @ bc.m1_basis          # (K, D, D)
-        prod_defect = max(prod_defect, _span_residual(bc, prods, bc.m1_basis))
-        rev = bc.m1_basis @ bc.m1_basis[a]
-        trace_defect = max(
-            trace_defect,
-            float(np.abs(np.trace(prods, axis1=1, axis2=2) - np.trace(rev, axis1=1, axis2=2)).max()) / d,
-        )
-        comm_cols.append((prods - rev).reshape(k, d * d))
-    adj_defect = _span_residual(bc, dagger(bc.m1_basis), bc.m1_basis)
-    comm_matrix = np.concatenate(comm_cols, axis=1).T  # (K*D^2, K)
-    center = _nullspace(comm_matrix, rtol=1e-9)
-    center_dim = center.shape[1]
+    # 1: span(m1_basis) is an algebra on which tau1 is a trace; center
+    # dimension recorded (trivial iff a factor)
+    prod_defect, adj_defect, trace_defect = _algebra_defects(bc)
+    center_dim = _center_dim(bc)
     predicted = len(inc.sub.block_dims)
     ok1 = (
         prod_defect <= 1e-9
@@ -402,7 +443,13 @@ def verify_construction_properties(
             "[M:N] = λ⁻¹",
             ok1,
             max(prod_defect, adj_defect, trace_defect),
-            {"center_dim": center_dim, "predicted_center_dim": predicted},
+            {
+                "center_dim": center_dim,
+                "predicted_center_dim": predicted,
+                "product_defect": prod_defect,
+                "adjoint_defect": adj_defect,
+                "trace_defect": trace_defect,
+            },
         )
     )
 

@@ -13,9 +13,10 @@ stack; each slice of a stacked result is bitwise equal to the result for that
 slice alone.  ``op_norm`` returns a float for a matrix and an array of shape
 ``(...)`` for a stack.
 
-The tolerance gates of ``spectral_function``, ``log_unitary_principal`` and
-``polar_antihermitian``, each a test ``op_norm(a) <= tol``, are decided first
-by the Frobenius bounds ``‖a‖_F / √r ≤ ‖a‖ ≤ ‖a‖_F`` (r the smaller side of a),
+``op_norm_within(a, tol)`` decides ``op_norm(a) <= tol`` per slice.  It is
+the tolerance gate of ``spectral_function``, ``log_unitary_principal`` and
+``polar_antihermitian`` (and of the curve gap check in ``orbit``), and it
+decides first by the Frobenius bounds ``‖a‖_F / √r ≤ ‖a‖ ≤ ‖a‖_F`` (r the smaller side of a),
 each with a relative margin of 1e-12 against roundoff; the singular values
 are computed only for the slices that neither bound settles, so every
 decision equals the exact test.  Error messages still report exact
@@ -32,6 +33,7 @@ from .tolerances import ANGLE_GUARD, spectral_tol
 __all__ = [
     "dagger",
     "op_norm",
+    "op_norm_within",
     "herm_defect",
     "antiherm_defect",
     "unitary_defect",
@@ -64,7 +66,7 @@ def op_norm(a: np.ndarray) -> float | np.ndarray:
     return float(norms) if a.ndim == 2 else norms
 
 
-def _op_norm_within(a: np.ndarray, tol: float) -> bool | np.ndarray:
+def op_norm_within(a: np.ndarray, tol: float) -> bool | np.ndarray:
     """``op_norm(a) <= tol`` per slice, settled by the Frobenius bounds
     where they decide and by the singular values elsewhere."""
     a = np.asarray(a)
@@ -133,11 +135,11 @@ def spectral_function(h: np.ndarray, f: str) -> np.ndarray:
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
         raise DomainError(f"expected a square matrix or a stack of them, got shape {h.shape}")
     tol = spectral_tol()
-    herm = _op_norm_within(h - dagger(h), tol)
+    herm = op_norm_within(h - dagger(h), tol)
     if np.all(herm):
         w, v = np.linalg.eigh((h + dagger(h)) / 2.0)
         eigs = w.astype(complex)
-    elif np.all(_op_norm_within(h + dagger(h), tol)):
+    elif np.all(op_norm_within(h + dagger(h), tol)):
         if f == "sqrt":
             raise DomainError("sqrt needs a Hermitian input")
         w, v = np.linalg.eigh((h - dagger(h)) / 2.0j)
@@ -187,12 +189,12 @@ def log_unitary_principal(u: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=complex)
     tol = spectral_tol()
-    if not _op_norm_within(dagger(u) @ u - np.eye(u.shape[0]), tol):
+    if not op_norm_within(dagger(u) @ u - np.eye(u.shape[0]), tol):
         raise DomainError(f"input is not unitary (defect {unitary_defect(u):.3e} > {tol:.1e})")
     t, q = scipy.linalg.schur(u, output="complex")
     diag = np.diag(t)
     off = t - np.diag(diag)
-    if not _op_norm_within(off, 1e3 * tol):
+    if not op_norm_within(off, 1e3 * tol):
         raise DomainError(
             f"unitary is not normal enough to diagonalize (defect {op_norm(off):.3e})"
         )
@@ -216,7 +218,7 @@ def polar_antihermitian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     x = np.asarray(x, dtype=complex)
     tol = spectral_tol()
-    if not _op_norm_within(x + dagger(x), tol):
+    if not op_norm_within(x + dagger(x), tol):
         raise DomainError(f"input is not anti-Hermitian (defect {antiherm_defect(x):.3e})")
     w, v = np.linalg.eigh((x - dagger(x)) / 2.0j)
     absw = np.abs(w)

@@ -39,6 +39,7 @@ from .linalg import (
     log_unitary_principal,
     nearest_unitary,
     op_norm,
+    op_norm_within,
     spectral_function,
     unitary_defect,
 )
@@ -250,8 +251,10 @@ class DiscreteCurve:
     def __post_init__(self) -> None:
         if self.samples.ndim != 3 or self.samples.shape[0] < 2:
             raise DomainError("a curve needs at least two samples")
-        gap = op_norm(np.diff(self.samples, axis=0)).max()
-        if gap >= 0.5:
+        gaps = np.diff(self.samples, axis=0)
+        # every gap < 0.5: the largest float below 0.5 makes the gate strict
+        if not np.all(op_norm_within(gaps, np.nextafter(0.5, 0.0))):
+            gap = op_norm(gaps).max()
             raise DomainError(
                 f"curve is under-resolved: consecutive op-norm gap {gap:.3f} >= 0.5"
             )

@@ -2,11 +2,13 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from subfactor_geo.algebra import (
+    make_custom_inclusion,
     make_group_flip_inclusion,
     make_tensor_inclusion,
     random_element,
@@ -195,6 +197,85 @@ def test_property_report_center_dimension(constructions):
     rec = rep.records[0]
     # extension of a factor inclusion is a factor
     assert rec.detail["center_dim"] == 1
+
+
+def full_property1_reference(bc):
+    """Property 1 pair by pair, as the verifier once computed it: the
+    closure, adjoint and trace defects from one einsum projection per left
+    factor, and the center as the nullspace of the K*D^2 x K matrix of all
+    commutators [m_a, m_b]."""
+    k, d = bc.dim_m1, bc.dim_l2
+    basis = bc.m1_basis
+
+    def residual(ys):
+        c = np.einsum("krs,trs->tk", basis.conj(), ys) / d
+        return float(bc.two_norm1(ys - np.tensordot(c, basis, axes=1)).max())
+
+    product = trace = 0.0
+    cols = []
+    for a in range(k):
+        prods = basis[a] @ basis
+        rev = basis @ basis[a]
+        product = max(product, residual(prods))
+        trace = max(
+            trace,
+            float(
+                np.abs(np.trace(prods, axis1=1, axis2=2) - np.trace(rev, axis1=1, axis2=2)).max()
+            )
+            / d,
+        )
+        cols.append((prods - rev).reshape(k, d * d))
+    s = np.linalg.svd(np.concatenate(cols, axis=1).T, compute_uv=False)
+    center_dim = k - int((s > 1e-9 * max(1.0, s.max())).sum())
+    return product, residual(dagger(basis)), trace, center_dim
+
+
+def diagonal_pair_construction():
+    """N = C + C inside M2 as its diagonal, at lam = 1/2: a non-factor
+    subalgebra, so M1 has a two-dimensional center."""
+    sub = AlgebraDescriptor((1, 1), (0.5, 0.5))
+    amb = AlgebraDescriptor((2,), (0.5,))
+    return build_basic_construction(make_custom_inclusion(sub, amb, lambda b: b, 0.5))
+
+
+def test_property1_matches_full_commutator_reference(constructions):
+    cases = dict(constructions)
+    cases["diagonal C+C in M2"] = diagonal_pair_construction()
+    center_dims = {}
+    for name, bc in cases.items():
+        rec = verify_construction_properties(bc, n_samples=4, seed=1).records[0]
+        product, adjoint, trace, center_dim = full_property1_reference(bc)
+        assert rec.detail["center_dim"] == center_dim, name
+        assert abs(rec.detail["product_defect"] - product) <= 1e-12, name
+        assert abs(rec.detail["adjoint_defect"] - adjoint) <= 1e-12, name
+        assert abs(rec.detail["trace_defect"] - trace) <= 1e-12, name
+        assert abs(rec.worst_defect - max(product, adjoint, trace)) <= 1e-12, name
+        assert rec.passed, name
+        center_dims[name] = center_dim
+    assert center_dims["diagonal C+C in M2"] == 2
+    assert all(center_dims[name] == 1 for name in constructions)
+
+
+def test_property1_fails_loudly_on_a_truncated_basis(constructions):
+    bc = constructions["tensor(2,2)"]
+    cut = dataclasses.replace(bc, m1_basis=bc.m1_basis[:-1])
+    rec = verify_construction_properties(cut, n_samples=4, seed=1).records[0]
+    assert not rec.passed
+    assert rec.worst_defect > 1e-3
+
+
+def test_property_verifier_memory_stays_below_the_commutator_matrix(constructions):
+    # Peak traced allocation of the verifier on tensor(2,2): 50.9 MB when
+    # property 1 formed the K*D^2 x K commutator matrix (16.8 MB itself),
+    # 1.0 MB with the center taken from the generators of M1.
+    bc = constructions["tensor(2,2)"]
+    tracemalloc.start()
+    try:
+        verify_construction_properties(bc, n_samples=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_wrong_lambda_fails_loudly():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from subfactor_geo.errors import BranchCutError, DomainError
 from subfactor_geo.linalg import (
-    _op_norm_within,
+    op_norm_within,
     antiherm_defect,
     dagger,
     dump_matrix,
@@ -316,9 +316,9 @@ def test_frobenius_gate_matches_exact_test(seed, n, profile, log_tol, rel):
     else:
         svals = np.concatenate([[top], top * rng.uniform(0.0, 1.0, n - 1)])
     a = _with_singular_values(rng, svals)
-    assert _op_norm_within(a, tol) == (op_norm(a) <= tol)
+    assert op_norm_within(a, tol) == (op_norm(a) <= tol)
     stack = np.stack([a, 0.5 * a, 2.0 * a, np.zeros_like(a)])
-    assert np.array_equal(_op_norm_within(stack, tol), op_norm(stack) <= tol)
+    assert np.array_equal(op_norm_within(stack, tol), op_norm(stack) <= tol)
 
 
 def test_frobenius_gate_boundary_below_tol_with_frobenius_above(rng):
@@ -326,5 +326,5 @@ def test_frobenius_gate_boundary_below_tol_with_frobenius_above(rng):
     for n in (2, 4, 16):
         a = _with_singular_values(rng, np.full(n, tol * (1.0 - 1e-14)))
         assert op_norm(a) <= tol < np.linalg.norm(a)
-        assert _op_norm_within(a, tol) is True
-        assert _op_norm_within(a * (1.0 + 1e-13), tol) is False
+        assert op_norm_within(a, tol) is True
+        assert op_norm_within(a * (1.0 + 1e-13), tol) is False

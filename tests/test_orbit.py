@@ -571,3 +571,19 @@ def test_curve_functionals_match_per_sample_reference(constructions):
             with pytest.raises(DomainError, match=f"gap {gap:.3f} >= 0.5"):
                 DiscreteCurve(bc=bc, samples=coarse)
     assert verdicts == [True, True, True, False, False]
+
+
+def test_curve_gap_check_is_strict(constructions):
+    # a gap of exactly 0.5 is refused, the largest float below it accepted;
+    # the samples are multiples of a matrix unit so that every gap is exact
+    bc = constructions["tensor(2,2)"]
+    unit = np.zeros((bc.dim_l2, bc.dim_l2))
+    unit[0, 0] = 1.0
+    for gap, ok in ((0.5, False), (np.nextafter(0.5, 0.0), True)):
+        samples = np.stack([0.0 * unit, gap * unit, 0.0 * unit])
+        assert max(_reference_gaps(samples)) == gap
+        if ok:
+            DiscreteCurve(bc=bc, samples=samples)
+        else:
+            with pytest.raises(DomainError, match="gap 0.500 >= 0.5"):
+                DiscreteCurve(bc=bc, samples=samples)
