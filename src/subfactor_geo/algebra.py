@@ -22,7 +22,6 @@ __all__ = [
     "AlgebraDescriptor",
     "Inclusion",
     "PPReport",
-    "norms",
     "expectation_E",
     "horizontal_projection",
     "pimsner_popa_validate",
@@ -30,6 +29,10 @@ __all__ = [
     "make_group_flip_inclusion",
     "make_custom_inclusion",
     "orthonormalize",
+    "span_coords",
+    "span_project",
+    "span_residual",
+    "closure_defects",
     "random_element",
     "random_hermitian",
     "random_antihermitian",
@@ -96,19 +99,6 @@ class AlgebraDescriptor:
         norms = np.sqrt(np.maximum(val, 0.0))
         return float(norms) if norms.ndim == 0 else norms
 
-    def block_matrix(self, blocks: list[np.ndarray]) -> np.ndarray:
-        """Assemble a block-diagonal element from per-block matrices."""
-        if len(blocks) != len(self.block_dims):
-            raise DomainError("wrong number of blocks")
-        out = np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
-        off = 0
-        for blk, d in zip(blocks, self.block_dims):
-            if blk.shape != (d, d):
-                raise DomainError(f"block shape {blk.shape} does not match dimension {d}")
-            out[off : off + d, off : off + d] = blk
-            off += d
-        return out
-
     def canonical_basis(self) -> np.ndarray:
         """Trace-orthonormal basis with the identity as its first element."""
         units = [self.identity()]
@@ -154,10 +144,42 @@ def orthonormalize(candidates, weights, real: bool = False) -> np.ndarray:
     return basis[:k].reshape((k,) + shape).copy()
 
 
-def _coords(stack: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Coefficients of x, or of each slice of a (..., n, n) stack, over the
-    trace-orthonormal basis ``stack``."""
-    return np.einsum("bkd,...kd,d->...b", stack.conj(), x, weights)
+# The span kernel: every coordinate, projection, residual and *-closure
+# check over an orthonormal stack b (E, E1, membership in M and M1, the
+# construction's property defects) goes through these routines.  The inner
+# product is the one of ``orthonormalize``.
+
+
+def span_coords(stack: np.ndarray, x: np.ndarray, weights, real: bool = False) -> np.ndarray:
+    """Coefficients <x, b_i> of x, or of each slice of a (..., n, n) stack,
+    over the stack b; ``real`` keeps their real part.  One GEMM on the
+    flattened matrices."""
+    xw = (x * weights).reshape(x.shape[:-2] + (-1,))
+    # <b_i, x> = conj(<x, b_i>): conjugating x, not the (often larger) stack
+    c = xw.conj() @ stack.reshape(len(stack), -1).T
+    return c.real if real else c.conj()
+
+
+def span_project(stack: np.ndarray, x: np.ndarray, weights, real: bool = False) -> np.ndarray:
+    """Orthogonal projection of x, or of each slice of a stack, onto the
+    (real, with ``real``) span of the stack."""
+    c = span_coords(stack, x, weights, real)
+    return (c @ stack.reshape(len(stack), -1)).reshape(x.shape)
+
+
+def span_residual(stack: np.ndarray, x: np.ndarray, weights, real: bool = False) -> float:
+    """Largest weighted 2-norm distance of x, or of a slice of a stack,
+    from the span of the stack."""
+    r = (x - span_project(stack, x, weights, real)) * np.sqrt(weights)
+    return float(np.linalg.norm(r, axis=(-2, -1)).max())
+
+
+def closure_defects(stack: np.ndarray, weights) -> tuple[float, float]:
+    """(product, adjoint): the largest distance of b_a b_c over all pairs,
+    and of b_a*, from the span of the stack.  The products are formed one
+    row a at a time, so no step holds more than len(stack) of them."""
+    product = max(span_residual(stack, b @ stack, weights) for b in stack)
+    return product, span_residual(stack, dagger(stack), weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,10 +206,6 @@ class Inclusion:
     def dim(self) -> int:
         return self.amb_basis.shape[0]
 
-    @property
-    def arena_dim(self) -> int:
-        return self.amb.ambient_dim
-
     def identity(self) -> np.ndarray:
         return self.amb.identity()
 
@@ -198,15 +216,16 @@ class Inclusion:
         return self.amb.two_norm(x)
 
     def coords(self, x: np.ndarray) -> np.ndarray:
-        """Coefficients of x over the basis of M."""
-        return _coords(self.amb_basis, x, self.amb.weight_vector)
+        """Coefficients of x, or of each slice of a stack, over the basis of M."""
+        return span_coords(self.amb_basis, x, self.amb.weight_vector)
 
     def from_coords(self, c: np.ndarray) -> np.ndarray:
         return np.tensordot(c, self.amb_basis, axes=1)
 
     def project_m(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        proj = self.from_coords(self.coords(x))
-        return proj, self.amb.two_norm(x - proj)
+        """Projection of x onto M and its trace 2-norm distance from M."""
+        w = self.amb.weight_vector
+        return span_project(self.amb_basis, x, w), span_residual(self.amb_basis, x, w)
 
     def validate(self) -> None:
         tol = spectral_tol()
@@ -215,9 +234,7 @@ class Inclusion:
             ("embed", self.embed_basis, self.amb),
             ("amb", self.amb_basis, self.amb),
         ):
-            gram = np.einsum(
-                "akd,bkd,d->ab", stack, stack.conj(), desc.weight_vector
-            )
+            gram = span_coords(stack, stack, desc.weight_vector)
             if op_norm(gram - np.eye(len(stack))) > 1e-11:
                 raise DomainError(f"{name} basis is not trace-orthonormal")
             if op_norm(stack[0] - desc.identity()) > 1e-11:
@@ -226,52 +243,25 @@ class Inclusion:
             raise DomainError("sub and embed bases must be aligned")
         if not 0.0 < self.lam <= 1.0:
             raise DomainError(f"index constant must lie in (0, 1], got {self.lam}")
-        # trace compatibility of the embedding
-        for bs, be in zip(self.sub_basis, self.embed_basis):
-            if abs(self.sub.trace(bs) - self.amb.trace(be)) > 1e-11:
-                raise DomainError("embedding does not preserve the trace")
-        # the image of N sits inside M
-        for be in self.embed_basis:
-            _, defect = self.project_m(be)
-            if defect > tol:
-                raise DomainError(f"embedded subalgebra leaves M (defect {defect:.3e})")
-        # *-closure and multiplicativity: structure constants upstairs match
-        # the abstract ones, and both spans are algebras
-        wv_sub = self.sub.weight_vector
-        wv_amb = self.amb.weight_vector
-        for i in range(len(self.sub_basis)):
-            adj_defect = _span_defect(self.embed_basis[i].conj().T, self.embed_basis, wv_amb, self.amb)
-            if adj_defect > tol:
-                raise DomainError("subalgebra image is not adjoint-closed")
-            for j in range(len(self.sub_basis)):
-                prod_sub = self.sub_basis[i] @ self.sub_basis[j]
-                prod_emb = self.embed_basis[i] @ self.embed_basis[j]
-                c_sub = _coords(self.sub_basis, prod_sub, wv_sub)
-                c_emb = _coords(self.embed_basis, prod_emb, wv_amb)
-                resid = prod_emb - np.tensordot(c_emb, self.embed_basis, axes=1)
-                if self.amb.two_norm(resid) > tol:
-                    raise DomainError("subalgebra image is not closed under products")
-                if np.abs(c_sub - c_emb).max() > 1e-9:
-                    raise DomainError("embedding is not multiplicative")
-        for i in range(self.dim):
-            adj_defect = _span_defect(self.amb_basis[i].conj().T, self.amb_basis, wv_amb, self.amb)
-            if adj_defect > tol:
-                raise DomainError("M is not adjoint-closed")
-            for j in range(self.dim):
-                prod = self.amb_basis[i] @ self.amb_basis[j]
-                resid = prod - np.tensordot(_coords(self.amb_basis, prod, wv_amb), self.amb_basis, axes=1)
-                if self.amb.two_norm(resid) > tol:
-                    raise DomainError("M is not closed under products")
-
-
-def _span_defect(x, stack, weights, desc) -> float:
-    c = _coords(stack, x, weights)
-    return desc.two_norm(x - np.tensordot(c, stack, axes=1))
-
-
-def norms(desc: AlgebraDescriptor, x: np.ndarray) -> tuple[float, float]:
-    """(trace two-norm, operator norm) of an arena element."""
-    return desc.two_norm(x), op_norm(x)
+        if np.abs(self.sub.trace(self.sub_basis) - self.amb.trace(self.embed_basis)).max() > 1e-11:
+            raise DomainError("embedding does not preserve the trace")
+        wv = self.amb.weight_vector
+        defect = span_residual(self.amb_basis, self.embed_basis, wv)
+        if defect > tol:
+            raise DomainError(f"embedded subalgebra leaves M (defect {defect:.3e})")
+        # both spans are *-algebras, and the structure constants upstairs
+        # match the abstract ones
+        for what, stack in (("subalgebra image", self.embed_basis), ("M", self.amb_basis)):
+            product, adjoint = closure_defects(stack, wv)
+            if adjoint > tol:
+                raise DomainError(f"{what} is not adjoint-closed")
+            if product > tol:
+                raise DomainError(f"{what} is not closed under products")
+        sub, emb = self.sub_basis, self.embed_basis
+        c_sub = span_coords(sub, sub[:, None] @ sub[None], self.sub.weight_vector)
+        c_emb = span_coords(emb, emb[:, None] @ emb[None], wv)
+        if np.abs(c_sub - c_emb).max() > 1e-9:
+            raise DomainError("embedding is not multiplicative")
 
 
 def expectation_E(inc: Inclusion, x: np.ndarray) -> np.ndarray:
@@ -280,8 +270,7 @@ def expectation_E(inc: Inclusion, x: np.ndarray) -> np.ndarray:
     On elements of M this is the unique trace-preserving conditional
     expectation onto N; it is defined on the whole arena.
     """
-    c = _coords(inc.embed_basis, x, inc.amb.weight_vector)
-    return np.tensordot(c, inc.embed_basis, axes=1)
+    return span_project(inc.embed_basis, x, inc.amb.weight_vector)
 
 
 def horizontal_projection(inc: Inclusion, x: np.ndarray) -> np.ndarray:
@@ -411,14 +400,13 @@ def make_group_flip_inclusion(
 
     sub_basis = n_desc.canonical_basis()
     tol = spectral_tol()
-    for b in sub_basis:
-        tb = th(b)
-        if _span_defect(tb, sub_basis, wv, n_desc) > tol:
-            raise DomainError("theta does not preserve the subalgebra")
-        if op_norm(th(tb) - b) > tol:
-            raise DomainError("theta is not of order two")
-        if abs(n_desc.trace(tb) - n_desc.trace(b)) > 1e-11:
-            raise DomainError("theta does not preserve the trace")
+    tbs = th(sub_basis)
+    if span_residual(sub_basis, tbs, wv) > tol:
+        raise DomainError("theta does not preserve the subalgebra")
+    if op_norm(th(tbs) - sub_basis).max() > tol:
+        raise DomainError("theta is not of order two")
+    if np.abs(n_desc.trace(tbs) - n_desc.trace(sub_basis)).max() > 1e-11:
+        raise DomainError("theta does not preserve the trace")
 
     def diag_type(b):
         out = np.zeros((2 * n, 2 * n), dtype=complex)

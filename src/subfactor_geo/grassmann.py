@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Inclusion, expectation_E, orthonormalize, random_antihermitian
+from .algebra import (
+    Inclusion,
+    expectation_E,
+    orthonormalize,
+    random_antihermitian,
+    span_residual,
+)
 from .basic import BasicConstruction, reduce_R
 from .errors import ConstructionError, DomainError, RadiusError
 from .families import family_record
@@ -304,15 +310,16 @@ def tangent_space_comparison(bc: BasicConstruction) -> TangentComparison:
     against the orbit tangent space at p, as real spans inside the
     extension algebra."""
     p = bc.jones_p
-    la = bc.left_many(kernel_real_onb(bc.inc))
+    w = 1.0 / bc.dim_l2
+    la = bc.left(kernel_real_onb(bc.inc))
     free = la @ p + p @ dagger(la)
     orbit = la @ p - p @ la
-    free_onb = orthonormalize(free, 1.0 / bc.dim_l2, real=True)
-    orbit_onb = orthonormalize(orbit, 1.0 / bc.dim_l2, real=True)
-    defect = 0.0
-    for m, onb in ((free, orbit_onb), (orbit, free_onb)):
-        c = np.einsum("brs,trs->tb", onb.conj(), m).real / bc.dim_l2
-        defect = max(defect, float(bc.two_norm1(m - np.tensordot(c, onb, axes=1)).max()))
+    free_onb = orthonormalize(free, w, real=True)
+    orbit_onb = orthonormalize(orbit, w, real=True)
+    defect = max(
+        span_residual(orbit_onb, free, w, real=True),
+        span_residual(free_onb, orbit, w, real=True),
+    )
     return TangentComparison(
         dim_expectation_free=len(free_onb),
         dim_orbit_tangent=len(orbit_onb),

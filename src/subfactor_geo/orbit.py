@@ -286,7 +286,7 @@ def curve_from_unitaries(
     """Push a sampled unitary path u(t) down to the orbit: u(t) q0 u(t)*."""
     if base is None:
         base = base_point(bc)
-    lus = bc.left_many(us)
+    lus = bc.left(us)
     samples = (lus @ base.q) @ dagger(lus)
     witnesses = us @ base.witness
     return DiscreteCurve(bc=bc, samples=samples, witnesses=witnesses)
@@ -444,7 +444,7 @@ def lift_defects(curve: DiscreteCurve, lift: np.ndarray) -> tuple[float, float]:
     """(reconstruction, horizontality) defects of a candidate lift."""
     bc = curve.bc
     qs = curve.samples
-    llift = bc.left_many(lift)
+    llift = bc.left(lift)
     recon = op_norm((llift @ qs[0]) @ dagger(llift) - qs).max()
     v = _diff4(lift, curve.dt) @ dagger(lift)
     ws = lift @ _witness_at_start(curve)
@@ -523,8 +523,8 @@ def first_variation(
     T = zero.shape[0]
     dt = 1.0 / (T - 1)
     udot = _diff4(zero, dt)
-    x0 = np.einsum("tba,tbc->tac", zero.conj(), udot)
-    y0 = np.einsum("tba,tbc->tac", zero.conj(), (plus - minus) / (2.0 * h))
+    x0 = dagger(zero) @ udot
+    y0 = dagger(zero) @ ((plus - minus) / (2.0 * h))
     xdot = _diff4(x0, dt)
     # real trace inner product <a, b> = Re tau(a* b); the adjoint matters
     # for the sign since the logarithmic derivatives are anti-Hermitian

@@ -365,9 +365,7 @@ def _suite_lifts(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]:
         worst_res = max(worst_res, geodesic_equation_residual(base, z, grid_n=grid_geo))
         curve = sample_geodesic(base, z, grid_n=grid_geo)
         lz = bc.left(z)
-        field = np.einsum(
-            "ab,tbc->tac", lz, curve.samples
-        ) - np.einsum("tab,bc->tac", curve.samples, lz)
+        field = lz @ curve.samples - curve.samples @ lz
         cov = covariant_derivative(curve, field)
         dt = 1.0 / grid_geo
         worst_cov = max(worst_cov, bc.two_norm1(cov).max() - 8.0 * dt * dt)
@@ -437,7 +435,7 @@ def _suite_lifts(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]:
         vs = spectral_function(
             ts[:, None, None] * a1 + (ts * ts)[:, None, None] * a2, "exp"
         )
-        alt = np.einsum("tab,tbc->tac", lift, vs)
+        alt = lift @ vs
         l2_alt = curve_lengths(bc, alt, "two_norm", space="lift")
         linf_alt = curve_lengths(bc, alt, "op_norm", space="lift")
         worst_37_l2 = max(worst_37_l2, l2_lift - l2_alt)
@@ -445,9 +443,9 @@ def _suite_lifts(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]:
 
         # equality case: constant right translation
         v0 = spectral_function(_subalgebra_antihermitian(inc, rng, 0.5), "exp")
-        eq_lift = np.einsum("tab,bc->tac", lift, v0)
+        eq_lift = lift @ v0
         l2_eq = curve_lengths(bc, eq_lift, "two_norm", space="lift")
-        v_rec = np.einsum("tba,tbc->tac", lift.conj(), eq_lift)
+        v_rec = dagger(lift) @ eq_lift
         drift = op_norm(v_rec[:: len(ts) // 8] - v0).max()
         lv0 = bc.left(v0)
         worst_eq = max(
@@ -459,7 +457,7 @@ def _suite_lifts(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]:
 
         # extension-algebra lift: right-translate by a p-commuting path
         cs = _p_commuting_unitary_path(bc, rng, ts, scale=0.4)
-        omega = np.einsum("tab,tbc->tac", bc.left_many(lift), cs)
+        omega = bc.left(lift) @ cs
         l2_omega = curve_lengths(bc, omega, "two_norm", space="orbit")
         worst_39 = max(worst_39, l2_lift - l2_omega / sqlam)
 

@@ -1,11 +1,9 @@
 """Numerical tolerances used across the package.
 
 All defect checks measure the spectral norm of a defect matrix and compare
-against an absolute tolerance.  ``SUBFACTOR_GEO_TOL`` in the environment
-overrides the global spectral tolerance; a run config may override any of
-the named tolerances for the duration of a run.
+against an absolute tolerance.  A run config may override the spectral
+tolerance for the duration of a run.
 """
-import os
 
 # Absolute spectral-norm tolerance for algebraic identity checks.
 DEFAULT_SPECTRAL_TOL = 1e-10
@@ -24,10 +22,7 @@ _spectral_tol = DEFAULT_SPECTRAL_TOL
 
 
 def spectral_tol() -> float:
-    """Current global spectral tolerance (env override wins)."""
-    env = os.environ.get("SUBFACTOR_GEO_TOL")
-    if env is not None:
-        return float(env)
+    """Current global spectral tolerance."""
     return _spectral_tol
 
 

@@ -20,6 +20,9 @@ from subfactor_geo.algebra import (
     random_hermitian,
     random_horizontal,
     random_unitary,
+    span_coords,
+    span_project,
+    span_residual,
 )
 from subfactor_geo.basic import _m1_generators
 from subfactor_geo.errors import DomainError
@@ -198,6 +201,40 @@ def test_inclusion_validate_catches_broken_bases(inclusions):
         bad_lam.validate()
 
 
+def test_validate_refuses_products_leaving_the_embedded_span(inclusions):
+    # {1, h} with h Hermitian, traceless, trace-normalized in M_3, but h^2
+    # outside span{1, h}; its structure constants match those of C + C
+    inc = inclusions["tensor(1,3)"]
+    sub = AlgebraDescriptor((1, 1), (0.5, 0.5))
+    h = np.diag([np.sqrt(1.5), -np.sqrt(1.5), 0.0]).astype(complex)
+    bad = dataclasses.replace(
+        inc, sub=sub, sub_basis=sub.canonical_basis(), embed_basis=np.stack([np.eye(3), h])
+    )
+    with pytest.raises(DomainError, match="subalgebra image is not closed under products"):
+        bad.validate()
+
+
+def test_validate_refuses_an_embedded_span_without_adjoints(inclusions):
+    inc = inclusions["tensor(1,3)"]
+    sub = AlgebraDescriptor((1, 1), (0.5, 0.5))
+    e12 = np.zeros((3, 3), dtype=complex)
+    e12[0, 1] = np.sqrt(3.0)
+    bad = dataclasses.replace(
+        inc, sub=sub, sub_basis=sub.canonical_basis(), embed_basis=np.stack([np.eye(3), e12])
+    )
+    with pytest.raises(DomainError, match="subalgebra image is not adjoint-closed"):
+        bad.validate()
+
+
+def test_validate_refuses_structure_constants_other_than_n(inclusions):
+    # the same span as the image of M_2, with two basis images swapped: a
+    # *-algebra, but x -> x^T on those two is no homomorphism
+    inc = inclusions["tensor(2,2)"]
+    bad = dataclasses.replace(inc, embed_basis=inc.embed_basis[[0, 1, 3, 2]])
+    with pytest.raises(DomainError, match="embedding is not multiplicative"):
+        bad.validate()
+
+
 def test_coords_round_trip(bc, rng):
     inc = bc.inc
     x = random_element(rng, inc.amb_basis)
@@ -300,3 +337,48 @@ def test_orthonormalize_real_mode_is_real_orthonormal(rng):
     assert len(basis) == 6
     gram = np.array([[desc.inner(a, b).real for b in basis] for a in basis])
     assert np.abs(gram - np.eye(6)).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the span kernel against the einsum coordinates it replaced
+
+
+def reference_coords(stack, x, weights):
+    """Coefficients of x, or of each slice of a stack, over ``stack``: the
+    einsum every coordinate routine once repeated."""
+    w = np.broadcast_to(weights, stack.shape[-1:])
+    return np.einsum("bkd,...kd,d->...b", stack.conj(), x, w)
+
+
+def span_cases(bc):
+    inc = bc.inc
+    w = inc.amb.weight_vector
+    return [
+        (inc.amb_basis, w),
+        (inc.embed_basis, w),
+        (bc.left_cache, 1.0 / bc.dim_l2),
+        (bc.m1_basis, 1.0 / bc.dim_l2),
+    ]
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_span_kernel_matches_reference(bc, rng, real):
+    for stack, w in span_cases(bc):
+        n = stack.shape[-1]
+        xs = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        for x in (xs, xs[0]):
+            ref = reference_coords(stack, x, w)
+            if real:
+                ref = ref.real
+            proj = np.tensordot(ref, stack, axes=1)
+            sq = np.einsum("...kd,d->...", np.abs(x - proj) ** 2, np.broadcast_to(w, (n,)))
+            resid = np.sqrt(sq)
+            assert np.abs(span_coords(stack, x, w, real) - ref).max() <= 1e-12
+            assert np.abs(span_project(stack, x, w, real) - proj).max() <= 1e-12
+            assert abs(span_residual(stack, x, w, real) - resid.max()) <= 1e-12
+
+
+def test_left_on_a_stack_is_left_per_slice(bc, rng):
+    xs = np.stack([random_element(rng, bc.inc.amb_basis) for _ in range(5)])
+    per_slice = np.stack([bc.left(x) for x in xs])
+    assert np.abs(bc.left(xs) - per_slice).max() <= 1e-14

@@ -24,6 +24,7 @@ from subfactor_geo.report import (
     write_csv_rows,
 )
 from subfactor_geo.suites import run_suites
+from subfactor_geo.tolerances import spectral_tol
 
 
 def minimal_doc(**extra):
@@ -235,3 +236,10 @@ def test_every_suite_anchor_is_in_the_vocabulary(constructions):
             assert suite.name in SUITE_NAMES
             for r in suite.records:
                 assert r.paper_anchor in ANCHOR_VOCABULARY, (suite.name, r.name)
+
+
+def test_environment_does_not_move_the_spectral_tolerance(monkeypatch):
+    # the tolerance is run state set from the config, not from the environment
+    before = spectral_tol()
+    monkeypatch.setenv("SUBFACTOR_GEO_TOL", "0.5")
+    assert spectral_tol() == before

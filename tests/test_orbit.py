@@ -504,7 +504,7 @@ def test_curve_functionals_match_per_sample_reference(constructions):
 
     # lift defects
     qs = curve.samples
-    llift = bc.left_many(lift)
+    llift = bc.left(lift)
     recon_ref = max(
         op_norm(llift[i] @ qs[0] @ dagger(llift[i]) - qs[i]) for i in range(len(qs))
     )
