@@ -11,6 +11,7 @@ trace-preserving expectation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,11 +74,15 @@ class AlgebraDescriptor:
         """Complex dimension of the algebra."""
         return sum(d * d for d in self.block_dims)
 
-    @property
+    @cached_property
     def weight_vector(self) -> np.ndarray:
-        return np.concatenate(
+        """Trace weight of each diagonal position of the arena; built on the
+        first read and shared, read-only, by every later one."""
+        w = np.concatenate(
             [np.full(d, w) for d, w in zip(self.block_dims, self.trace_weights)]
         )
+        w.flags.writeable = False
+        return w
 
     def identity(self) -> np.ndarray:
         return np.eye(self.ambient_dim, dtype=complex)

@@ -47,7 +47,6 @@ class BasicConstruction:
     """Immutable result of the extension-algebra build; safe to share."""
 
     inc: Inclusion
-    l2_basis: np.ndarray        # (D, n, n): trace-orthonormal basis of M, identity first
     left_cache: np.ndarray      # (D, D, D): left multiplication by each basis element
     jones_p: np.ndarray         # (D, D) projection onto the image of the subalgebra
     m1_basis: np.ndarray        # (K, D, D) tau1-orthonormal basis of M1
@@ -93,6 +92,10 @@ class BasicConstruction:
         """E1 of y, or of each slice of a stack, without the membership check."""
         return span_project(self.left_cache, y, 1.0 / self.dim_l2)
 
+    def _reduce_unchecked(self, y: np.ndarray) -> np.ndarray:
+        """(1/lam) E1(y p) pulled back to M, without reduce_R's checks."""
+        return self.inc.from_coords(self._e1_coords(y @ self.jones_p) / self.lam)
+
     def pullback(self, y: np.ndarray, check: bool = True) -> np.ndarray:
         """Inverse of left_rep on its image."""
         c = self._e1_coords(y)
@@ -127,8 +130,7 @@ def reduce_R(bc: BasicConstruction, y: np.ndarray) -> np.ndarray:
         raise MembershipError(
             f"input is outside the extension algebra (defect {defect:.3e})", defect=defect
         )
-    c = bc._e1_coords(y @ bc.jones_p) / bc.lam
-    m = bc.inc.from_coords(c)
+    m = bc._reduce_unchecked(y)
     resid = op_norm(bc.left(m) @ bc.jones_p - y @ bc.jones_p)
     if resid > 1e-8:
         raise ConstructionError(
@@ -214,7 +216,6 @@ def build_basic_construction(inc: Inclusion) -> BasicConstruction:
 
     bc = BasicConstruction(
         inc=inc,
-        l2_basis=basis,
         left_cache=left_cache,
         jones_p=jones_p,
         m1_basis=orthonormalize(_m1_generators(left_cache, jones_p), 1.0 / d),

@@ -344,7 +344,7 @@ def _sweep_convexity(bc: BasicConstruction, cfg: RunConfig, out: str) -> dict:
 def _sweep_radius(bc: BasicConstruction, cfg: RunConfig, out: str) -> dict:
     seed = _require_seed(cfg)
     rng = np.random.default_rng([seed, 203])
-    header = ["radius", "n_shots", "n_ok", "worst_recovery_error", "passed"]
+    header = ["radius", "n_shots", "n_ok", "worst_recovery_error", "n_domain_error", "passed"]
     if cfg.trials == 0:
         write_csv_rows(os.path.join(out, "radius_probe.csv"), header, [])
         return {"status": "no data", "n_trials": 0}
@@ -358,14 +358,20 @@ def _sweep_radius(bc: BasicConstruction, cfg: RunConfig, out: str) -> dict:
     for r in radii:
         ok = 0
         worst = 0.0
+        # a shot past the solver's radius or out of iterations is an expected
+        # miss; any other DomainError is a failed gate, counted in its column
+        domain_errors = 0
         for _ in range(n_shots):
             z0 = random_horizontal_at(base, rng, op_scale=float(r))
             try:
                 q1 = geodesic_at(base, z0, 1.0)
                 res = orbit_log(base, q1)
                 err = bc.inc.two_norm(res.z - z0)
-            except (RadiusError, ConvergenceError, DomainError):
+            except (RadiusError, ConvergenceError):
                 err = float("inf")
+            except DomainError:
+                err = float("inf")
+                domain_errors += 1
             if err <= 1e-7:
                 ok += 1
             worst = max(worst, err)
@@ -373,7 +379,14 @@ def _sweep_radius(bc: BasicConstruction, cfg: RunConfig, out: str) -> dict:
         if passed and ok:
             largest = float(r)
         rows.append(
-            [float(r), n_shots, ok, worst if np.isfinite(worst) else 9.999e99, int(passed)]
+            [
+                float(r),
+                n_shots,
+                ok,
+                worst if np.isfinite(worst) else 9.999e99,
+                domain_errors,
+                int(passed),
+            ]
         )
     write_csv_rows(os.path.join(out, "radius_probe.csv"), header, rows)
     return {

@@ -29,6 +29,7 @@ from .errors import (
     ConstructionError,
     ConvergenceError,
     DomainError,
+    MembershipError,
     RadiusError,
     RefinementError,
 )
@@ -43,7 +44,7 @@ from .linalg import (
     spectral_function,
     unitary_defect,
 )
-from .tolerances import LIFT_TOL, spectral_tol
+from .tolerances import LIFT_TOL, MEMBERSHIP_TOL, spectral_tol
 
 __all__ = [
     "OrbitPoint",
@@ -126,9 +127,14 @@ def base_point(bc: BasicConstruction) -> OrbitPoint:
     return OrbitPoint(bc=bc, q=bc.jones_p.copy(), witness=bc.inc.identity())
 
 
-def orbit_point_from_witness(bc: BasicConstruction, u: np.ndarray) -> OrbitPoint:
+def _carried_projection(bc: BasicConstruction, u: np.ndarray) -> np.ndarray:
+    """u p u*, the projection a witness u carries p to."""
     lu = bc.left(u)
-    return OrbitPoint(bc=bc, q=lu @ bc.jones_p @ dagger(lu), witness=u)
+    return lu @ bc.jones_p @ dagger(lu)
+
+
+def orbit_point_from_witness(bc: BasicConstruction, u: np.ndarray) -> OrbitPoint:
+    return OrbitPoint(bc=bc, q=_carried_projection(bc, u), witness=u)
 
 
 def random_orbit_point(
@@ -137,10 +143,14 @@ def random_orbit_point(
     return orbit_point_from_witness(bc, random_unitary(rng, bc.inc.amb_basis, scale))
 
 
+def _translated(inc: Inclusion, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Ad_u o E o Ad_{u*} applied to x."""
+    return u @ expectation_E(inc, dagger(u) @ x @ u) @ dagger(u)
+
+
 def translated_expectation(point: OrbitPoint, x: np.ndarray) -> np.ndarray:
     """E_q = Ad_u o E o Ad_{u*}, the expectation aligned with the point."""
-    u = point.witness
-    return u @ expectation_E(point.bc.inc, dagger(u) @ x @ u) @ dagger(u)
+    return _translated(point.bc.inc, point.witness, x)
 
 
 def horizontal_defect_at(point: OrbitPoint, z: np.ndarray) -> float:
@@ -202,6 +212,16 @@ def tangent_projection(point: OrbitPoint, x: np.ndarray) -> np.ndarray:
     return _tangent_projection_matrix(point.bc, point.q, x)
 
 
+def _kappa(bc: BasicConstruction, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """kappa at the point with witness u, for v tangent there."""
+    lu = bc.left(u)
+    v0 = dagger(lu) @ v @ lu
+    z = u @ bc._reduce_unchecked(v0) @ dagger(u)
+    # horizontality is automatic; enforce it against roundoff
+    z = 0.5 * (z - dagger(z))
+    return z - _translated(bc.inc, u, z)
+
+
 def kappa_q(point: OrbitPoint, v: np.ndarray) -> np.ndarray:
     """Inverse of delta_q on the tangent space: the unique horizontal z with
     zq - qz = v.  Computed at the base point by the compression reduction,
@@ -210,14 +230,7 @@ def kappa_q(point: OrbitPoint, v: np.ndarray) -> np.ndarray:
     resid = bc.two_norm1(v - tangent_projection(point, v))
     if resid > WITNESS_TOL:
         raise DomainError(f"input is not tangent at the point (residual {resid:.3e})")
-    u = point.witness
-    lu = bc.left(u)
-    v0 = dagger(lu) @ v @ lu
-    z0 = reduce_R(bc, v0)
-    z = u @ z0 @ dagger(u)
-    # horizontality is automatic; enforce it against roundoff
-    z = 0.5 * (z - dagger(z))
-    return z - translated_expectation(point, z)
+    return _kappa(bc, point.witness, v)
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +627,20 @@ def orbit_log(
     current geodesic endpoint, transport it to q0, and accumulate.  The
     residual ‖e^z q0 e^{-z} - q1‖ (trace norm) is verified to decrease at
     every accepted step; failure to converge raises with the final residual.
+
+    Inputs are checked once, on entry: the endpoints must be at most
+    op-norm 0.5 apart, and an array q1 must be Hermitian within WITNESS_TOL
+    and lie in M1 within MEMBERSHIP_TOL (an OrbitPoint q1 was checked when
+    it was made).  The loop then carries the current projection and witness
+    as plain arrays and calls the unchecked kernels behind
+    tangent_projection, kappa_q and geodesic_at, because every value in it
+    meets their checks by construction: each step is made horizontal at q0,
+    so z is a horizontal element of M, its witness e^z u0 (u0 the witness
+    of q0) is a unitary of M, and e^z q0 e^{-z} is an orbit point; the
+    displacement q1 - q is then Hermitian and in M1, and its tangent
+    projection is tangent.  The result is checked once, on exit: the final
+    projection and witness must form a valid OrbitPoint, and z must be
+    horizontal at q0.
     """
     bc = q0.bc
     target = q1.q if isinstance(q1, OrbitPoint) else q1
@@ -623,9 +650,19 @@ def orbit_log(
             f"endpoints are op-norm {gap:.3f} apart; the local inverse is "
             f"only attempted below 0.5"
         )
+    if not isinstance(q1, OrbitPoint):
+        if herm_defect(target) > WITNESS_TOL:
+            raise DomainError("logarithm target is not Hermitian")
+        defect = bc.membership_defect(target)
+        if defect > MEMBERSHIP_TOL:
+            raise MembershipError(
+                f"logarithm target is outside the extension algebra (defect {defect:.3e})",
+                defect=defect,
+            )
     z = np.zeros(q0.witness.shape, dtype=complex)
-    cur = q0
-    res = bc.two_norm1(cur.q - target)
+    ez = bc.inc.identity()
+    q, witness = q0.q, q0.witness
+    res = bc.two_norm1(q - target)
     iterations = 0
     while res > tol:
         if iterations >= max_iter:
@@ -635,9 +672,8 @@ def orbit_log(
                 residual=res,
                 iterations=iterations,
             )
-        v = tangent_projection(cur, target - cur.q)
-        w_at_cur = kappa_q(cur, v)
-        ez = spectral_function(z, "exp")
+        v = _tangent_projection_matrix(bc, q, target - q, gate=False)
+        w_at_cur = _kappa(bc, witness, v)
         w0 = dagger(ez) @ w_at_cur @ ez
         w0 = 0.5 * (w0 - dagger(w0))
         w0 = w0 - translated_expectation(q0, w0)
@@ -645,10 +681,12 @@ def orbit_log(
         improved = False
         while step > 2.0**-20:
             z_try = z + step * w0
-            cur_try = geodesic_at(q0, z_try, 1.0)
-            res_try = bc.two_norm1(cur_try.q - target)
+            ez_try = spectral_function(z_try, "exp")
+            witness_try = ez_try @ q0.witness
+            q_try = _carried_projection(bc, witness_try)
+            res_try = bc.two_norm1(q_try - target)
             if res_try < res:
-                z, cur, res = z_try, cur_try, res_try
+                z, ez, q, witness, res = z_try, ez_try, q_try, witness_try, res_try
                 improved = True
                 break
             step *= 0.5
@@ -660,6 +698,10 @@ def orbit_log(
                 iterations=iterations,
             )
         iterations += 1
+    # the exit checks
+    OrbitPoint(bc=bc, q=q, witness=witness)
+    if horizontal_defect_at(q0, z) > WITNESS_TOL:
+        raise DomainError("logarithm is not horizontal at the start point")
     return OrbitLogResult(z=z, residual=res, iterations=iterations)
 
 

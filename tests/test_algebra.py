@@ -63,6 +63,22 @@ def test_descriptor_trace_and_basis():
     assert op_norm(gram - np.eye(len(basis))) < 1e-12
 
 
+def test_weight_vector_is_built_once_and_read_only(inclusions):
+    for inc in inclusions.values():
+        for desc in (inc.sub, inc.amb):
+            w = desc.weight_vector
+            want = np.concatenate(
+                [np.full(d, t) for d, t in zip(desc.block_dims, desc.trace_weights)]
+            )
+            assert np.array_equal(w, want)
+            assert desc.weight_vector is w
+            with pytest.raises(ValueError):
+                w[0] = 1.0
+            with pytest.raises(ValueError):
+                w *= 2.0
+            assert np.array_equal(desc.weight_vector, want)
+
+
 def test_expectation_is_conditional(bc, rng):
     inc = bc.inc
     for _ in range(20):

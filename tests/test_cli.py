@@ -8,7 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
+from subfactor_geo import cli
 from subfactor_geo.cli import main
+from subfactor_geo.errors import DomainError, RadiusError
 from subfactor_geo.linalg import load_matrix, op_norm
 
 FAST = ["--trials", "6", "--grid", "32", "--seed", "11"]
@@ -224,16 +226,34 @@ def test_sweep_convexity(tmp_path, capsys):
     assert summary["violations"] == 0
 
 
-def test_sweep_radius_probe(tmp_path, capsys):
-    code, _, _ = run(
-        capsys, "sweep", "--out", str(tmp_path), "--seed", "11", "--trials", "8",
+def test_sweep_radius_probe(tmp_path, capsys, monkeypatch):
+    argv = (
+        "sweep", "--out", str(tmp_path), "--seed", "11", "--trials", "8",
         "--family", "group_flip(scalars)", "radius_probe",
     )
+    code, _, _ = run(capsys, *argv)
     assert code == 0
     summary = json.loads((tmp_path / "radius_probe_summary.json").read_text())
     assert summary["largest_passing_radius"] >= 0.45
     lines = (tmp_path / "radius_probe.csv").read_text().strip().split("\n")
     assert len(lines) == 1 + 24
+    # the radius stays first and the verdict last
+    assert lines[0] == "radius,n_shots,n_ok,worst_recovery_error,n_domain_error,passed"
+    assert all(line.split(",")[4] == "0" for line in lines[1:])
+
+    # a domain error is its own outcome; a radius error stays a plain miss
+    for error, counted in ((DomainError, "1"), (RadiusError, "0")):
+        def failing_log(*args, error=error, **kwargs):
+            raise error("refused")
+
+        monkeypatch.setattr(cli, "orbit_log", failing_log)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        rows = [
+            line.split(",")
+            for line in (tmp_path / "radius_probe.csv").read_text().strip().split("\n")[1:]
+        ]
+        assert [r[2:] for r in rows] == [["0", "9.999000000000e+99", counted, "0"]] * 24
 
 
 def test_sweep_requires_seed(tmp_path, capsys):

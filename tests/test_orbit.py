@@ -11,10 +11,12 @@ from subfactor_geo.algebra import (
     random_unitary,
 )
 from subfactor_geo.basic import expectation_E1
-from subfactor_geo.errors import DomainError, RadiusError
+from subfactor_geo.errors import ConvergenceError, DomainError, MembershipError, RadiusError
 from subfactor_geo.linalg import dagger, op_norm, spectral_function
 from subfactor_geo.orbit import (
     DiscreteCurve,
+    OrbitLogResult,
+    OrbitPoint,
     base_point,
     convexity_probe,
     covariant_derivative,
@@ -339,8 +341,96 @@ def test_orbit_log_rejects_far_endpoints(constructions):
     u = spectral_function(1.2j * sx, "exp")
     far = orbit_point_from_witness(bc, u)
     assert op_norm(far.q - pt.q) > 0.5
-    with pytest.raises(RadiusError):
-        orbit_log(pt, far)
+    for target in (far, far.q):
+        with pytest.raises(RadiusError):
+            orbit_log(pt, target)
+
+
+def checked_orbit_log_reference(q0, q1, tol=1e-8, max_iter=100):
+    """orbit_log as a loop over the checked public routines: every iterate
+    is a validated OrbitPoint and every step passes the checks of
+    tangent_projection, kappa_q and geodesic_at."""
+    bc = q0.bc
+    target = q1.q if isinstance(q1, OrbitPoint) else q1
+    if op_norm(q0.q - target) > 0.5:
+        raise RadiusError("endpoints too far apart")
+    z = np.zeros(q0.witness.shape, dtype=complex)
+    cur = q0
+    res = bc.two_norm1(cur.q - target)
+    iterations = 0
+    while res > tol:
+        if iterations >= max_iter:
+            raise ConvergenceError("no convergence", residual=res, iterations=iterations)
+        v = tangent_projection(cur, target - cur.q)
+        w_at_cur = kappa_q(cur, v)
+        ez = spectral_function(z, "exp")
+        w0 = dagger(ez) @ w_at_cur @ ez
+        w0 = 0.5 * (w0 - dagger(w0))
+        w0 = w0 - translated_expectation(q0, w0)
+        step = 1.0
+        improved = False
+        while step > 2.0**-20:
+            z_try = z + step * w0
+            cur_try = geodesic_at(q0, z_try, 1.0)
+            res_try = bc.two_norm1(cur_try.q - target)
+            if res_try < res:
+                z, cur, res = z_try, cur_try, res_try
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            raise ConvergenceError("stalled", residual=res, iterations=iterations)
+        iterations += 1
+    return OrbitLogResult(z=z, residual=res, iterations=iterations)
+
+
+@pytest.mark.parametrize("family", ["tensor(2,2)", "group_flip(scalars)", "group_flip(m2)"])
+def test_orbit_log_matches_checked_reference(constructions, family):
+    bc = constructions[family]
+    rng = np.random.default_rng(31)
+    pt = random_orbit_point(bc, rng)
+    for radius in (0.1, 0.2, 0.3, 0.4, 0.5):
+        z0 = random_horizontal_at(pt, rng, op_scale=radius)
+        q1 = geodesic_at(pt, z0, 1.0)
+        for target in (q1, q1.q):
+            got = orbit_log(pt, target)
+            want = checked_orbit_log_reference(pt, target)
+            assert bc.inc.two_norm(got.z - want.z) <= 1e-14
+            assert got.residual == want.residual
+            assert got.iterations == want.iterations
+
+
+def test_orbit_log_refuses_bad_array_targets(constructions, rng):
+    bc = constructions["tensor(2,2)"]
+    pt = base_point(bc)
+    q1 = geodesic_at(pt, random_horizontal_at(pt, rng, op_scale=0.2), 1.0).q
+    d = bc.dim_l2
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    # a small anti-Hermitian part: close to q1, but not Hermitian
+    with pytest.raises(DomainError, match="not Hermitian"):
+        orbit_log(pt, q1 + 1e-3 * (a - dagger(a)))
+    # Hermitian and close to q1, but outside M1 (dim M1 = 64 < 16 * 16)
+    off = 1e-3 * (a + dagger(a))
+    assert bc.membership_defect(off) > 1e-6
+    with pytest.raises(MembershipError):
+        orbit_log(pt, q1 + off)
+
+
+def test_orbit_log_validates_at_most_one_point(constructions, rng, monkeypatch):
+    bc = constructions["tensor(2,2)"]
+    pt = random_orbit_point(bc, rng)
+    q1 = geodesic_at(pt, random_horizontal_at(pt, rng, op_scale=0.4), 1.0)
+    checks = []
+    validate = OrbitPoint.__post_init__
+
+    def counted(self):
+        checks.append(self)
+        validate(self)
+
+    monkeypatch.setattr(OrbitPoint, "__post_init__", counted)
+    res = orbit_log(pt, q1)
+    assert res.iterations > 1
+    assert len(checks) <= 1
 
 
 def test_section_theta_round_trip(bc, rng):
