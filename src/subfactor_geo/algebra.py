@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .linalg import dagger, op_norm
-from .tolerances import GRAM_DROP_TOL, spectral_tol
+from .tolerances import GRAM_DROP_TOL, SPECTRAL_TOL
 
 __all__ = [
     "AlgebraDescriptor",
@@ -227,13 +227,7 @@ class Inclusion:
     def from_coords(self, c: np.ndarray) -> np.ndarray:
         return np.tensordot(c, self.amb_basis, axes=1)
 
-    def project_m(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """Projection of x onto M and its trace 2-norm distance from M."""
-        w = self.amb.weight_vector
-        return span_project(self.amb_basis, x, w), span_residual(self.amb_basis, x, w)
-
     def validate(self) -> None:
-        tol = spectral_tol()
         for name, stack, desc in (
             ("sub", self.sub_basis, self.sub),
             ("embed", self.embed_basis, self.amb),
@@ -252,15 +246,15 @@ class Inclusion:
             raise DomainError("embedding does not preserve the trace")
         wv = self.amb.weight_vector
         defect = span_residual(self.amb_basis, self.embed_basis, wv)
-        if defect > tol:
+        if defect > SPECTRAL_TOL:
             raise DomainError(f"embedded subalgebra leaves M (defect {defect:.3e})")
         # both spans are *-algebras, and the structure constants upstairs
         # match the abstract ones
         for what, stack in (("subalgebra image", self.embed_basis), ("M", self.amb_basis)):
             product, adjoint = closure_defects(stack, wv)
-            if adjoint > tol:
+            if adjoint > SPECTRAL_TOL:
                 raise DomainError(f"{what} is not adjoint-closed")
-            if product > tol:
+            if product > SPECTRAL_TOL:
                 raise DomainError(f"{what} is not closed under products")
         sub, emb = self.sub_basis, self.embed_basis
         c_sub = span_coords(sub, sub[:, None] @ sub[None], self.sub.weight_vector)
@@ -285,13 +279,6 @@ def horizontal_projection(inc: Inclusion, x: np.ndarray) -> np.ndarray:
     """
     a = (x - dagger(x)) / 2.0
     return a - expectation_E(inc, a)
-
-
-def horizontal_defect(inc: Inclusion, z: np.ndarray) -> float:
-    """How far z is from being anti-Hermitian with zero expectation."""
-    ah = op_norm(z + dagger(z))
-    ex = inc.two_norm(expectation_E(inc, z))
-    return max(ah, ex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,7 +382,7 @@ def make_group_flip_inclusion(
         theta = np.asarray(theta, dtype=complex)
         if theta.shape != (n, n):
             raise DomainError(f"theta must be {n}x{n}, got {theta.shape}")
-        if op_norm(dagger(theta) @ theta - np.eye(n)) > spectral_tol():
+        if op_norm(dagger(theta) @ theta - np.eye(n)) > SPECTRAL_TOL:
             raise DomainError("theta must be unitary")
 
     def th(x: np.ndarray) -> np.ndarray:
@@ -404,11 +391,10 @@ def make_group_flip_inclusion(
         return theta @ x @ dagger(theta)
 
     sub_basis = n_desc.canonical_basis()
-    tol = spectral_tol()
     tbs = th(sub_basis)
-    if span_residual(sub_basis, tbs, wv) > tol:
+    if span_residual(sub_basis, tbs, wv) > SPECTRAL_TOL:
         raise DomainError("theta does not preserve the subalgebra")
-    if op_norm(th(tbs) - sub_basis).max() > tol:
+    if op_norm(th(tbs) - sub_basis).max() > SPECTRAL_TOL:
         raise DomainError("theta is not of order two")
     if np.abs(n_desc.trace(tbs) - n_desc.trace(sub_basis)).max() > 1e-11:
         raise DomainError("theta does not preserve the trace")

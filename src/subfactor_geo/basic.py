@@ -27,7 +27,7 @@ from .algebra import (
 )
 from .errors import ConstructionError, DomainError, MembershipError
 from .linalg import dagger, op_norm
-from .tolerances import MEMBERSHIP_TOL, spectral_tol
+from .tolerances import MEMBERSHIP_TOL, SPECTRAL_TOL
 
 __all__ = [
     "BasicConstruction",
@@ -143,9 +143,8 @@ def recover_unitary(bc: BasicConstruction, omega: np.ndarray) -> np.ndarray:
     """Unitary u in M with u p = omega p, for omega in U_{M1} preserving the
     orbit of p.  Raises DomainError when no such unitary exists (the
     recovered element fails to be unitary)."""
-    tol = spectral_tol()
     ud = op_norm(dagger(omega) @ omega - np.eye(bc.dim_l2))
-    if ud > tol:
+    if ud > SPECTRAL_TOL:
         raise DomainError(f"omega is not unitary (defect {ud:.3e})")
     u = reduce_R(bc, omega)
     u_defect = op_norm(dagger(u) @ u - bc.inc.identity())
@@ -170,7 +169,6 @@ def build_basic_construction(inc: Inclusion) -> BasicConstruction:
             f"E(x*x) >= lam x*x fails at declared lam {inc.lam} "
             f"(worst margin {pp.worst_margin:.3e})"
         )
-    tol = spectral_tol()
     basis = inc.amb_basis
     d = inc.dim
     w = inc.amb.weight_vector
@@ -180,11 +178,11 @@ def build_basic_construction(inc: Inclusion) -> BasicConstruction:
     left_cache = np.ascontiguousarray(np.swapaxes(coords_prod, 1, 2))
 
     # unital *-homomorphism checks
-    if op_norm(left_cache[0] - np.eye(d)) > tol:
+    if op_norm(left_cache[0] - np.eye(d)) > SPECTRAL_TOL:
         raise ConstructionError("left_rep(1) is not the identity")
     left_adj = np.tensordot(span_coords(basis, dagger(basis), w), left_cache, axes=1)
     star_defect = float(op_norm(left_adj - dagger(left_cache)).max())
-    if star_defect > tol:
+    if star_defect > SPECTRAL_TOL:
         raise ConstructionError(f"left_rep does not intertwine adjoints (defect {star_defect:.3e})")
     # left(b_i b_j) = left(b_i) left(b_j), one row i (D matrices) at a time
     homo_defect = max(
@@ -193,7 +191,7 @@ def build_basic_construction(inc: Inclusion) -> BasicConstruction:
         )
         for i in range(d)
     )
-    if homo_defect > tol:
+    if homo_defect > SPECTRAL_TOL:
         raise ConstructionError(
             f"left_rep is not multiplicative (defect {homo_defect:.3e})"
         )
@@ -202,7 +200,7 @@ def build_basic_construction(inc: Inclusion) -> BasicConstruction:
     markov = float(
         np.abs(np.trace(left_cache, axis1=1, axis2=2) / d - inc.trace(basis)).max()
     )
-    if markov > tol:
+    if markov > SPECTRAL_TOL:
         raise ConstructionError(
             f"Markov incompatibility: normalized trace of the representation "
             f"differs from tau by {markov:.3e}"
@@ -211,7 +209,10 @@ def build_basic_construction(inc: Inclusion) -> BasicConstruction:
     # trace projection onto the image of the subalgebra
     embed_coords = span_coords(basis, inc.embed_basis, w)
     jones_p = embed_coords.T @ embed_coords.conj()
-    if op_norm(jones_p @ jones_p - jones_p) > tol or op_norm(jones_p - dagger(jones_p)) > tol:
+    if (
+        op_norm(jones_p @ jones_p - jones_p) > SPECTRAL_TOL
+        or op_norm(jones_p - dagger(jones_p)) > SPECTRAL_TOL
+    ):
         raise ConstructionError("trace projection is not a projection")
 
     bc = BasicConstruction(
@@ -295,7 +296,6 @@ def _gate_properties(bc: BasicConstruction) -> None:
     K^2 pairs of basis elements of M1.  Property 8 already ran at the top of
     the build.
     """
-    tol = spectral_tol()
     basis = bc.inc.amb_basis
     for index, what, defect in (
         (2, "p x p differs from E(x) p", lambda: _compression_defect(bc, basis)),
@@ -306,7 +306,7 @@ def _gate_properties(bc: BasicConstruction) -> None:
         (7, "E1(p) differs from lam*1", lambda: _e1p_defect(bc)),
     ):
         value = defect()
-        if value > tol:
+        if value > SPECTRAL_TOL:
             raise ConstructionError(f"property {index} fails: {what} by {value:.3e}")
 
 
@@ -387,7 +387,6 @@ def verify_construction_properties(
     bc: BasicConstruction, n_samples: int = 32, seed: int = 0
 ) -> ConstructionReport:
     """Report on the eight defining properties of the construction."""
-    tol = spectral_tol()
     inc = bc.inc
     p = bc.jones_p
     d = bc.dim_l2
@@ -404,7 +403,7 @@ def verify_construction_properties(
     ok1 = (
         prod_defect <= 1e-9
         and adj_defect <= 1e-9
-        and trace_defect <= tol
+        and trace_defect <= SPECTRAL_TOL
         and (center_dim == predicted if inc.family_tag != "custom" else True)
     )
     records.append(
@@ -427,7 +426,9 @@ def verify_construction_properties(
     # 2: p x p = E(x) p
     defect2 = _compression_defect(bc, inc.amb_basis)
     records.append(
-        PropertyRecord(2, "compression to the subalgebra", "E: M → N", defect2 <= tol, defect2)
+        PropertyRecord(
+            2, "compression to the subalgebra", "E: M → N", defect2 <= SPECTRAL_TOL, defect2
+        )
     )
 
     # 3: relative commutant of p in M equals N
@@ -439,7 +440,7 @@ def verify_construction_properties(
     ok3 = (
         comm_dim == inc.embed_basis.shape[0]
         and span_defect <= 1e-9
-        and reverse_defect <= tol
+        and reverse_defect <= SPECTRAL_TOL
     )
     records.append(
         PropertyRecord(
@@ -456,14 +457,20 @@ def verify_construction_properties(
     defect4 = _corner_defect(bc)
     records.append(
         PropertyRecord(
-            4, "corner algebra is the subalgebra", "R(x) = (1/λ)E₁(xp)", defect4 <= tol, defect4
+            4,
+            "corner algebra is the subalgebra",
+            "R(x) = (1/λ)E₁(xp)",
+            defect4 <= SPECTRAL_TOL,
+            defect4,
         )
     )
 
     # 5: M1 p = M p
     defect5 = _module_defect(bc)
     records.append(
-        PropertyRecord(5, "compressed module", "R(x) = (1/λ)E₁(xp)", defect5 <= tol, defect5)
+        PropertyRecord(
+            5, "compressed module", "R(x) = (1/λ)E₁(xp)", defect5 <= SPECTRAL_TOL, defect5
+        )
     )
 
     # 6: norm bounds for the compression, basis plus samples
@@ -472,13 +479,17 @@ def verify_construction_properties(
     defect6 = _norm_bound_defect(bc, probes)
     records.append(
         PropertyRecord(
-            6, "compression norm bounds", "E(x*x) ≥ λ x*x", defect6 <= tol, defect6
+            6, "compression norm bounds", "E(x*x) ≥ λ x*x", defect6 <= SPECTRAL_TOL, defect6
         )
     )
 
     # 7: E1(p) = lam
     defect7 = _e1p_defect(bc)
-    records.append(PropertyRecord(7, "trace of the projection", "E₁(p) = λ", defect7 <= tol, defect7))
+    records.append(
+        PropertyRecord(
+            7, "trace of the projection", "E₁(p) = λ", defect7 <= SPECTRAL_TOL, defect7
+        )
+    )
 
     # 8: the index inequality at the declared constant
     pp = pimsner_popa_validate(inc, n_samples=n_samples, lam=lam, seed=seed)

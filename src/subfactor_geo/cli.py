@@ -57,7 +57,6 @@ from .orbit import (
 )
 from .report import SCHEMA_VERSION, render_table, write_csv_rows
 from .suites import run_suites
-from .tolerances import set_spectral_tol, reset_spectral_tol
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -334,9 +333,8 @@ def _sweep_convexity(bc: BasicConstruction, cfg: RunConfig, out: str) -> dict:
     violations = 0
     for k in range(cfg.trials):
         rep = convexity_probe(bc, *sample_convexity_triple(bc.inc, rng), grid_n=32)
-        ok = rep.min_second_difference >= -1e-8
-        violations += int(not ok)
-        rows.append([k, rep.min_second_difference, int(ok)])
+        violations += int(not rep.passed)
+        rows.append([k, rep.min_second_difference, int(rep.passed)])
     write_csv_rows(os.path.join(out, "convexity.csv"), header, rows)
     return {"status": "ok", "n_trials": cfg.trials, "violations": violations}
 
@@ -435,21 +433,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "families":
             return cmd_families()
         cfg = _load_base_config(args, need_suites=args.command == "verify")
-        if cfg.spectral_override is not None:
-            set_spectral_tol(cfg.spectral_override)
-        try:
-            if args.command == "verify":
-                return cmd_verify(cfg)
-            if args.command == "geodesic":
-                return cmd_geodesic(cfg)
-            if args.command == "log":
-                return cmd_log(cfg, args.q0, args.q1)
-            if args.command == "sweep":
-                return cmd_sweep(cfg, args.experiment)
-            raise ConfigError(f"unknown command {args.command!r}")
-        finally:
-            if cfg.spectral_override is not None:
-                reset_spectral_tol()
+        if args.command == "verify":
+            return cmd_verify(cfg)
+        if args.command == "geodesic":
+            return cmd_geodesic(cfg)
+        if args.command == "log":
+            return cmd_log(cfg, args.q0, args.q1)
+        if args.command == "sweep":
+            return cmd_sweep(cfg, args.experiment)
+        raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

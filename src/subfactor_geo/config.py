@@ -27,9 +27,8 @@ SUITE_NAMES: tuple[str, ...] = (
     "degeneracy",
 )
 
-_TOP_KEYS = {"inclusion", "seed", "suites", "grid", "trials", "tolerances", "output_dir"}
+_TOP_KEYS = {"inclusion", "seed", "suites", "grid", "trials", "output_dir"}
 _INCLUSION_KEYS = {"family", "lam"}
-_TOLERANCE_KEYS = {"spectral"}
 
 _MAX_SEED = 2**64 - 1
 
@@ -44,7 +43,6 @@ class RunConfig:
     grid: int = 96
     trials: int = 100
     lam_override: float | None = None
-    spectral_override: float | None = None
     output_dir: str | None = None
 
     def canonical(self) -> dict:
@@ -59,8 +57,6 @@ class RunConfig:
             doc["inclusion"]["lam"] = self.lam_override
         if self.seed is not None:
             doc["seed"] = self.seed
-        if self.spectral_override is not None:
-            doc["tolerances"] = {"spectral": self.spectral_override}
         if self.output_dir is not None:
             doc["output_dir"] = self.output_dir
         return doc
@@ -134,18 +130,6 @@ def parse_config(doc: dict) -> RunConfig:
         "trials must be a non-negative integer",
     )
 
-    tol_block = doc.get("tolerances", {})
-    _require(isinstance(tol_block, dict), "tolerances must be an object")
-    bad_tol = set(tol_block) - _TOLERANCE_KEYS
-    _require(not bad_tol, f"unknown tolerance keys: {sorted(bad_tol)}")
-    spectral_override = tol_block.get("spectral")
-    if spectral_override is not None:
-        _require(
-            isinstance(spectral_override, (int, float)) and spectral_override > 0,
-            "tolerances.spectral must be positive",
-        )
-        spectral_override = float(spectral_override)
-
     output_dir = doc.get("output_dir")
     if output_dir is not None:
         _require(isinstance(output_dir, str), "output_dir must be a string")
@@ -160,7 +144,6 @@ def parse_config(doc: dict) -> RunConfig:
         grid=grid,
         trials=trials,
         lam_override=lam_override,
-        spectral_override=spectral_override,
         output_dir=output_dir,
     )
 

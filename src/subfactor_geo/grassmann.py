@@ -19,13 +19,14 @@ from .algebra import (
     expectation_E,
     orthonormalize,
     random_antihermitian,
+    span_project,
     span_residual,
 )
 from .basic import BasicConstruction, reduce_R
 from .errors import ConstructionError, DomainError, RadiusError
 from .families import family_record
 from .linalg import dagger, herm_defect, op_norm, polar_antihermitian, spectral_function
-from .tolerances import spectral_tol
+from .tolerances import SPECTRAL_TOL
 
 __all__ = [
     "GrassmannTangent",
@@ -55,9 +56,8 @@ class GrassmannTangent:
 
 
 def grassmann_tangent(bc: BasicConstruction, x: np.ndarray) -> GrassmannTangent:
-    tol = spectral_tol()
     e = expectation_E(bc.inc, x)
-    if bc.inc.two_norm(e) > tol:
+    if bc.inc.two_norm(e) > SPECTRAL_TOL:
         raise DomainError("parameter has a nonzero expectation")
     lx = bc.left(x)
     p = bc.jones_p
@@ -79,7 +79,7 @@ def tangent_decompose(bc: BasicConstruction, v: np.ndarray) -> DecomposeResult:
     orbit-tangent (anti-Hermitian) and normal (Hermitian) components."""
     p = bc.jones_p
     d = bc.dim_l2
-    if herm_defect(v) > spectral_tol():
+    if herm_defect(v) > SPECTRAL_TOL:
         raise DomainError("tangent decomposition expects a Hermitian input")
     codiag = max(
         op_norm(p @ v @ p), op_norm((np.eye(d) - p) @ v @ (np.eye(d) - p))
@@ -119,7 +119,7 @@ def grassmann_exp_block(bc: BasicConstruction, x: np.ndarray, t: float) -> np.nd
     complementary corner is x t^2 sinc^2(t s) x*.
     """
     inc = bc.inc
-    if inc.two_norm(expectation_E(inc, x)) > spectral_tol():
+    if inc.two_norm(expectation_E(inc, x)) > SPECTRAL_TOL:
         raise DomainError("block exponential expects an expectation-free parameter")
     nx = op_norm(x)
     if nx >= np.pi:
@@ -163,13 +163,11 @@ def degeneracy_test(inc: Inclusion, x: np.ndarray) -> DegeneracyResult:
     """Decide whether x generates a projection-manifold geodesic that stays
     on the orbit: x must be anti-Hermitian with x^2 inside the subalgebra
     (tested as the expectation residual of x^2)."""
-    tol = spectral_tol()
     skew = inc.two_norm(x + dagger(x))
-    x2 = x @ x
-    square = inc.two_norm(x2 - expectation_E(inc, x2))
+    square = span_residual(inc.embed_basis, x @ x, inc.amb.weight_vector)
     defect = max(skew, square)
     return DegeneracyResult(
-        degenerate=defect <= tol,
+        degenerate=defect <= SPECTRAL_TOL,
         defect=defect,
         skew_defect=skew,
         square_defect=square,
@@ -253,39 +251,37 @@ def totally_geodesic_audit(inc: Inclusion) -> AuditReport:
     fail while the audit holds, because only symmetrized products enter
     squares of anti-Hermitian directions).
     """
-    tol = spectral_tol()
+    w = inc.amb.weight_vector
     ker, basis = _kernel_bases(inc)
+
+    def residuals(stack: np.ndarray) -> np.ndarray:
+        # ‖y − E(y)‖₂ of each slice
+        return inc.two_norm(stack - span_project(inc.embed_basis, stack, w))
+
+    # anticommutators one row i (pairs j >= i) at a time; the witness is the
+    # first pair that attains the maximum
     worst = 0.0
-    witness: tuple[np.ndarray, np.ndarray] | None = None
+    worst_pair: tuple[np.ndarray, np.ndarray] | None = None
     for i, a in enumerate(basis):
-        for b in basis[i:]:
-            anti = a @ b + b @ a
-            defect = inc.two_norm(anti - expectation_E(inc, anti))
-            if defect > worst:
-                worst = defect
-                if defect > tol:
-                    witness = (a, b)
-    holds = worst <= tol
+        row = residuals(a @ basis[i:] + basis[i:] @ a)
+        j = int(np.argmax(row))
+        if row[j] > worst:
+            worst = float(row[j])
+            worst_pair = (a, basis[i + j])
+    holds = worst <= SPECTRAL_TOL
 
-    prod_worst = 0.0
-    for a in ker:
-        for b in ker:
-            prod = a @ b
-            prod_worst = max(
-                prod_worst, inc.two_norm(prod - expectation_E(inc, prod))
-            )
+    prod_worst = max((float(residuals(a @ ker).max()) for a in ker), default=0.0)
 
-    agreement = True
-    for a in basis:
-        by_square = inc.two_norm(a @ a - expectation_E(inc, a @ a)) <= tol
-        if degeneracy_test(inc, a).degenerate != by_square:
-            agreement = False
+    by_square = residuals(basis @ basis) <= SPECTRAL_TOL
+    agreement = all(
+        degeneracy_test(inc, a).degenerate == sq for a, sq in zip(basis, by_square)
+    )
     return AuditReport(
         holds=holds,
         max_defect=worst,
         n_directions=len(basis),
-        witness=witness,
-        product_closure_holds=prod_worst <= tol,
+        witness=None if holds else worst_pair,
+        product_closure_holds=prod_worst <= SPECTRAL_TOL,
         product_max_defect=prod_worst,
         degeneracy_agreement=agreement,
     )

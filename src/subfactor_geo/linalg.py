@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BranchCutError, DomainError
-from .tolerances import ANGLE_GUARD, spectral_tol
+from .tolerances import ANGLE_GUARD, SPECTRAL_TOL
 
 __all__ = [
     "dagger",
@@ -121,7 +121,7 @@ def spectral_function(h: np.ndarray, f: str) -> np.ndarray:
     Parameters
     ----------
     h : square complex ndarray or stack of them, Hermitian or
-        anti-Hermitian within the global spectral tolerance.  A stack is
+        anti-Hermitian within ``SPECTRAL_TOL``.  A stack is
         Hermitian when every slice is, else anti-Hermitian when every slice
         is; a stack that needs both readings raises ``DomainError``.
     f : one of ``exp``, ``cos``, ``sin``, ``sinc`` (sin z / z), ``sqrt``
@@ -134,20 +134,19 @@ def spectral_function(h: np.ndarray, f: str) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
         raise DomainError(f"expected a square matrix or a stack of them, got shape {h.shape}")
-    tol = spectral_tol()
-    herm = op_norm_within(h - dagger(h), tol)
+    herm = op_norm_within(h - dagger(h), SPECTRAL_TOL)
     if np.all(herm):
         w, v = np.linalg.eigh((h + dagger(h)) / 2.0)
         eigs = w.astype(complex)
-    elif np.all(op_norm_within(h + dagger(h), tol)):
+    elif np.all(op_norm_within(h + dagger(h), SPECTRAL_TOL)):
         if f == "sqrt":
             raise DomainError("sqrt needs a Hermitian input")
         w, v = np.linalg.eigh((h - dagger(h)) / 2.0j)
         eigs = 1j * w
     else:
-        _raise_not_normal(h, tol)
+        _raise_not_normal(h)
     if f == "sqrt":
-        if w.min() < -tol:
+        if w.min() < -SPECTRAL_TOL:
             raise DomainError(f"sqrt needs nonnegative spectrum, min eigenvalue {w.min():.3e}")
         vals = np.sqrt(np.clip(w, 0.0, None)).astype(complex)
     else:
@@ -159,16 +158,16 @@ def spectral_function(h: np.ndarray, f: str) -> np.ndarray:
     return (v * vals[..., None, :]) @ dagger(v)
 
 
-def _raise_not_normal(h: np.ndarray, tol: float) -> None:
+def _raise_not_normal(h: np.ndarray) -> None:
     """Error path of spectral_function: name the first slice that is
     neither Hermitian nor anti-Hermitian, with its exact defects, or report
     a stack that mixes the two."""
     hd = np.atleast_1d(herm_defect(h))
     ad = np.atleast_1d(antiherm_defect(h))
-    bad = np.flatnonzero((hd.ravel() > tol) & (ad.ravel() > tol))
+    bad = np.flatnonzero((hd.ravel() > SPECTRAL_TOL) & (ad.ravel() > SPECTRAL_TOL))
     if bad.size == 0:
         raise DomainError(
-            f"stack mixes Hermitian and anti-Hermitian slices within {tol:.1e}; "
+            f"stack mixes Hermitian and anti-Hermitian slices within {SPECTRAL_TOL:.1e}; "
             "apply the map to each kind separately"
         )
     i = bad[0]
@@ -176,7 +175,7 @@ def _raise_not_normal(h: np.ndarray, tol: float) -> None:
     where = "matrix" if h.ndim == 2 else f"slice {index}"
     raise DomainError(
         f"{where} is neither Hermitian (defect {hd.ravel()[i]:.3e}) nor "
-        f"anti-Hermitian (defect {ad.ravel()[i]:.3e}) within {tol:.1e}"
+        f"anti-Hermitian (defect {ad.ravel()[i]:.3e}) within {SPECTRAL_TOL:.1e}"
     )
 
 
@@ -188,13 +187,14 @@ def log_unitary_principal(u: np.ndarray) -> np.ndarray:
     eigenbasis stays orthonormal on clustered spectrum.
     """
     u = np.asarray(u, dtype=complex)
-    tol = spectral_tol()
-    if not op_norm_within(dagger(u) @ u - np.eye(u.shape[0]), tol):
-        raise DomainError(f"input is not unitary (defect {unitary_defect(u):.3e} > {tol:.1e})")
+    if not op_norm_within(dagger(u) @ u - np.eye(u.shape[0]), SPECTRAL_TOL):
+        raise DomainError(
+            f"input is not unitary (defect {unitary_defect(u):.3e} > {SPECTRAL_TOL:.1e})"
+        )
     t, q = scipy.linalg.schur(u, output="complex")
     diag = np.diag(t)
     off = t - np.diag(diag)
-    if not op_norm_within(off, 1e3 * tol):
+    if not op_norm_within(off, 1e3 * SPECTRAL_TOL):
         raise DomainError(
             f"unitary is not normal enough to diagonalize (defect {op_norm(off):.3e})"
         )
@@ -217,12 +217,11 @@ def polar_antihermitian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     isometry on the support of x and zero on its kernel, commuting with absx.
     """
     x = np.asarray(x, dtype=complex)
-    tol = spectral_tol()
-    if not op_norm_within(x + dagger(x), tol):
+    if not op_norm_within(x + dagger(x), SPECTRAL_TOL):
         raise DomainError(f"input is not anti-Hermitian (defect {antiherm_defect(x):.3e})")
     w, v = np.linalg.eigh((x - dagger(x)) / 2.0j)
     absw = np.abs(w)
-    cutoff = tol * max(1.0, absw.max(initial=0.0))
+    cutoff = SPECTRAL_TOL * max(1.0, absw.max(initial=0.0))
     signs = np.where(absw > cutoff, 1j * np.sign(w), 0.0)
     u = (v * signs) @ dagger(v)
     absx = (v * absw.astype(complex)) @ dagger(v)

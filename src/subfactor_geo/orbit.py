@@ -44,7 +44,7 @@ from .linalg import (
     spectral_function,
     unitary_defect,
 )
-from .tolerances import LIFT_TOL, MEMBERSHIP_TOL, spectral_tol
+from .tolerances import LIFT_TOL, MEMBERSHIP_TOL, SPECTRAL_TOL, WITNESS_TOL
 
 __all__ = [
     "OrbitPoint",
@@ -82,9 +82,6 @@ __all__ = [
     "ConvexityReport",
 ]
 
-WITNESS_TOL = 1e-8
-
-
 # ---------------------------------------------------------------------------
 # points and tangent vectors
 
@@ -98,17 +95,16 @@ class OrbitPoint:
     witness: np.ndarray  # ambient unitary u in M with u p u* = q
 
     def __post_init__(self) -> None:
-        tol = spectral_tol()
         bc = self.bc
         q = self.q
-        if op_norm(q @ q - q) > tol or herm_defect(q) > tol:
+        if op_norm(q @ q - q) > SPECTRAL_TOL or herm_defect(q) > SPECTRAL_TOL:
             raise DomainError("orbit point is not a projection")
-        if abs(bc.tau1(q) - bc.lam) > tol:
+        if abs(bc.tau1(q) - bc.lam) > SPECTRAL_TOL:
             raise DomainError(
                 f"orbit point has trace {bc.tau1(q):.6f}, expected {bc.lam:.6f}"
             )
         e1q = bc._e1_unchecked(q)
-        if op_norm(e1q - bc.lam * np.eye(bc.dim_l2)) > tol:
+        if op_norm(e1q - bc.lam * np.eye(bc.dim_l2)) > SPECTRAL_TOL:
             raise DomainError("orbit point fails E1(q) = lam * 1")
         w = self.witness
         ident = bc.inc.identity()
@@ -443,7 +439,7 @@ def horizontal_lift(curve: DiscreteCurve) -> np.ndarray:
             f"re-sample the curve on a finer grid"
         )
     unit = unitary_defect(lift).max()
-    if unit > spectral_tol():
+    if unit > SPECTRAL_TOL:
         raise RefinementError(f"lift unitarity defect {unit:.3e}")
     if horiz > LIFT_TOL:
         raise RefinementError(

@@ -8,7 +8,6 @@ import pytest
 from subfactor_geo.algebra import (
     AlgebraDescriptor,
     expectation_E,
-    horizontal_defect,
     horizontal_projection,
     make_custom_inclusion,
     make_group_flip_inclusion,
@@ -28,6 +27,7 @@ from subfactor_geo.basic import _m1_generators
 from subfactor_geo.errors import DomainError
 from subfactor_geo.grassmann import kernel_real_onb
 from subfactor_geo.linalg import dagger, op_norm, unitary_defect
+from subfactor_geo.orbit import base_point, horizontal_defect_at
 from subfactor_geo.tolerances import GRAM_DROP_TOL
 
 # sharp feasibility threshold of E(x*x) >= lam*x*x per family, worked out
@@ -138,7 +138,6 @@ def test_horizontal_projection_properties(bc, rng):
     inc = bc.inc
     for _ in range(20):
         z = horizontal_projection(inc, random_element(rng, inc.amb_basis))
-        assert horizontal_defect(inc, z) < 1e-12
         assert op_norm(z + dagger(z)) < 1e-13
         assert inc.two_norm(expectation_E(inc, z)) < 1e-12
     # projects to zero exactly on the subalgebra's anti-Hermitian part
@@ -154,10 +153,10 @@ def test_random_samplers(bc, rng):
     assert op_norm(a + dagger(a)) < 1e-13
     u = random_unitary(rng, inc.amb_basis, scale=0.7)
     assert unitary_defect(u) < 1e-12
-    assert inc.project_m(u)[1] < 1e-10
+    assert span_residual(inc.amb_basis, u, inc.amb.weight_vector) < 1e-10
     z = random_horizontal(inc, rng, op_scale=0.3)
     assert abs(op_norm(z) - 0.3) < 1e-12
-    assert horizontal_defect(inc, z) < 1e-12
+    assert horizontal_defect_at(base_point(bc), z) < 1e-12
 
 
 def test_tensor_family_parameters():
@@ -186,11 +185,10 @@ def test_group_flip_membership_has_linked_corners():
     inc = make_group_flip_inclusion(AlgebraDescriptor((1,), (1.0,)))
     x = np.zeros((2, 2), dtype=complex)
     x[0, 1] = 1.0  # corner without its flip partner
-    _, defect = inc.project_m(x)
-    assert defect > 0.1
+    w = inc.amb.weight_vector
+    assert span_residual(inc.amb_basis, x, w) > 0.1
     x[1, 0] = 1.0  # now both corners agree with the identity flip
-    _, defect = inc.project_m(x)
-    assert defect < 1e-12
+    assert span_residual(inc.amb_basis, x, w) < 1e-12
 
 
 def test_custom_inclusion_validates_lambda():

@@ -1,10 +1,13 @@
 """Config parsing, hashing, and the deterministic report artifacts."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subfactor_geo
 from subfactor_geo.config import (
     SUITE_NAMES,
     apply_overrides,
@@ -12,7 +15,8 @@ from subfactor_geo.config import (
     load_config,
     parse_config,
 )
-from subfactor_geo.errors import ConfigError
+from subfactor_geo.cli import main
+from subfactor_geo.errors import ConfigError, DomainError
 from subfactor_geo.families import family_inclusion, family_record
 from subfactor_geo.report import (
     ANCHOR_VOCABULARY,
@@ -24,7 +28,8 @@ from subfactor_geo.report import (
     write_csv_rows,
 )
 from subfactor_geo.suites import run_suites
-from subfactor_geo.tolerances import spectral_tol
+from subfactor_geo.linalg import spectral_function
+from subfactor_geo.tolerances import SPECTRAL_TOL
 
 
 def minimal_doc(**extra):
@@ -125,7 +130,6 @@ def test_canonical_round_trips_through_parse():
             grid=48,
             trials=10,
             suites=["metric"],
-            tolerances={"spectral": 1e-9},
             output_dir="out",
         )
     )
@@ -238,8 +242,44 @@ def test_every_suite_anchor_is_in_the_vocabulary(constructions):
                 assert r.paper_anchor in ANCHOR_VOCABULARY, (suite.name, r.name)
 
 
-def test_environment_does_not_move_the_spectral_tolerance(monkeypatch):
-    # the tolerance is run state set from the config, not from the environment
-    before = spectral_tol()
+@pytest.mark.parametrize("spectral", [1e-17, 1e-10, 0.5])
+def test_a_tolerances_block_is_refused(tmp_path, capsys, spectral):
+    # the gates' tolerances are constants, so neither run_suites nor the CLI
+    # can be handed a looser (or stricter) one through the config
+    doc = {
+        "inclusion": {"family": "tensor(1,2)"},
+        "seed": 7,
+        "suites": ["construction"],
+        "tolerances": {"spectral": spectral},
+    }
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        parse_config(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "--config", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert "tolerances" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_no_module_declares_a_global():
+    # a `global` statement is how a tolerance becomes mutable module state
+    src = Path(subfactor_geo.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []
+
+
+def test_spectral_tolerance_is_a_constant(monkeypatch):
+    # neither the environment nor any setter moves the gate: a matrix
+    # 1e-9 away from Hermitian is still refused at 1e-10
     monkeypatch.setenv("SUBFACTOR_GEO_TOL", "0.5")
-    assert spectral_tol() == before
+    assert SPECTRAL_TOL == 1e-10
+    h = np.diag([1.0, 2.0]).astype(complex)
+    h[0, 1] = 1e-9
+    with pytest.raises(DomainError):
+        spectral_function(h, "exp")

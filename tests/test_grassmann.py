@@ -8,6 +8,7 @@ from subfactor_geo.algebra import expectation_E, random_element
 from subfactor_geo.errors import DomainError, RadiusError
 from subfactor_geo.families import FAMILY_NAMES, family_inclusion, family_record
 from subfactor_geo.grassmann import (
+    _kernel_bases,
     degeneracy_test,
     degenerate_geodesic_closed_form,
     grassmann_exp_block,
@@ -212,6 +213,33 @@ def test_totally_geodesic_audit_per_family(bc):
         assert any(
             not degeneracy_test(inc, c).degenerate for c in (a, b, a + b)
         )
+
+
+def test_audit_matches_the_pairwise_reference(bc):
+    # the audit's residuals taken one matrix at a time, pairs in i <= j order
+    inc = bc.inc
+    ker, basis = _kernel_bases(inc)
+
+    def resid(y):
+        return inc.two_norm(y - expectation_E(inc, y))
+
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i, len(basis))]
+    anti = [resid(basis[i] @ basis[j] + basis[j] @ basis[i]) for i, j in pairs]
+    audit = totally_geodesic_audit(inc)
+    assert audit.max_defect == pytest.approx(max(anti), rel=1e-14, abs=1e-15)
+    if audit.holds:
+        assert audit.witness is None
+    else:
+        # the witness is the first pair that attains the maximum
+        i, j = pairs[int(np.argmax(anti))]
+        assert np.array_equal(audit.witness[0], basis[i])
+        assert np.array_equal(audit.witness[1], basis[j])
+    prod = max(resid(a @ b) for a in ker for b in ker)
+    assert audit.product_max_defect == pytest.approx(prod, rel=1e-14, abs=1e-15)
+    agree = all(
+        degeneracy_test(inc, a).degenerate == (resid(a @ a) <= 1e-10) for a in basis
+    )
+    assert audit.degeneracy_agreement == agree
 
 
 def test_product_closure_is_strictly_finer(constructions):
