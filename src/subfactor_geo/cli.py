@@ -45,6 +45,7 @@ from .linalg import dump_matrix, load_matrix, op_norm
 from .orbit import (
     base_point,
     curve_lengths,
+    geodesic_at,
     geodesic_equation_residual,
     minimality_experiment,
     convexity_probe,
@@ -351,8 +352,6 @@ def _sweep_radius(bc: BasicConstruction, cfg: RunConfig, out: str) -> dict:
     radii = np.linspace(0.05, 1.2, 24)
     rows = []
     largest = 0.0
-    from .orbit import geodesic_at
-
     for r in radii:
         ok = 0
         worst = 0.0

@@ -6,12 +6,13 @@ the results of exp/cos/sin/sinc/sqrt/square are exact up to the
 diagonalization error, and exponentials of anti-Hermitian inputs are unitary
 to machine precision.
 
-``dagger``, ``op_norm``, the three ``*_defect`` measures and
-``spectral_function`` accept a single matrix or a stack of shape
-``(..., n, n)`` and act slice by slice, with one batched LAPACK call per
-stack; each slice of a stacked result is bitwise equal to the result for that
-slice alone.  ``op_norm`` returns a float for a matrix and an array of shape
-``(...)`` for a stack.
+``dagger``, ``op_norm``, the three ``*_defect`` measures,
+``spectral_function`` and ``log_unitary_principal`` accept a single matrix or
+a stack of shape ``(..., n, n)`` and act slice by slice, with one batched
+LAPACK call per stack (``log_unitary_principal`` runs its complex Schur once
+per slice and everything else once per stack); each slice of a stacked result
+is bitwise equal to the result for that slice alone.  ``op_norm`` returns a
+float for a matrix and an array of shape ``(...)`` for a stack.
 
 ``op_norm_within(a, tol)`` decides ``op_norm(a) <= tol`` per slice.  It is
 the tolerance gate of ``spectral_function``, ``log_unitary_principal`` and
@@ -158,55 +159,82 @@ def spectral_function(h: np.ndarray, f: str) -> np.ndarray:
     return (v * vals[..., None, :]) @ dagger(v)
 
 
+def _first_slice(mask: np.ndarray) -> tuple[int, ...]:
+    """Index of the first True entry of a per-slice mask; () for a matrix."""
+    i = int(np.flatnonzero(np.ravel(mask))[0])
+    return tuple(int(k) for k in np.unravel_index(i, np.shape(mask)))
+
+
 def _raise_not_normal(h: np.ndarray) -> None:
     """Error path of spectral_function: name the first slice that is
     neither Hermitian nor anti-Hermitian, with its exact defects, or report
     a stack that mixes the two."""
-    hd = np.atleast_1d(herm_defect(h))
-    ad = np.atleast_1d(antiherm_defect(h))
-    bad = np.flatnonzero((hd.ravel() > SPECTRAL_TOL) & (ad.ravel() > SPECTRAL_TOL))
-    if bad.size == 0:
+    hd = np.asarray(herm_defect(h))
+    ad = np.asarray(antiherm_defect(h))
+    bad = (hd > SPECTRAL_TOL) & (ad > SPECTRAL_TOL)
+    if not np.any(bad):
         raise DomainError(
             f"stack mixes Hermitian and anti-Hermitian slices within {SPECTRAL_TOL:.1e}; "
             "apply the map to each kind separately"
         )
-    i = bad[0]
-    index = tuple(int(k) for k in np.unravel_index(i, h.shape[:-2]))
-    where = "matrix" if h.ndim == 2 else f"slice {index}"
+    k = _first_slice(bad)
+    where = "matrix" if h.ndim == 2 else f"slice {k}"
     raise DomainError(
-        f"{where} is neither Hermitian (defect {hd.ravel()[i]:.3e}) nor "
-        f"anti-Hermitian (defect {ad.ravel()[i]:.3e}) within {SPECTRAL_TOL:.1e}"
+        f"{where} is neither Hermitian (defect {hd[k]:.3e}) nor "
+        f"anti-Hermitian (defect {ad[k]:.3e}) within {SPECTRAL_TOL:.1e}"
     )
 
 
 def log_unitary_principal(u: np.ndarray) -> np.ndarray:
-    """Principal anti-Hermitian logarithm of a unitary.
+    """Principal anti-Hermitian logarithm of a unitary, or of each slice of
+    a ``(..., n, n)`` stack.
 
     Eigenangles are taken in (-pi, pi); spectrum within ANGLE_GUARD of -1
     raises BranchCutError.  Uses a complex Schur decomposition so the
-    eigenbasis stays orthonormal on clustered spectrum.
+    eigenbasis stays orthonormal on clustered spectrum.  The Schur runs once
+    per slice; the unitarity and normality gates, the branch-cut guard and
+    the reconstruction run once per stack, and each slice of the result is
+    bitwise equal to the logarithm of that slice alone.  A stack's errors
+    name the first failing slice.
     """
     u = np.asarray(u, dtype=complex)
-    if not op_norm_within(dagger(u) @ u - np.eye(u.shape[0]), SPECTRAL_TOL):
+    if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
+        raise DomainError(f"expected a square matrix or a stack of them, got shape {u.shape}")
+    n = u.shape[-1]
+    unitary = op_norm_within(dagger(u) @ u - np.eye(n), SPECTRAL_TOL)
+    if not np.all(unitary):
+        k = _first_slice(~unitary)
+        where = "input" if u.ndim == 2 else f"slice {k}"
         raise DomainError(
-            f"input is not unitary (defect {unitary_defect(u):.3e} > {SPECTRAL_TOL:.1e})"
+            f"{where} is not unitary (defect {unitary_defect(u[k]):.3e} > {SPECTRAL_TOL:.1e})"
         )
-    t, q = scipy.linalg.schur(u, output="complex")
-    diag = np.diag(t)
-    off = t - np.diag(diag)
-    if not op_norm_within(off, 1e3 * SPECTRAL_TOL):
+    t = np.empty_like(u)
+    q = np.empty_like(u)
+    for k in np.ndindex(u.shape[:-2]):
+        t[k], q[k] = scipy.linalg.schur(u[k], output="complex")
+    diag = np.diagonal(t, axis1=-2, axis2=-1)
+    off = t.copy()
+    off[..., np.arange(n), np.arange(n)] = 0.0
+    normal = op_norm_within(off, 1e3 * SPECTRAL_TOL)
+    if not np.all(normal):
+        k = _first_slice(~normal)
+        where = "unitary" if u.ndim == 2 else f"slice {k}"
         raise DomainError(
-            f"unitary is not normal enough to diagonalize (defect {op_norm(off):.3e})"
+            f"{where} is not normal enough to diagonalize (defect {op_norm(off[k]):.3e})"
         )
     angles = np.angle(diag)
-    worst = np.argmax(np.abs(angles))
-    if np.pi - abs(angles[worst]) < ANGLE_GUARD:
+    at = np.argmax(np.abs(angles), axis=-1)[..., None]
+    worst = np.take_along_axis(diag, at, axis=-1)[..., 0]
+    cut = np.pi - np.abs(np.angle(worst)) < ANGLE_GUARD
+    if np.any(cut):
+        k = _first_slice(cut)
+        where = "" if u.ndim == 2 else f" of slice {k}"
         raise BranchCutError(
-            f"eigenvalue {diag[worst]:.12f} is within {ANGLE_GUARD:.1e} of the "
+            f"eigenvalue {worst[k]:.12f}{where} is within {ANGLE_GUARD:.1e} of the "
             "branch cut at -1",
-            eigenvalue=complex(diag[worst]),
+            eigenvalue=complex(worst[k]),
         )
-    x = (q * (1j * angles)) @ dagger(q)
+    x = (q * (1j * angles)[..., None, :]) @ dagger(q)
     return (x - dagger(x)) / 2.0
 
 

@@ -44,7 +44,13 @@ from .linalg import (
     spectral_function,
     unitary_defect,
 )
-from .tolerances import LIFT_TOL, MEMBERSHIP_TOL, SPECTRAL_TOL, WITNESS_TOL
+from .tolerances import (
+    CONVEXITY_TOL,
+    LIFT_TOL,
+    MEMBERSHIP_TOL,
+    SPECTRAL_TOL,
+    WITNESS_TOL,
+)
 
 __all__ = [
     "OrbitPoint",
@@ -77,6 +83,7 @@ __all__ = [
     "PolygonalResult",
     "minimality_experiment",
     "MinimalityReport",
+    "CONVEXITY_RADIUS",
     "convexity_probe",
     "sample_convexity_triple",
     "ConvexityReport",
@@ -866,6 +873,12 @@ def minimality_experiment(
     )
 
 
+# Operator-norm window of the convexity statement: the squared log-distance
+# to a geodesic has no concave node while the three unitaries are pairwise
+# closer than this.
+CONVEXITY_RADIUS = float(np.sqrt(2.0 - np.sqrt(2.0)))
+
+
 @dataclass(frozen=True)
 class ConvexityReport:
     f_values: tuple[float, ...]
@@ -883,34 +896,27 @@ def convexity_probe(
     """Squared trace-norm log-distance from u0 to the unitary geodesic from
     u1 to u2, sampled on a grid; reports the smallest second difference.
 
-    The three unitaries must be pairwise closer than sqrt(2 - sqrt(2)) in
-    operator norm.
+    The three unitaries must be pairwise closer than ``CONVEXITY_RADIUS`` in
+    operator norm.  The grid takes one stacked logarithm.
     """
-    r = np.sqrt(2.0 - np.sqrt(2.0))
-    pairs = [(u0, u1), (u0, u2), (u1, u2)]
-    for a, b in pairs:
-        gap = op_norm(a - b)
-        if gap >= r:
+    gaps = op_norm(np.stack([u0 - u1, u0 - u2, u1 - u2]))
+    for gap in gaps.tolist():
+        if gap >= CONVEXITY_RADIUS:
             raise RadiusError(
                 f"unitaries are op-norm {gap:.4f} apart; the convexity window "
-                f"requires < {r:.4f}"
+                f"requires < {CONVEXITY_RADIUS:.4f}"
             )
     w = log_unitary_principal(dagger(u1) @ u2)
-    ss = np.linspace(0.0, 1.0, grid_n + 1)
-    exps = _exp_family(w, ss)
-    inc = bc.inc
-    fs = []
-    for e in exps:
-        delta = u1 @ e
-        lg = log_unitary_principal(dagger(u0) @ delta)
-        fs.append(inc.two_norm(lg) ** 2)
-    f = np.array(fs)
+    exps = _exp_family(w, np.linspace(0.0, 1.0, grid_n + 1))
+    lg = log_unitary_principal(dagger(u0) @ (u1 @ exps))
+    # Python's float power, not numpy's square: the two can differ by an ulp.
+    f = np.array([v**2 for v in bc.inc.two_norm(lg).tolist()])
     second = f[:-2] - 2.0 * f[1:-1] + f[2:]
     min_second = float(second.min()) if second.size else 0.0
     return ConvexityReport(
-        f_values=tuple(float(v) for v in f),
+        f_values=tuple(f.tolist()),
         min_second_difference=min_second,
-        passed=min_second >= -1e-8,
+        passed=min_second >= -CONVEXITY_TOL,
     )
 
 
@@ -920,9 +926,8 @@ def sample_convexity_triple(
     """Three unitaries of M, each exp of a Gaussian anti-Hermitian element
     rescaled to an operator norm drawn from [0.05, 0.25]; pairwise inside
     the convexity window."""
-    tri = []
+    gens = []
     for _ in range(3):
         a = random_antihermitian(rng, inc.amb_basis)
-        a = rng.uniform(0.05, 0.25) * a / max(op_norm(a), 1e-12)
-        tri.append(spectral_function(a, "exp"))
-    return tuple(tri)
+        gens.append(rng.uniform(0.05, 0.25) * a / max(op_norm(a), 1e-12))
+    return tuple(spectral_function(np.stack(gens), "exp"))

@@ -40,6 +40,7 @@ from .grassmann import (
 )
 from .linalg import dagger, op_norm, polar_antihermitian, spectral_function
 from .orbit import (
+    CONVEXITY_RADIUS,
     base_point,
     convexity_probe,
     curve_from_unitaries,
@@ -64,6 +65,7 @@ from .orbit import (
     tangent_projection,
 )
 from .report import CheckRecord, RunReport, SuiteReport, record
+from .tolerances import CONVEXITY_TOL
 
 def _suite_rng(cfg: RunConfig, suite: str) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, SUITE_NAMES.index(suite)])
@@ -662,7 +664,7 @@ def _suite_convexity(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]
             "squared-distance profile has no concave node",
             "f(s) = d_k(u₀, δ(s))^k",
             worst,
-            1e-8,
+            CONVEXITY_TOL,
             n_con,
         )
     )
@@ -680,7 +682,7 @@ def _suite_convexity(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]
         CheckRecord(
             name="triples outside the admissible radius are rejected",
             paper_anchor="‖u_i − u_j‖ < √(2 − √2) = r",
-            status="pass" if (rejected and gap >= np.sqrt(2.0 - np.sqrt(2.0))) else "fail",
+            status="pass" if (rejected and gap >= CONVEXITY_RADIUS) else "fail",
             worst_defect=0.0 if rejected else 1.0,
             samples=1,
         )

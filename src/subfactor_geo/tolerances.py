@@ -14,6 +14,9 @@ LIFT_TOL = 1e-6
 # Unitarity and transport defect allowed for the unitary witness of an
 # orbit point, and for horizontality and Hermiticity at the orbit boundary.
 WITNESS_TOL = 1e-8
+# Most negative second difference a sampled squared-distance profile may
+# have and still count as convex.
+CONVEXITY_TOL = 1e-8
 # Membership defect allowed when projecting onto a spanned subalgebra.
 MEMBERSHIP_TOL = 1e-8
 # Gram-Schmidt drop tolerance: candidate directions with smaller residual

@@ -139,6 +139,62 @@ def test_log_rejects_non_unitary():
         log_unitary_principal(2.0 * np.eye(3))
 
 
+def random_unitary_stack(rng, count, n):
+    return np.stack(
+        [
+            spectral_function(random_antiherm(rng, n, scale=rng.uniform(0.05, 3.0)), "exp")
+            for _ in range(count)
+        ]
+    )
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_stacked_log_is_bitwise_the_slice_loop(rng, n):
+    stack = random_unitary_stack(rng, 6, n)
+    # v ⊗ 1₂ has every eigenvalue twice: the clustered case Schur is kept for
+    v = spectral_function(random_antiherm(rng, n // 2, scale=1.5), "exp")
+    stack[1] = np.kron(v, np.eye(2))
+    stack[2] = np.eye(n)
+    out = log_unitary_principal(stack)
+    loop = np.stack([log_unitary_principal(u) for u in stack])
+    assert np.array_equal(out, loop)
+    assert op_norm(spectral_function(out[1], "exp") - stack[1]) < 1e-12
+    # a (2, 6) stack of stacks gives the same slices
+    assert np.array_equal(log_unitary_principal(np.stack([stack, stack]))[1], loop)
+
+
+def test_log_of_empty_stack_is_empty():
+    out = log_unitary_principal(np.zeros((0, 3, 3), dtype=complex))
+    assert out.shape == (0, 3, 3)
+
+
+def test_stacked_log_names_the_non_unitary_slice(rng):
+    stack = random_unitary_stack(rng, 4, 3)
+    stack[2] = stack[2] * (1.0 + 1e-6)
+    defect = f"defect {unitary_defect(stack[2]):.3e} > "
+    with pytest.raises(DomainError, match=r"^slice \(2,\) is not unitary") as exc:
+        log_unitary_principal(stack)
+    assert defect in str(exc.value)
+    with pytest.raises(DomainError, match=r"^slice \(1, 0\) is not unitary") as exc:
+        log_unitary_principal(stack.reshape(2, 2, 3, 3))
+    assert defect in str(exc.value)
+    with pytest.raises(DomainError, match=r"^input is not unitary") as exc:
+        log_unitary_principal(stack[2])
+    assert defect in str(exc.value)
+
+
+def test_stacked_log_names_the_branch_cut_slice(rng):
+    stack = random_unitary_stack(rng, 3, 2)
+    stack[1] = np.diag([np.exp(1j * np.pi), 1.0])
+    with pytest.raises(BranchCutError) as single:
+        log_unitary_principal(stack[1])
+    with pytest.raises(BranchCutError, match=r"of slice \(1,\) is within") as exc:
+        log_unitary_principal(stack)
+    assert exc.value.eigenvalue == single.value.eigenvalue
+    assert abs(exc.value.eigenvalue + 1.0) < 1e-12
+    assert f"{single.value.eigenvalue:.12f}" in str(exc.value)
+
+
 def test_polar_antihermitian_properties(rng):
     for _ in range(25):
         x = random_antiherm(rng, 5, scale=rng.uniform(0.1, 2.0))

@@ -12,7 +12,7 @@ from subfactor_geo.algebra import (
 )
 from subfactor_geo.basic import expectation_E1
 from subfactor_geo.errors import ConvergenceError, DomainError, MembershipError, RadiusError
-from subfactor_geo.linalg import dagger, op_norm, spectral_function
+from subfactor_geo.linalg import dagger, log_unitary_principal, op_norm, spectral_function
 from subfactor_geo.orbit import (
     DiscreteCurve,
     OrbitLogResult,
@@ -37,6 +37,7 @@ from subfactor_geo.orbit import (
     orbit_section_theta,
     random_horizontal_at,
     random_orbit_point,
+    sample_convexity_triple,
     sample_geodesic,
     shorten_to_polygonal,
     tangent_projection,
@@ -537,6 +538,36 @@ def test_convexity_random_triples(bc, rng):
         u0 = random_unitary(rng, bc.inc.amb_basis, scale=0.15)
         rep = convexity_probe(bc, u0, u0 @ step(), u0 @ step(), grid_n=24)
         assert rep.passed
+
+
+@pytest.mark.parametrize("family", ["tensor(2,2)", "group_flip(scalars)"])
+def test_convexity_probe_is_bitwise_the_per_point_loop(constructions, family):
+    from subfactor_geo.orbit import _exp_family
+
+    bc = constructions[family]
+    inc = bc.inc
+    rng = np.random.default_rng(8)
+    ref_rng = np.random.default_rng(8)
+    for _ in range(4):
+        u0, u1, u2 = sample_convexity_triple(inc, rng)
+        ref_triple = []
+        for _ in range(3):
+            a = random_antihermitian(ref_rng, inc.amb_basis)
+            a = ref_rng.uniform(0.05, 0.25) * a / max(op_norm(a), 1e-12)
+            ref_triple.append(spectral_function(a, "exp"))
+        for got, ref in zip((u0, u1, u2), ref_triple):
+            assert np.array_equal(got, ref)
+
+        rep = convexity_probe(bc, u0, u1, u2, grid_n=32)
+        # one 2-D logarithm per grid point; two_norm gives a Python float,
+        # so ** 2 is CPython's float power (libm pow), which can differ by
+        # an ulp from numpy's x * x: the probe must square Python floats too
+        w = log_unitary_principal(dagger(u1) @ u2)
+        ref_f = []
+        for e in _exp_family(w, np.linspace(0.0, 1.0, 33)):
+            lg = log_unitary_principal(dagger(u0) @ (u1 @ e))
+            ref_f.append(inc.two_norm(lg) ** 2)
+        assert rep.f_values == tuple(ref_f)
 
 
 def test_convexity_rejects_wide_triples(constructions, rng):
