@@ -5,9 +5,10 @@
 
 DIR is a checkout (the parent commit or the change) holding
 ``perfbench/run.py`` and ``BENCHMARK.json``.  For every workload and seed the
-script runs ``python3 perfbench/run.py --workload W --seed S --seconds 30
---trace 0`` once in each checkout, the parent first on even pairs and the
-change first on odd ones.  It writes, per workload and per end-to-end metric
+script runs ``python3 perfbench/run.py --workload W --seed S --seconds T
+--trace 0`` once in each checkout, T being ``run_seconds`` of the change's
+``BENCHMARK.json``, the parent first on even pairs and the change first on
+odd ones.  It writes, per workload and per end-to-end metric
 of ``BENCHMARK.json``, each side's per-run values, median and quartiles
 (``statistics.quantiles``, inclusive method), and how many pairs the change
 won (ties count for neither side).  The output is rewritten after every
@@ -52,15 +53,15 @@ def main() -> None:
     ap.add_argument("--change", required=True)
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seeds", required=True, help="one seed or an inclusive range a-b")
-    ap.add_argument("--seconds", type=int, default=30)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
-        metrics = json.load(fh)["end_to_end"]
+        bench = json.load(fh)
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     seeds = parse_seeds(args.seeds)
     report = {
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "seeds": seeds,
         "order": "parent first on even pairs (0-based), change first on odd pairs",
         "quartiles": "statistics.quantiles(n=4, method='inclusive')",
@@ -72,7 +73,7 @@ def main() -> None:
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                env, result = run_once(getattr(args, side), workload, seed, args.seconds)
+                env, result = run_once(getattr(args, side), workload, seed, seconds)
                 report["environment"].setdefault(side, env["environment"])
                 runs[side].append(result)
                 print(workload, seed, side, {m["name"]: result["metrics"][m["name"]]["value"]

@@ -203,7 +203,7 @@ def log_unitary_principal(u: np.ndarray) -> np.ndarray:
     n = u.shape[-1]
     unitary = op_norm_within(dagger(u) @ u - np.eye(n), SPECTRAL_TOL)
     if not np.all(unitary):
-        k = _first_slice(~unitary)
+        k = _first_slice(np.logical_not(unitary))
         where = "input" if u.ndim == 2 else f"slice {k}"
         raise DomainError(
             f"{where} is not unitary (defect {unitary_defect(u[k]):.3e} > {SPECTRAL_TOL:.1e})"
@@ -217,7 +217,7 @@ def log_unitary_principal(u: np.ndarray) -> np.ndarray:
     off[..., np.arange(n), np.arange(n)] = 0.0
     normal = op_norm_within(off, 1e3 * SPECTRAL_TOL)
     if not np.all(normal):
-        k = _first_slice(~normal)
+        k = _first_slice(np.logical_not(normal))
         where = "unitary" if u.ndim == 2 else f"slice {k}"
         raise DomainError(
             f"{where} is not normal enough to diagonalize (defect {op_norm(off[k]):.3e})"
