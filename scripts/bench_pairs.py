@@ -11,8 +11,10 @@ script runs ``python3 perfbench/run.py --workload W --seed S --seconds T
 odd ones.  It writes, per workload and per end-to-end metric
 of ``BENCHMARK.json``, each side's per-run values, median and quartiles
 (``statistics.quantiles``, inclusive method), and how many pairs the change
-won (ties count for neither side).  The output is rewritten after every
-workload, so an interrupted run keeps the workloads already finished.
+won (ties count for neither side).  ``--seeds`` must name at least two
+seeds, since the quartiles need two runs a side; fewer is refused before
+any run.  The output is rewritten after every workload, so an interrupted
+run keeps the workloads already finished.
 """
 from __future__ import annotations
 
@@ -52,14 +54,17 @@ def main() -> None:
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--workload", action="append", required=True)
-    ap.add_argument("--seeds", required=True, help="one seed or an inclusive range a-b")
+    ap.add_argument("--seeds", required=True, help="an inclusive range a-b of at least two seeds")
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
+    seeds = parse_seeds(args.seeds)
+    if len(seeds) < 2:
+        # quartiles need two runs a side; refuse before any run is spent
+        ap.error(f"--seeds must name at least two seeds, got {args.seeds!r}")
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     metrics, seconds = bench["end_to_end"], bench["run_seconds"]
-    seeds = parse_seeds(args.seeds)
     report = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "seeds": seeds,

@@ -27,7 +27,7 @@ from .algebra import (
 )
 from .errors import ConstructionError, DomainError, MembershipError
 from .linalg import dagger, op_norm
-from .tolerances import MEMBERSHIP_TOL, SPECTRAL_TOL
+from .tolerances import MEMBERSHIP_TOL, SPECTRAL_TOL, WITNESS_TOL
 
 __all__ = [
     "BasicConstruction",
@@ -96,16 +96,14 @@ class BasicConstruction:
         """(1/lam) E1(y p) pulled back to M, without reduce_R's checks."""
         return self.inc.from_coords(self._e1_coords(y @ self.jones_p) / self.lam)
 
-    def pullback(self, y: np.ndarray, check: bool = True) -> np.ndarray:
-        """Inverse of left_rep on its image."""
-        c = self._e1_coords(y)
-        x = self.inc.from_coords(c)
-        if check:
-            defect = self.two_norm1(self.left(x) - y)
-            if defect > MEMBERSHIP_TOL:
-                raise MembershipError(
-                    f"matrix is not in left_rep(M) (defect {defect:.3e})", defect=defect
-                )
+    def pullback(self, y: np.ndarray) -> np.ndarray:
+        """Inverse of left_rep on its image; y must lie in left_rep(M)."""
+        x = self.inc.from_coords(self._e1_coords(y))
+        defect = self.two_norm1(self.left(x) - y)
+        if defect > MEMBERSHIP_TOL:
+            raise MembershipError(
+                f"matrix is not in left_rep(M) (defect {defect:.3e})", defect=defect
+            )
         return x
 
 
@@ -148,7 +146,7 @@ def recover_unitary(bc: BasicConstruction, omega: np.ndarray) -> np.ndarray:
         raise DomainError(f"omega is not unitary (defect {ud:.3e})")
     u = reduce_R(bc, omega)
     u_defect = op_norm(dagger(u) @ u - bc.inc.identity())
-    if u_defect > 1e-8:
+    if u_defect > WITNESS_TOL:
         raise DomainError(
             f"omega does not preserve the orbit of p: recovered element has "
             f"unitary defect {u_defect:.3e}"

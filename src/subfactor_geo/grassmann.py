@@ -146,7 +146,7 @@ def grassmann_exp_block(bc: BasicConstruction, x: np.ndarray, t: float) -> np.nd
     ev = spectral_function(t * v, "exp")
     dense = ev @ p @ dagger(ev)
     gap = op_norm(q - dense)
-    if gap > 1e-10:
+    if gap > SPECTRAL_TOL:
         raise ConstructionError(f"block assembly differs from the exponential by {gap:.3e}")
     return q
 
@@ -205,7 +205,7 @@ def degenerate_geodesic_closed_form(
     letx = bc.left(etx)
     dense = letx @ p @ dagger(letx)
     gap = op_norm(q - dense)
-    if gap > 1e-10:
+    if gap > SPECTRAL_TOL:
         raise ConstructionError(
             f"closed form differs from the conjugation curve by {gap:.3e}"
         )

@@ -14,14 +14,20 @@ per slice and everything else once per stack); each slice of a stacked result
 is bitwise equal to the result for that slice alone.  ``op_norm`` returns a
 float for a matrix and an array of shape ``(...)`` for a stack.
 
+``exp_family(z, ts)`` samples the one-parameter group e^{tz} of a single
+anti-Hermitian generator on a vector of times with one eigh of z.  Every
+grid of one generator (geodesics, the convexity probe's geodesic, the
+suites' one-generator paths) is sampled through it; a stack of different
+generators goes through ``spectral_function``.
+
 ``op_norm_within(a, tol)`` decides ``op_norm(a) <= tol`` per slice.  It is
-the tolerance gate of ``spectral_function``, ``log_unitary_principal`` and
-``polar_antihermitian`` (and of the curve gap check in ``orbit``), and it
-decides first by the Frobenius bounds ``‖a‖_F / √r ≤ ‖a‖ ≤ ‖a‖_F`` (r the smaller side of a),
-each with a relative margin of 1e-12 against roundoff; the singular values
-are computed only for the slices that neither bound settles, so every
-decision equals the exact test.  Error messages still report exact
-operator-norm defects.
+the tolerance gate of ``spectral_function``, ``log_unitary_principal``,
+``exp_family`` and ``polar_antihermitian`` (and of the curve gap check in
+``orbit``), and it decides first by the Frobenius bounds
+``‖a‖_F / √r ≤ ‖a‖ ≤ ‖a‖_F`` (r the smaller side of a), each with a
+relative margin of 1e-12 against roundoff; the singular values are computed
+only for the slices that neither bound settles, so every decision equals the
+exact test.  Error messages still report exact operator-norm defects.
 """
 from __future__ import annotations
 
@@ -40,6 +46,7 @@ __all__ = [
     "unitary_defect",
     "spectral_function",
     "log_unitary_principal",
+    "exp_family",
     "polar_antihermitian",
     "nearest_unitary",
     "dump_matrix",
@@ -236,6 +243,21 @@ def log_unitary_principal(u: np.ndarray) -> np.ndarray:
         )
     x = (q * (1j * angles)[..., None, :]) @ dagger(q)
     return (x - dagger(x)) / 2.0
+
+
+def exp_family(z: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """e^{t z} for an anti-Hermitian matrix z at every time of the vector
+    ts, as a ``(len(ts), n, n)`` stack from one eigh of the Hermitian
+    reduction (z - z*) / 2i."""
+    z = np.asarray(z, dtype=complex)
+    if z.ndim != 2 or z.shape[0] != z.shape[1]:
+        raise DomainError(f"expected a square matrix, got shape {z.shape}")
+    if not op_norm_within(z + dagger(z), SPECTRAL_TOL):
+        raise DomainError(f"input is not anti-Hermitian (defect {antiherm_defect(z):.3e})")
+    h = (z - dagger(z)) / 2j
+    w, v = np.linalg.eigh(h)
+    phases = np.exp(1j * np.outer(ts, w))
+    return np.einsum("ab,tb,cb->tac", v, phases, v.conj())
 
 
 def polar_antihermitian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

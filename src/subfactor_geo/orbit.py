@@ -36,9 +36,9 @@ from .errors import (
 from .linalg import (
     antiherm_defect,
     dagger,
+    exp_family,
     herm_defect,
     log_unitary_principal,
-    nearest_unitary,
     op_norm,
     op_norm_within,
     spectral_function,
@@ -240,14 +240,6 @@ def kappa_q(point: OrbitPoint, v: np.ndarray) -> np.ndarray:
 # geodesics
 
 
-def _exp_family(z: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """e^{t z} for anti-Hermitian z over a vector of times, one eigh."""
-    h = (z - dagger(z)) / 2j
-    w, v = np.linalg.eigh(h)
-    phases = np.exp(1j * np.outer(ts, w))
-    return np.einsum("ab,tb,cb->tac", v, phases, v.conj())
-
-
 def geodesic_at(point: OrbitPoint, z: np.ndarray, t: float) -> OrbitPoint:
     """The conjugation geodesic e^{tz} q e^{-tz} through the point."""
     if horizontal_defect_at(point, z) > WITNESS_TOL:
@@ -292,7 +284,7 @@ def sample_geodesic(
     if grid_n < 1:
         raise DomainError("grid must have at least one interval")
     ts = np.linspace(t0, t1, grid_n + 1)
-    exps = _exp_family(z, ts)
+    exps = exp_family(z, ts)
     return curve_from_unitaries(point.bc, exps, base=point)
 
 
@@ -403,10 +395,11 @@ def horizontal_lift(curve: DiscreteCurve) -> np.ndarray:
     """Integrate G' = kappa(q') G, G(0) = 1 along the curve.
 
     Classical one-step fourth-order integration with cubic interpolation of
-    the generator at interval midpoints and re-unitarization after every
-    step.  The result is verified post hoc: reconstruction within 1e-6,
-    unitarity within 1e-10, and horizontality of G' G* within 1e-6; failure
-    raises a refinement error suggesting a finer grid.
+    the generator at interval midpoints.  The steps are not re-unitarized:
+    RK4 is not a unitary integrator, so the result is verified post hoc
+    instead: reconstruction within LIFT_TOL, unitarity within SPECTRAL_TOL,
+    and horizontality of G' G* within LIFT_TOL; failure raises a refinement
+    error suggesting a finer grid.
     """
     bc = curve.bc
     qs = curve.samples
@@ -436,7 +429,6 @@ def horizontal_lift(curve: DiscreteCurve) -> np.ndarray:
         k3 = am @ (g + 0.5 * dt * k2)
         k4 = a1 @ (g + dt * k3)
         g = g + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        g = nearest_unitary(g)
         lift[i + 1] = g
 
     recon, horiz = lift_defects(curve, lift)
@@ -601,11 +593,11 @@ def orbit_section_theta(bc: BasicConstruction, q: np.ndarray | OrbitPoint) -> np
     s = spectral_function(x, "exp")
     u = reduce_R(bc, s)
     u_defect = op_norm(dagger(u) @ u - bc.inc.identity())
-    if u_defect > 1e-8:
+    if u_defect > WITNESS_TOL:
         raise DomainError(f"section element is not unitary (defect {u_defect:.3e})")
     lu = bc.left(u)
     recon = op_norm(lu @ bc.jones_p @ dagger(lu) - qm)
-    if recon > 1e-8:
+    if recon > WITNESS_TOL:
         raise DomainError(f"section fails u p u* = q (defect {recon:.3e})")
     return u
 
@@ -821,7 +813,7 @@ def minimality_experiment(
     bc = point.bc
     ts = np.linspace(0.0, 1.0, grid_n + 1)
     bump = 16.0 * ts**2 * (1.0 - ts) ** 2
-    geo_us = _exp_family(z, ts)
+    geo_us = exp_family(z, ts)
     base_curve = curve_from_unitaries(bc, geo_us, base=point)
     l2_geo = curve_lengths(bc, base_curve.samples, "two_norm", order=4)
     linf_geo = curve_lengths(bc, base_curve.samples, "op_norm", order=4)
@@ -835,7 +827,7 @@ def minimality_experiment(
         w = w / max(op_norm(w), 1e-12)
 
         def family(s: float) -> np.ndarray:
-            return geo_us @ spectral_function((s * bump)[:, None, None] * w, "exp")
+            return geo_us @ exp_family(w, s * bump)
 
         us = family(perturbation_scale)
         pert_curve = curve_from_unitaries(bc, us, base=point)
@@ -907,7 +899,7 @@ def convexity_probe(
                 f"requires < {CONVEXITY_RADIUS:.4f}"
             )
     w = log_unitary_principal(dagger(u1) @ u2)
-    exps = _exp_family(w, np.linspace(0.0, 1.0, grid_n + 1))
+    exps = exp_family(w, np.linspace(0.0, 1.0, grid_n + 1))
     lg = log_unitary_principal(dagger(u0) @ (u1 @ exps))
     # Python's float power, not numpy's square: the two can differ by an ulp.
     f = np.array([v**2 for v in bc.inc.two_norm(lg).tolist()])

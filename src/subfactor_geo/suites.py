@@ -38,7 +38,7 @@ from .grassmann import (
     tangent_space_comparison,
     totally_geodesic_audit,
 )
-from .linalg import dagger, op_norm, polar_antihermitian, spectral_function
+from .linalg import dagger, exp_family, op_norm, polar_antihermitian, spectral_function
 from .orbit import (
     CONVEXITY_RADIUS,
     base_point,
@@ -95,7 +95,7 @@ def _p_commuting_unitary_path(
     comp = np.eye(bc.dim_l2) - p
     a = _random_m1_antihermitian(bc, rng, scale)
     a = p @ a @ p + comp @ a @ comp
-    return spectral_function(ts[:, None, None] * a, "exp")
+    return exp_family(a, ts)
 
 
 def _subalgebra_antihermitian(
@@ -578,13 +578,13 @@ def _suite_variation(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]
     worst_crit = 0.0
     for _ in range(n_crit):
         z = random_horizontal(inc, rng, op_scale=rng.uniform(0.2, 0.8))
-        us = spectral_function(ts[:, None, None] * z, "exp")
+        us = exp_family(z, ts)
         w = random_antihermitian(rng, inc.amb_basis)
         w = w / max(op_norm(w), 1e-12)
         bump = 16.0 * ts * ts * (1.0 - ts) ** 2
 
         def fam(s):
-            return us @ spectral_function((s * bump)[:, None, None] * w, "exp")
+            return us @ exp_family(w, s * bump)
 
         res = first_variation(bc, fam(-h), us, fam(h), h)
         worst_crit = max(worst_crit, abs(res.value))
@@ -632,9 +632,7 @@ def _suite_minimality(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord
     w = random_antihermitian(rng, bc.inc.amb_basis)
     w = 0.05 * w / max(op_norm(w), 1e-12)
     bump = 16.0 * ts * ts * (1.0 - ts) ** 2
-    us = spectral_function(ts[:, None, None] * z2, "exp") @ spectral_function(
-        bump[:, None, None] * w, "exp"
-    )
+    us = exp_family(z2, ts) @ exp_family(w, bump)
     curve = curve_from_unitaries(bc, us)
     poly = shorten_to_polygonal(curve, segment_bound=0.25)
     defect = max(0.0, poly.total_length - poly.curve_length)
@@ -792,12 +790,13 @@ def _suite_degeneracy(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord
     recs = []
     p = bc.jones_p
     t_grid = np.linspace(0.0, 1.0, 33)
+    closed_ts = np.array([0.3, 0.7, 1.0])
 
     def curve_gap(x: np.ndarray) -> float:
         lx = bc.left(x)
         gen = lx @ p - p @ dagger(lx)
-        ev = spectral_function(t_grid[:, None, None] * gen, "exp")
-        eu = spectral_function(t_grid[:, None, None] * lx, "exp")
+        ev = exp_family(gen, t_grid)
+        eu = exp_family(lx, t_grid)
         return op_norm(ev @ p @ dagger(ev) - eu @ p @ dagger(eu)).max()
 
     n_deg = max(6, cfg.trials // 10)
@@ -809,10 +808,8 @@ def _suite_degeneracy(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord
         if nrm > 1e-12:
             x = x / nrm
         worst_fwd = max(worst_fwd, curve_gap(x))
-        lx = bc.left(x)
-        for t in (0.3, 0.7, 1.0):
+        for t, eu in zip(closed_ts.tolist(), exp_family(bc.left(x), closed_ts)):
             closed = degenerate_geodesic_closed_form(bc, x, t)
-            eu = spectral_function(t * lx, "exp")
             worst_closed = max(worst_closed, op_norm(closed - eu @ p @ dagger(eu)))
     recs.append(
         record(

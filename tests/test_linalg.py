@@ -14,6 +14,7 @@ from subfactor_geo.linalg import (
     antiherm_defect,
     dagger,
     dump_matrix,
+    exp_family,
     herm_defect,
     load_matrix,
     log_unitary_principal,
@@ -198,6 +199,28 @@ def test_stacked_log_names_the_branch_cut_slice(rng):
     assert exc.value.eigenvalue == single.value.eigenvalue
     assert abs(exc.value.eigenvalue + 1.0) < 1e-12
     assert f"{single.value.eigenvalue:.12f}" in str(exc.value)
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+def test_exp_family_matches_spectral_exp(rng, n):
+    z = random_antiherm(rng, n)
+    ts = np.linspace(0.0, 1.0, 9)
+    fam = exp_family(z, ts)
+    assert fam.shape == (9, n, n)
+    for t, u in zip(ts, fam):
+        assert op_norm(u - spectral_function(t * z, "exp")) < 1e-14
+    assert unitary_defect(fam).max() < 1e-14
+    assert op_norm(fam[0] - np.eye(n)) < 1e-14
+    assert exp_family(z, np.array([])).shape == (0, n, n)
+
+
+def test_exp_family_rejects_non_antihermitian(rng):
+    skew = random_antiherm(rng, 3) + 1e-6 * np.eye(3)
+    with pytest.raises(DomainError) as exc:
+        exp_family(skew, np.linspace(0.0, 1.0, 5))
+    assert f"input is not anti-Hermitian (defect {antiherm_defect(skew):.3e})" in str(exc.value)
+    with pytest.raises(DomainError):
+        exp_family(np.zeros((2, 3)), np.linspace(0.0, 1.0, 5))
 
 
 def test_polar_antihermitian_properties(rng):

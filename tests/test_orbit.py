@@ -12,7 +12,13 @@ from subfactor_geo.algebra import (
 )
 from subfactor_geo.basic import expectation_E1
 from subfactor_geo.errors import ConvergenceError, DomainError, MembershipError, RadiusError
-from subfactor_geo.linalg import dagger, log_unitary_principal, op_norm, spectral_function
+from subfactor_geo.linalg import (
+    dagger,
+    log_unitary_principal,
+    op_norm,
+    spectral_function,
+    unitary_defect,
+)
 from subfactor_geo.orbit import (
     DiscreteCurve,
     OrbitLogResult,
@@ -229,6 +235,18 @@ def test_lift_reconstruction_and_horizontality(constructions, rng):
     recon, horiz = lift_defects(curve, lift)
     assert recon <= 1e-6
     assert horiz <= 1e-6
+
+
+def test_lift_stays_unitary_without_reunitarization(bc):
+    # RK4 steps are not projected back onto the unitaries; on the lifts
+    # suite's polynomial paths the drift stays far below the 1e-10 gate
+    from subfactor_geo.suites import _poly_unitary_path
+
+    rng = np.random.default_rng(12)
+    ts = np.linspace(0.0, 1.0, 257)
+    curve = curve_from_unitaries(bc, _poly_unitary_path(bc.inc.amb_basis, rng, ts))
+    lift = horizontal_lift(curve)
+    assert unitary_defect(lift).max() < 1e-13
 
 
 def test_length_identity_orbit_vs_lift(constructions, rng):
@@ -542,7 +560,7 @@ def test_convexity_random_triples(bc, rng):
 
 @pytest.mark.parametrize("family", ["tensor(2,2)", "group_flip(scalars)"])
 def test_convexity_probe_is_bitwise_the_per_point_loop(constructions, family):
-    from subfactor_geo.orbit import _exp_family
+    from subfactor_geo.linalg import exp_family
 
     bc = constructions[family]
     inc = bc.inc
@@ -564,7 +582,7 @@ def test_convexity_probe_is_bitwise_the_per_point_loop(constructions, family):
         # an ulp from numpy's x * x: the probe must square Python floats too
         w = log_unitary_principal(dagger(u1) @ u2)
         ref_f = []
-        for e in _exp_family(w, np.linspace(0.0, 1.0, 33)):
+        for e in exp_family(w, np.linspace(0.0, 1.0, 33)):
             lg = log_unitary_principal(dagger(u0) @ (u1 @ e))
             ref_f.append(inc.two_norm(lg) ** 2)
         assert rep.f_values == tuple(ref_f)
