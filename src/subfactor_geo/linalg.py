@@ -14,11 +14,9 @@ per slice and everything else once per stack); each slice of a stacked result
 is bitwise equal to the result for that slice alone.  ``op_norm`` returns a
 float for a matrix and an array of shape ``(...)`` for a stack.
 
-``exp_family(z, ts)`` samples the one-parameter group e^{tz} of a single
-anti-Hermitian generator on a vector of times with one eigh of z.  Every
-grid of one generator (geodesics, the convexity probe's geodesic, the
-suites' one-generator paths) is sampled through it; a stack of different
-generators goes through ``spectral_function``.
+``exp_family(z, ts)`` samples e^{tz} for one anti-Hermitian z on a vector of
+times with one eigh of z; every path of one generator is sampled through it,
+and a stack of different generators goes through ``spectral_function``.
 
 ``op_norm_within(a, tol)`` decides ``op_norm(a) <= tol`` per slice.  It is
 the tolerance gate of ``spectral_function``, ``log_unitary_principal``,
@@ -250,8 +248,6 @@ def exp_family(z: np.ndarray, ts: np.ndarray) -> np.ndarray:
     ts, as a ``(len(ts), n, n)`` stack from one eigh of the Hermitian
     reduction (z - z*) / 2i."""
     z = np.asarray(z, dtype=complex)
-    if z.ndim != 2 or z.shape[0] != z.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {z.shape}")
     if not op_norm_within(z + dagger(z), SPECTRAL_TOL):
         raise DomainError(f"input is not anti-Hermitian (defect {antiherm_defect(z):.3e})")
     h = (z - dagger(z)) / 2j
