@@ -11,7 +11,11 @@ script runs ``python3 perfbench/run.py --workload W --seed S --seconds T
 odd ones.  It writes, per workload and per end-to-end metric
 of ``BENCHMARK.json``, each side's per-run values, median and quartiles
 (``statistics.quantiles``, inclusive method), and how many pairs the change
-won (ties count for neither side).  ``--seeds`` must name at least two
+won (ties count for neither side).  It also reads each run's
+``.bench_out/<workload>/result.json`` and keeps, per part of the workload,
+the lower median of the part's times in that run, summarised the same way
+under ``parts``; this shows which part a change of ``run_s`` comes from.
+``--seeds`` must name at least two
 seeds, since the quartiles need two runs a side; fewer is refused before
 any run.  The output is rewritten after every workload, so an interrupted
 run keeps the workloads already finished.
@@ -26,8 +30,9 @@ import subprocess
 import sys
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
-    """One untraced benchmark run: (environment line, result line)."""
+def run_once(checkout: str, workload: str, seed: int, seconds: int) -> tuple[dict, dict, dict]:
+    """One untraced benchmark run: (environment line, result line, the lower
+    median of each part's times)."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -36,7 +41,13 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> tuple[dic
     lines = out.stdout.strip().splitlines()
     if len(lines) < 2:
         raise RuntimeError(f"{checkout}: no result for {workload} seed {seed}:\n{out.stderr}")
-    return json.loads(lines[-2]), json.loads(lines[-1])
+    with open(os.path.join(checkout, ".bench_out", workload, "result.json")) as fh:
+        outcomes = json.load(fh)["detail"]["outcomes"]
+    times: dict[str, list[float]] = {}
+    for o in outcomes:
+        times.setdefault(o["part"], []).append(o["seconds"])
+    parts = {part: statistics.median_low(t) for part, t in times.items()}
+    return json.loads(lines[-2]), json.loads(lines[-1]), parts
 
 
 def side_summary(values: list[float]) -> dict:
@@ -75,12 +86,14 @@ def main() -> None:
     }
     for workload in args.workload:
         runs = {"parent": [], "change": []}
+        part_runs = {"parent": [], "change": []}
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                env, result = run_once(getattr(args, side), workload, seed, seconds)
+                env, result, parts = run_once(getattr(args, side), workload, seed, seconds)
                 report["environment"].setdefault(side, env["environment"])
                 runs[side].append(result)
+                part_runs[side].append(parts)
                 print(workload, seed, side, {m["name"]: result["metrics"][m["name"]]["value"]
                                              for m in metrics}, flush=True)
         table = {}
@@ -98,6 +111,12 @@ def main() -> None:
                 "pairs": len(seeds),
             }
         table["all_correct"] = all(r["correct"] for s in runs for r in runs[s])
+        table["parts"] = {
+            part: {
+                side: side_summary([p[part] for p in part_runs[side]]) for side in part_runs
+            }
+            for part in part_runs["change"][0]
+        }
         report["workloads"][workload] = table
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2)

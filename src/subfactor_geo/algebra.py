@@ -33,6 +33,7 @@ __all__ = [
     "span_coords",
     "span_project",
     "span_residual",
+    "span_residuals",
     "closure_defects",
     "random_element",
     "random_hermitian",
@@ -172,11 +173,19 @@ def span_project(stack: np.ndarray, x: np.ndarray, weights, real: bool = False) 
     return (c @ stack.reshape(len(stack), -1)).reshape(x.shape)
 
 
+def span_residuals(
+    stack: np.ndarray, x: np.ndarray, weights, real: bool = False
+) -> np.ndarray:
+    """Weighted 2-norm distance of x, or of each slice of a stack, from the
+    span of the stack."""
+    r = (x - span_project(stack, x, weights, real)) * np.sqrt(weights)
+    return np.linalg.norm(r, axis=(-2, -1))
+
+
 def span_residual(stack: np.ndarray, x: np.ndarray, weights, real: bool = False) -> float:
     """Largest weighted 2-norm distance of x, or of a slice of a stack,
     from the span of the stack."""
-    r = (x - span_project(stack, x, weights, real)) * np.sqrt(weights)
-    return float(np.linalg.norm(r, axis=(-2, -1)).max())
+    return float(span_residuals(stack, x, weights, real).max())
 
 
 def closure_defects(stack: np.ndarray, weights) -> tuple[float, float]:

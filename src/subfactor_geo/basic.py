@@ -24,6 +24,7 @@ from .algebra import (
     span_coords,
     span_project,
     span_residual,
+    span_residuals,
 )
 from .errors import ConstructionError, DomainError, MembershipError
 from .linalg import dagger, op_norm
@@ -80,7 +81,11 @@ class BasicConstruction:
 
     def membership_defect(self, y: np.ndarray) -> float:
         """Largest tau1 2-norm distance of y, or of a slice of a stack, from M1."""
-        return span_residual(self.m1_basis, y, 1.0 / self.dim_l2)
+        return float(self.membership_defects(y).max())
+
+    def membership_defects(self, y: np.ndarray) -> np.ndarray:
+        """tau1 2-norm distance of y, or of each slice of a stack, from M1."""
+        return span_residuals(self.m1_basis, y, 1.0 / self.dim_l2)
 
     def _e1_coords(self, y: np.ndarray) -> np.ndarray:
         """Coefficients of the projection of y (or of each slice of a stack)

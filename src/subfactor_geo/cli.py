@@ -45,11 +45,12 @@ from .linalg import dump_matrix, load_matrix, op_norm
 from .orbit import (
     base_point,
     curve_lengths,
-    geodesic_at,
+    geodesic_endpoints,
     geodesic_equation_residual,
     minimality_experiment,
     convexity_probe,
     orbit_log,
+    orbit_log_batch,
     orbit_point_from_witness,
     orbit_section_theta,
     random_horizontal_at,
@@ -358,17 +359,22 @@ def _sweep_radius(bc: BasicConstruction, cfg: RunConfig, out: str) -> dict:
         # a shot past the solver's radius or out of iterations is an expected
         # miss; any other DomainError is a failed gate, counted in its column
         domain_errors = 0
-        for _ in range(n_shots):
-            z0 = random_horizontal_at(base, rng, op_scale=float(r))
-            try:
-                q1 = geodesic_at(base, z0, 1.0)
-                res = orbit_log(base, q1)
-                err = bc.inc.two_norm(res.z - z0)
-            except (RadiusError, ConvergenceError):
+        # one stack per radius: the shots' endpoints, then their logarithms
+        z0s = np.stack(
+            [random_horizontal_at(base, rng, op_scale=float(r)) for _ in range(n_shots)]
+        )
+        q1s, outcomes = geodesic_endpoints(base, z0s)
+        kept = [k for k, refusal in enumerate(outcomes) if refusal is None]
+        for k, outcome in zip(kept, orbit_log_batch(base, q1s[kept])):
+            outcomes[k] = outcome
+        for z0, outcome in zip(z0s, outcomes):
+            if isinstance(outcome, (RadiusError, ConvergenceError)):
                 err = float("inf")
-            except DomainError:
+            elif isinstance(outcome, DomainError):
                 err = float("inf")
                 domain_errors += 1
+            else:
+                err = bc.inc.two_norm(outcome.z - z0)
             if err <= 1e-7:
                 ok += 1
             worst = max(worst, err)

@@ -66,18 +66,22 @@ __all__ = [
     "kappa_q",
     "tangent_projection",
     "geodesic_at",
+    "geodesic_endpoints",
     "sample_geodesic",
     "geodesic_equation_residual",
     "curve_from_unitaries",
     "covariant_derivative",
     "horizontal_lift",
+    "lift_with_defects",
     "lift_defects",
     "curve_lengths",
     "first_variation",
     "FirstVariationResult",
     "grassmann_section",
     "orbit_section_theta",
+    "LOG_RADIUS",
     "orbit_log",
+    "orbit_log_batch",
     "OrbitLogResult",
     "shorten_to_polygonal",
     "PolygonalResult",
@@ -88,6 +92,14 @@ __all__ = [
     "sample_convexity_triple",
     "ConvexityReport",
 ]
+
+# Operator-norm radius of the local logarithm: orbit_log attempts endpoints
+# at most this far apart, and shorten_to_polygonal keeps its arcs shorter.
+LOG_RADIUS = 0.5
+# Operator-norm window of the convexity statement: the squared log-distance
+# to a geodesic has no concave node while the three unitaries are pairwise
+# closer than this.
+CONVEXITY_RADIUS = float(np.sqrt(2.0 - np.sqrt(2.0)))
 
 # ---------------------------------------------------------------------------
 # points and tangent vectors
@@ -102,28 +114,57 @@ class OrbitPoint:
     witness: np.ndarray  # ambient unitary u in M with u p u* = q
 
     def __post_init__(self) -> None:
-        bc = self.bc
-        q = self.q
-        if op_norm(q @ q - q) > SPECTRAL_TOL or herm_defect(q) > SPECTRAL_TOL:
-            raise DomainError("orbit point is not a projection")
-        if abs(bc.tau1(q) - bc.lam) > SPECTRAL_TOL:
-            raise DomainError(
-                f"orbit point has trace {bc.tau1(q):.6f}, expected {bc.lam:.6f}"
-            )
-        e1q = bc._e1_unchecked(q)
-        if op_norm(e1q - bc.lam * np.eye(bc.dim_l2)) > SPECTRAL_TOL:
-            raise DomainError("orbit point fails E1(q) = lam * 1")
-        w = self.witness
-        ident = bc.inc.identity()
-        if op_norm(dagger(w) @ w - ident) > WITNESS_TOL:
-            raise DomainError("witness is not unitary")
-        lw = bc.left(w)
-        if op_norm(lw @ bc.jones_p @ dagger(lw) - q) > WITNESS_TOL:
-            raise DomainError("witness does not carry p to the stored projection")
+        (refusal,) = _point_refusals(self.bc, self.q[None], self.witness[None])
+        if refusal is not None:
+            raise refusal
 
     @property
     def lam(self) -> float:
         return self.bc.lam
+
+
+def _point_refusals(
+    bc: BasicConstruction, qs: np.ndarray, witnesses: np.ndarray
+) -> list[DomainError | None]:
+    """The gates of an orbit point, for each slice of an (n, D, D) stack of
+    projections with its (n, m, m) stack of witnesses: per slice, the
+    DomainError of the first gate it fails, or None.
+
+    The gates, in order: q is a projection and tau1(q) = lam within
+    SPECTRAL_TOL, E1(q) = lam * 1 within SPECTRAL_TOL, the witness u is
+    unitary and u p u* = q within WITNESS_TOL.  The operator-norm gates
+    decide through op_norm_within, so each decision equals the exact test.
+    """
+    lam = bc.lam
+    traces = np.trace(qs, axis1=-2, axis2=-1) / bc.dim_l2
+    gates = (
+        (
+            op_norm_within(qs @ qs - qs, SPECTRAL_TOL)
+            & op_norm_within(qs - dagger(qs), SPECTRAL_TOL),
+            lambda k: "orbit point is not a projection",
+        ),
+        (
+            np.abs(traces - lam) <= SPECTRAL_TOL,
+            lambda k: f"orbit point has trace {bc.tau1(qs[k]):.6f}, expected {lam:.6f}",
+        ),
+        (
+            op_norm_within(bc._e1_unchecked(qs) - lam * np.eye(bc.dim_l2), SPECTRAL_TOL),
+            lambda k: "orbit point fails E1(q) = lam * 1",
+        ),
+        (
+            op_norm_within(dagger(witnesses) @ witnesses - bc.inc.identity(), WITNESS_TOL),
+            lambda k: "witness is not unitary",
+        ),
+        (
+            op_norm_within(_carried_projection(bc, witnesses) - qs, WITNESS_TOL),
+            lambda k: "witness does not carry p to the stored projection",
+        ),
+    )
+    refusals: list[DomainError | None] = []
+    for k in range(len(qs)):
+        failed = next((message for passed, message in gates if not passed[k]), None)
+        refusals.append(None if failed is None else DomainError(failed(k)))
+    return refusals
 
 
 def base_point(bc: BasicConstruction) -> OrbitPoint:
@@ -161,6 +202,14 @@ def horizontal_defect_at(point: OrbitPoint, z: np.ndarray) -> float:
     return max(
         antiherm_defect(z),
         inc.two_norm(translated_expectation(point, z)),
+    )
+
+
+def _horizontal_within(point: OrbitPoint, zs: np.ndarray) -> np.ndarray:
+    """horizontal_defect_at(point, z) <= WITNESS_TOL for each slice z of an
+    (n, m, m) stack, the anti-Hermitian part decided through op_norm_within."""
+    return op_norm_within(zs + dagger(zs), WITNESS_TOL) & (
+        point.bc.inc.two_norm(translated_expectation(point, zs)) <= WITNESS_TOL
     )
 
 
@@ -246,6 +295,36 @@ def geodesic_at(point: OrbitPoint, z: np.ndarray, t: float) -> OrbitPoint:
         raise DomainError("direction is not horizontal at the point")
     u_t = spectral_function(t * z, "exp")
     return orbit_point_from_witness(point.bc, u_t @ point.witness)
+
+
+def geodesic_endpoints(
+    point: OrbitPoint, zs: np.ndarray
+) -> tuple[np.ndarray, list[DomainError | None]]:
+    """The endpoints e^z q e^{-z} of the geodesics through the point along
+    each slice z of an (n, m, m) stack, and per slice the DomainError that
+    ``geodesic_at(point, z, 1.0)`` would raise, or None.
+
+    Each slice passes geodesic_at's gates on its own: z horizontal at the
+    point, anti-Hermitian within SPECTRAL_TOL (the gate of the exponential),
+    and the endpoint with its witness e^z u an orbit point.  The accepted
+    slices share one stacked exponential; the endpoint of a slice refused
+    for its direction is left zero.
+    """
+    bc = point.bc
+    n = len(zs)
+    refusals: list[DomainError | None] = [None] * n
+    horizontal = _horizontal_within(point, zs)
+    antiherm = op_norm_within(zs + dagger(zs), SPECTRAL_TOL)
+    for k in np.flatnonzero(~(horizontal & antiherm)):
+        refusals[k] = DomainError("direction is not horizontal at the point")
+    qs = np.zeros((n,) + point.q.shape, dtype=complex)
+    keep = np.flatnonzero(horizontal & antiherm)
+    if keep.size:
+        witnesses = spectral_function(zs[keep], "exp") @ point.witness
+        qs[keep] = _carried_projection(bc, witnesses)
+        for k, refusal in zip(keep, _point_refusals(bc, qs[keep], witnesses)):
+            refusals[k] = refusal
+    return qs, refusals
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,7 +471,13 @@ def _witness_at_start(curve: DiscreteCurve) -> np.ndarray:
 
 
 def horizontal_lift(curve: DiscreteCurve) -> np.ndarray:
-    """Integrate G' = kappa(q') G, G(0) = 1 along the curve.
+    """The horizontal lift of the curve; see ``lift_with_defects``."""
+    return lift_with_defects(curve)[0]
+
+
+def lift_with_defects(curve: DiscreteCurve) -> tuple[np.ndarray, float, float]:
+    """Integrate G' = kappa(q') G, G(0) = 1 along the curve; returns the lift
+    with the (reconstruction, horizontality) defects its gates measured.
 
     Classical one-step fourth-order integration with cubic interpolation of
     the generator at interval midpoints.  The steps are not re-unitarized:
@@ -445,7 +530,7 @@ def horizontal_lift(curve: DiscreteCurve) -> np.ndarray:
             f"lift horizontality defect {horiz:.3e} exceeds {LIFT_TOL:.1e}; "
             f"re-sample the curve on a finer grid"
         )
-    return lift
+    return lift, recon, horiz
 
 
 def lift_defects(curve: DiscreteCurve, lift: np.ndarray) -> tuple[float, float]:
@@ -607,6 +692,18 @@ class OrbitLogResult:
     z: np.ndarray
     residual: float
     iterations: int
+    backtracks: int  # step halvings, those of a stalled attempt included
+
+
+def _tau1_norms(a: np.ndarray) -> np.ndarray:
+    """tau1 2-norm of each slice of an (n, D, D) stack, computed as
+    ``two_norm1`` computes it for one matrix (one dot product each of the
+    flattened real and imaginary parts), so a slice's norm does not depend
+    on the stack it sits in."""
+    flat = a.reshape(len(a), 1, -1)
+    re, im = flat.real, flat.imag
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return np.sqrt(sq[:, 0, 0]) / np.sqrt(a.shape[-1])
 
 
 def orbit_log(
@@ -615,89 +712,156 @@ def orbit_log(
     tol: float = 1e-8,
     max_iter: int = 100,
 ) -> OrbitLogResult:
-    """Local inverse of the geodesic exponential at q0.
+    """Local inverse of the geodesic exponential at q0: ``orbit_log_batch``
+    on a stack of one target, whose exception, if any, is raised."""
+    targets = [q1] if isinstance(q1, OrbitPoint) else np.asarray(q1)[None]
+    (outcome,) = orbit_log_batch(q0, targets, tol, max_iter)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def orbit_log_batch(
+    q0: OrbitPoint,
+    targets: np.ndarray | list[OrbitPoint],
+    tol: float = 1e-8,
+    max_iter: int = 100,
+) -> list[OrbitLogResult | Exception]:
+    """Local inverse of the geodesic exponential at q0, for each target of an
+    (n, D, D) stack of arrays or a list of OrbitPoints.
 
     Damped fixed-point iteration: pull the tangent projection of the
     remaining displacement back through the inverse commutator map at the
-    current geodesic endpoint, transport it to q0, and accumulate.  The
-    residual ‖e^z q0 e^{-z} - q1‖ (trace norm) is verified to decrease at
-    every accepted step; failure to converge raises with the final residual.
+    current geodesic endpoint, transport it to q0, and accumulate.  A step
+    is accepted only if it lowers the residual ‖e^z q0 e^{-z} - q1‖ (trace
+    norm); otherwise it is halved, and a step that reaches 2^-20 stalls.
+    All targets iterate together, each with its own step, and leave the
+    stack when they converge or fail.
 
-    Inputs are checked once, on entry: the endpoints must be at most
-    op-norm 0.5 apart, and an array q1 must be Hermitian within WITNESS_TOL
-    and lie in M1 within MEMBERSHIP_TOL (an OrbitPoint q1 was checked when
-    it was made).  The loop then carries the current projection and witness
-    as plain arrays and calls the unchecked kernels behind
-    tangent_projection, kappa_q and geodesic_at, because every value in it
-    meets their checks by construction: each step is made horizontal at q0,
-    so z is a horizontal element of M, its witness e^z u0 (u0 the witness
-    of q0) is a unitary of M, and e^z q0 e^{-z} is an orbit point; the
-    displacement q1 - q is then Hermitian and in M1, and its tangent
-    projection is tangent.  The result is checked once, on exit: the final
-    projection and witness must form a valid OrbitPoint, and z must be
-    horizontal at q0.
+    Each target is checked once, on entry: it must be at most op-norm
+    ``LOG_RADIUS`` from q0, and an array target must be Hermitian within
+    WITNESS_TOL and lie in M1 within MEMBERSHIP_TOL (an OrbitPoint was
+    checked when it was made).  The loop then carries the current
+    projections and witnesses as plain arrays and calls the unchecked
+    kernels behind tangent_projection, kappa_q and geodesic_at, because
+    every value in it meets their checks by construction: each step is made
+    horizontal at q0, so z is a horizontal element of M, its witness
+    e^z u0 (u0 the witness of q0) is a unitary of M, and e^z q0 e^{-z} is an
+    orbit point; the displacement q1 - q is then Hermitian and in M1, and
+    its tangent projection is tangent.  Each result is checked once, on
+    exit: the final projection and witness must pass the gates of an
+    OrbitPoint, and z must be horizontal at q0.
+
+    Returns one entry per target: its OrbitLogResult, or the exception
+    ``orbit_log`` raises for it alone (RadiusError, DomainError,
+    MembershipError or ConvergenceError).  A stack of one repeats the
+    arithmetic of a single matrix bit for bit; in a larger stack the
+    products of a slice may differ from it in the last bits.
     """
     bc = q0.bc
-    target = q1.q if isinstance(q1, OrbitPoint) else q1
-    gap = op_norm(q0.q - target)
-    if gap > 0.5:
-        raise RadiusError(
-            f"endpoints are op-norm {gap:.3f} apart; the local inverse is "
-            f"only attempted below 0.5"
-        )
-    if not isinstance(q1, OrbitPoint):
-        if herm_defect(target) > WITNESS_TOL:
-            raise DomainError("logarithm target is not Hermitian")
-        defect = bc.membership_defect(target)
-        if defect > MEMBERSHIP_TOL:
-            raise MembershipError(
-                f"logarithm target is outside the extension algebra (defect {defect:.3e})",
-                defect=defect,
+    n = len(targets)
+    if n == 0:
+        return []
+    arrays = isinstance(targets, np.ndarray)
+    tq = targets if arrays else np.stack([t.q for t in targets])
+    outcomes: list[OrbitLogResult | Exception | None] = [None] * n
+    # the entry checks, in the order orbit_log makes them
+    disp = q0.q - tq
+    near = op_norm_within(disp, LOG_RADIUS)
+    if arrays:
+        hermitian = op_norm_within(tq - dagger(tq), WITNESS_TOL)
+        member = bc.membership_defects(tq)
+    else:
+        hermitian, member = np.ones(n, dtype=bool), np.zeros(n)
+    for k in range(n):
+        if not near[k]:
+            outcomes[k] = RadiusError(
+                f"endpoints are op-norm {op_norm(disp[k]):.3f} apart; the local "
+                f"inverse is only attempted below {LOG_RADIUS}"
             )
-    z = np.zeros(q0.witness.shape, dtype=complex)
-    ez = bc.inc.identity()
-    q, witness = q0.q, q0.witness
-    res = bc.two_norm1(q - target)
-    iterations = 0
-    while res > tol:
-        if iterations >= max_iter:
-            raise ConvergenceError(
-                f"no convergence after {max_iter} iterations (residual {res:.3e}); "
+        elif not hermitian[k]:
+            outcomes[k] = DomainError("logarithm target is not Hermitian")
+        elif member[k] > MEMBERSHIP_TOL:
+            outcomes[k] = MembershipError(
+                f"logarithm target is outside the extension algebra "
+                f"(defect {member[k]:.3e})",
+                defect=float(member[k]),
+            )
+
+    z = np.zeros((n,) + q0.witness.shape, dtype=complex)
+    ez = np.broadcast_to(bc.inc.identity(), z.shape).copy()
+    q = np.broadcast_to(q0.q, tq.shape).copy()
+    witness = np.broadcast_to(q0.witness, z.shape).copy()
+    res = _tau1_norms(q - tq)
+    iterations = np.zeros(n, dtype=int)
+    backtracks = np.zeros(n, dtype=int)
+    active = np.array([k for k in range(n) if outcomes[k] is None], dtype=int)
+    while True:
+        active = active[res[active] > tol]
+        for k in active[iterations[active] >= max_iter]:
+            outcomes[k] = ConvergenceError(
+                f"no convergence after {max_iter} iterations (residual {res[k]:.3e}); "
                 f"retry with closer endpoints",
-                residual=res,
-                iterations=iterations,
+                residual=res[k],
+                iterations=int(iterations[k]),
             )
-        v = _tangent_projection_matrix(bc, q, target - q, gate=False)
-        w_at_cur = _kappa(bc, witness, v)
-        w0 = dagger(ez) @ w_at_cur @ ez
+        active = active[iterations[active] < max_iter]
+        if not active.size:
+            break
+        a = active
+        v = _tangent_projection_matrix(bc, q[a], tq[a] - q[a], gate=False)
+        w_at_cur = _kappa(bc, witness[a], v)
+        w0 = dagger(ez[a]) @ w_at_cur @ ez[a]
         w0 = 0.5 * (w0 - dagger(w0))
         w0 = w0 - translated_expectation(q0, w0)
-        step = 1.0
-        improved = False
-        while step > 2.0**-20:
-            z_try = z + step * w0
+        # per slice: halve the step until the residual drops or the step
+        # stalls; trying indexes into a, the slices still searching
+        step = np.ones(len(a))
+        trying = np.arange(len(a))
+        while trying.size:
+            k = a[trying]
+            z_try = z[k] + step[trying, None, None] * w0[trying]
             ez_try = spectral_function(z_try, "exp")
             witness_try = ez_try @ q0.witness
             q_try = _carried_projection(bc, witness_try)
-            res_try = bc.two_norm1(q_try - target)
-            if res_try < res:
-                z, ez, q, witness, res = z_try, ez_try, q_try, witness_try, res_try
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            raise ConvergenceError(
-                f"stalled at residual {res:.3e} after {iterations} iterations; "
-                f"retry with closer endpoints",
-                residual=res,
-                iterations=iterations,
-            )
-        iterations += 1
+            res_try = _tau1_norms(q_try - tq[k])
+            better = res_try < res[k]
+            took = k[better]
+            z[took], ez[took], q[took] = z_try[better], ez_try[better], q_try[better]
+            witness[took], res[took] = witness_try[better], res_try[better]
+            iterations[took] += 1
+            backtracks[k[~better]] += 1
+            trying = trying[~better]
+            step[trying] *= 0.5
+            stalled = step[trying] <= 2.0**-20
+            for s in a[trying[stalled]]:
+                outcomes[s] = ConvergenceError(
+                    f"stalled at residual {res[s]:.3e} after {iterations[s]} iterations; "
+                    f"retry with closer endpoints",
+                    residual=res[s],
+                    iterations=int(iterations[s]),
+                )
+            trying = trying[~stalled]
+        active = np.array([k for k in active if outcomes[k] is None], dtype=int)
+
     # the exit checks
-    OrbitPoint(bc=bc, q=q, witness=witness)
-    if horizontal_defect_at(q0, z) > WITNESS_TOL:
-        raise DomainError("logarithm is not horizontal at the start point")
-    return OrbitLogResult(z=z, residual=res, iterations=iterations)
+    done = np.array([k for k in range(n) if outcomes[k] is None], dtype=int)
+    if done.size:
+        refusals = _point_refusals(bc, q[done], witness[done])
+        horizontal = _horizontal_within(q0, z[done])
+        for k, refusal, horiz in zip(done, refusals, horizontal):
+            if refusal is not None:
+                outcomes[k] = refusal
+            elif not horiz:
+                outcomes[k] = DomainError("logarithm is not horizontal at the start point")
+            else:
+                outcomes[k] = OrbitLogResult(
+                    z=z[k],
+                    residual=res[k],
+                    iterations=int(iterations[k]),
+                    backtracks=int(backtracks[k]),
+                )
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +893,7 @@ def shorten_to_polygonal(curve: DiscreteCurve, segment_bound: float) -> Polygona
     while i < T - 1:
         j = i + 1
         best = -1
-        while j < T and op_norm(qs[j] - qs[i]) < min(segment_bound, 0.5):
+        while j < T and op_norm(qs[j] - qs[i]) < min(segment_bound, LOG_RADIUS):
             best = j
             j += 1
         if best < 0:
@@ -863,12 +1027,6 @@ def minimality_experiment(
         n_violations=n_bad,
         trials=tuple(trials),
     )
-
-
-# Operator-norm window of the convexity statement: the squared log-distance
-# to a geodesic has no concave node while the three unitaries are pairwise
-# closer than this.
-CONVEXITY_RADIUS = float(np.sqrt(2.0 - np.sqrt(2.0)))
 
 
 @dataclass(frozen=True)

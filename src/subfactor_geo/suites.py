@@ -51,9 +51,8 @@ from .orbit import (
     geodesic_at,
     geodesic_equation_residual,
     grassmann_section,
-    horizontal_lift,
     kappa_q,
-    lift_defects,
+    lift_with_defects,
     minimality_experiment,
     orbit_log,
     orbit_section_theta,
@@ -417,8 +416,7 @@ def _suite_lifts(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]:
     for _ in range(n_lift):
         us = _poly_unitary_path(inc.amb_basis, rng, ts)
         curve = curve_from_unitaries(bc, us)
-        lift = horizontal_lift(curve)
-        d_recon, d_horiz = lift_defects(curve, lift)
+        lift, d_recon, d_horiz = lift_with_defects(curve)
         worst_recon = max(worst_recon, d_recon)
         worst_horiz = max(worst_horiz, d_horiz)
 

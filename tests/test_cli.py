@@ -243,10 +243,10 @@ def test_sweep_radius_probe(tmp_path, capsys, monkeypatch):
 
     # a domain error is its own outcome; a radius error stays a plain miss
     for error, counted in ((DomainError, "1"), (RadiusError, "0")):
-        def failing_log(*args, error=error, **kwargs):
-            raise error("refused")
+        def failing_log_batch(q0, targets, *args, error=error, **kwargs):
+            return [error("refused") for _ in targets]
 
-        monkeypatch.setattr(cli, "orbit_log", failing_log)
+        monkeypatch.setattr(cli, "orbit_log_batch", failing_log_batch)
         code, _, _ = run(capsys, *argv)
         assert code == 0
         rows = [

@@ -31,14 +31,17 @@ from subfactor_geo.orbit import (
     delta_q,
     first_variation,
     geodesic_at,
+    geodesic_endpoints,
     geodesic_equation_residual,
     grassmann_section,
     horizontal_defect_at,
     horizontal_lift,
     kappa_q,
     lift_defects,
+    lift_with_defects,
     minimality_experiment,
     orbit_log,
+    orbit_log_batch,
     orbit_point_from_witness,
     orbit_section_theta,
     random_horizontal_at,
@@ -237,6 +240,16 @@ def test_lift_reconstruction_and_horizontality(constructions, rng):
     assert horiz <= 1e-6
 
 
+def test_lift_with_defects_returns_the_gates_defects(constructions, rng):
+    bc = constructions["tensor(1,2)"]
+    z = random_horizontal(bc.inc, rng, op_scale=0.35)
+    w = random_antihermitian(rng, bc.inc.amb_basis)
+    curve = curve_from_unitaries(bc, wiggly_unitary_path(bc, z, 0.25 * w / op_norm(w), 256))
+    lift, recon, horiz = lift_with_defects(curve)
+    assert np.array_equal(lift, horizontal_lift(curve))
+    assert (recon, horiz) == lift_defects(curve, lift)
+
+
 def test_lift_stays_unitary_without_reunitarization(bc):
     # RK4 steps are not projected back onto the unitaries; on the lifts
     # suite's polynomial paths the drift stays far below the 1e-10 gate
@@ -376,7 +389,7 @@ def checked_orbit_log_reference(q0, q1, tol=1e-8, max_iter=100):
     z = np.zeros(q0.witness.shape, dtype=complex)
     cur = q0
     res = bc.two_norm1(cur.q - target)
-    iterations = 0
+    iterations = backtracks = 0
     while res > tol:
         if iterations >= max_iter:
             raise ConvergenceError("no convergence", residual=res, iterations=iterations)
@@ -397,10 +410,11 @@ def checked_orbit_log_reference(q0, q1, tol=1e-8, max_iter=100):
                 improved = True
                 break
             step *= 0.5
+            backtracks += 1
         if not improved:
             raise ConvergenceError("stalled", residual=res, iterations=iterations)
         iterations += 1
-    return OrbitLogResult(z=z, residual=res, iterations=iterations)
+    return OrbitLogResult(z=z, residual=res, iterations=iterations, backtracks=backtracks)
 
 
 @pytest.mark.parametrize("family", ["tensor(2,2)", "group_flip(scalars)", "group_flip(m2)"])
@@ -417,6 +431,7 @@ def test_orbit_log_matches_checked_reference(constructions, family):
             assert bc.inc.two_norm(got.z - want.z) <= 1e-14
             assert got.residual == want.residual
             assert got.iterations == want.iterations
+            assert got.backtracks == want.backtracks
 
 
 def test_orbit_log_refuses_bad_array_targets(constructions, rng):
@@ -433,6 +448,116 @@ def test_orbit_log_refuses_bad_array_targets(constructions, rng):
     assert bc.membership_defect(off) > 1e-6
     with pytest.raises(MembershipError):
         orbit_log(pt, q1 + off)
+
+
+def _log_outcome(*args, **kwargs):
+    try:
+        return orbit_log(*args, **kwargs)
+    except (DomainError, ConvergenceError) as exc:
+        return exc
+
+
+@pytest.mark.parametrize("max_iter", [100, 1])
+def test_orbit_log_batch_slices_equal_single_calls(constructions, max_iter):
+    bc = constructions["tensor(2,2)"]
+    rng = np.random.default_rng(41)
+    pt = random_orbit_point(bc, rng)
+    d = bc.dim_l2
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    near = [
+        geodesic_at(pt, random_horizontal_at(pt, rng, op_scale=r), 1.0).q
+        for r in (0.1, 0.3, 0.45)
+    ]
+    far = geodesic_at(pt, random_horizontal_at(pt, rng, op_scale=1.2), 1.0).q
+    assert op_norm(far - pt.q) > 0.5
+    targets = np.stack(
+        [
+            near[0],
+            far,
+            near[1] + 1e-3 * (a - dagger(a)),   # not Hermitian
+            pt.q,                               # converges at once
+            near[1] + 1e-3 * (a + dagger(a)),   # Hermitian, outside M1
+            near[1],
+            near[2],
+        ]
+    )
+    batch = orbit_log_batch(pt, targets, max_iter=max_iter)
+    assert len(batch) == len(targets)
+    kinds = set()
+    for target, got in zip(targets, batch):
+        want = _log_outcome(pt, target, max_iter=max_iter)
+        kinds.add(type(want))
+        if isinstance(want, Exception):
+            assert type(got) is type(want)
+            assert str(got) == str(want)
+            if isinstance(want, ConvergenceError):
+                # a slice's products may differ from the single call's in the last bits
+                assert got.residual == pytest.approx(want.residual, rel=1e-12)
+                assert got.iterations == want.iterations
+        else:
+            assert bc.inc.two_norm(got.z - want.z) <= 1e-13
+            assert got.iterations == want.iterations
+            assert got.backtracks == want.backtracks
+    assert {RadiusError, DomainError, MembershipError, OrbitLogResult} <= kinds
+    if max_iter == 1:
+        assert ConvergenceError in kinds
+
+
+def test_orbit_log_batch_takes_points_and_empty_stacks(constructions):
+    bc = constructions["group_flip(scalars)"]
+    rng = np.random.default_rng(43)
+    pt = random_orbit_point(bc, rng)
+    points = [
+        geodesic_at(pt, random_horizontal_at(pt, rng, op_scale=r), 1.0) for r in (0.2, 0.4)
+    ]
+    from_points = orbit_log_batch(pt, points)
+    from_arrays = orbit_log_batch(pt, np.stack([p.q for p in points]))
+    for a, b in zip(from_points, from_arrays):
+        assert np.array_equal(a.z, b.z)
+        assert (a.iterations, a.backtracks) == (b.iterations, b.backtracks)
+    assert orbit_log_batch(pt, np.empty((0, bc.dim_l2, bc.dim_l2), dtype=complex)) == []
+    assert orbit_log_batch(pt, []) == []
+
+
+def test_point_gate_refuses_per_slice_as_orbit_point_does(constructions, rng):
+    from subfactor_geo.orbit import _point_refusals
+
+    bc = constructions["tensor(2,2)"]
+    good = random_orbit_point(bc, rng)
+    other = random_orbit_point(bc, rng)
+    cases = [
+        (good.q, good.witness),
+        (0.5 * np.eye(bc.dim_l2), bc.inc.identity()),   # not a projection
+        (np.eye(bc.dim_l2, dtype=complex), bc.inc.identity()),   # trace 1
+        (good.q, 1.1 * good.witness),                   # witness not unitary
+        (good.q, other.witness),                        # witness carries p elsewhere
+    ]
+    refusals = _point_refusals(
+        bc, np.stack([q for q, _ in cases]), np.stack([w for _, w in cases])
+    )
+    assert refusals[0] is None
+    for (q, w), refusal in zip(cases[1:], refusals[1:]):
+        with pytest.raises(DomainError) as single:
+            OrbitPoint(bc=bc, q=q, witness=w)
+        assert type(refusal) is DomainError
+        assert str(refusal) == str(single.value)
+    assert len({str(r) for r in refusals[1:]}) == 4
+
+
+def test_geodesic_endpoints_match_geodesic_at(constructions):
+    bc = constructions["tensor(2,2)"]
+    rng = np.random.default_rng(47)
+    pt = random_orbit_point(bc, rng)
+    zs = np.stack([random_horizontal_at(pt, rng, op_scale=r) for r in (0.1, 0.6, 1.1)])
+    zs = np.concatenate([zs, 1j * zs[:1]])   # Hermitian: not a direction
+    qs, refusals = geodesic_endpoints(pt, zs)
+    for z, q, refusal in zip(zs[:3], qs, refusals):
+        assert refusal is None
+        assert op_norm(q - geodesic_at(pt, z, 1.0).q) <= 1e-14
+    assert isinstance(refusals[3], DomainError)
+    with pytest.raises(DomainError):
+        geodesic_at(pt, zs[3], 1.0)
+    assert not np.any(qs[3])
 
 
 def test_orbit_log_validates_at_most_one_point(constructions, rng, monkeypatch):
