@@ -37,10 +37,17 @@ class ConstructionError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """An iterative solver stopped without reaching its tolerance."""
 
-    def __init__(self, message: str, residual: float = float("nan"), iterations: int = 0):
+    def __init__(
+        self,
+        message: str,
+        residual: float = float("nan"),
+        iterations: int = 0,
+        backtracks: int = 0,
+    ):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+        self.backtracks = backtracks
 
 
 class RefinementError(RuntimeError):

@@ -754,9 +754,13 @@ def orbit_log_batch(
 
     Returns one entry per target: its OrbitLogResult, or the exception
     ``orbit_log`` raises for it alone (RadiusError, DomainError,
-    MembershipError or ConvergenceError).  A stack of one repeats the
+    MembershipError or ConvergenceError).  Results and convergence errors
+    count the target's step halvings as ``backtracks``; the 20 halvings of
+    a stalled attempt are included.  A stack of one repeats the
     arithmetic of a single matrix bit for bit; in a larger stack the
-    products of a slice may differ from it in the last bits.
+    products of a slice may differ from it in the last bits, so a target
+    that stalls at the roundoff floor may stall after another iteration
+    count.
     """
     bc = q0.bc
     n = len(targets)
@@ -804,6 +808,7 @@ def orbit_log_batch(
                 f"retry with closer endpoints",
                 residual=res[k],
                 iterations=int(iterations[k]),
+                backtracks=int(backtracks[k]),
             )
         active = active[iterations[active] < max_iter]
         if not active.size:
@@ -840,6 +845,7 @@ def orbit_log_batch(
                     f"retry with closer endpoints",
                     residual=res[s],
                     iterations=int(iterations[s]),
+                    backtracks=int(backtracks[s]),
                 )
             trying = trying[~stalled]
         active = np.array([k for k in active if outcomes[k] is None], dtype=int)

@@ -412,7 +412,9 @@ def checked_orbit_log_reference(q0, q1, tol=1e-8, max_iter=100):
             step *= 0.5
             backtracks += 1
         if not improved:
-            raise ConvergenceError("stalled", residual=res, iterations=iterations)
+            raise ConvergenceError(
+                "stalled", residual=res, iterations=iterations, backtracks=backtracks
+            )
         iterations += 1
     return OrbitLogResult(z=z, residual=res, iterations=iterations, backtracks=backtracks)
 
@@ -432,6 +434,27 @@ def test_orbit_log_matches_checked_reference(constructions, family):
             assert got.residual == want.residual
             assert got.iterations == want.iterations
             assert got.backtracks == want.backtracks
+
+
+def test_orbit_log_counts_the_backtracks_of_a_stall(constructions):
+    # a Hermitian target in M1 just off the orbit: the residual cannot drop
+    # below its distance from the orbit, so the last attempt halves its step
+    # until it stalls
+    bc = constructions["tensor(2,2)"]
+    rng = np.random.default_rng(31)
+    pt = random_orbit_point(bc, rng)
+    q1 = geodesic_at(pt, random_horizontal_at(pt, rng, op_scale=0.3), 1.0).q
+    h = np.tensordot(rng.standard_normal(bc.dim_m1), bc.m1_basis, axes=1)
+    h = (h + dagger(h)) / 2.0
+    target = q1 + 2e-8 * h / bc.two_norm1(h)
+    with pytest.raises(ConvergenceError, match="stalled") as got:
+        orbit_log(pt, target)
+    with pytest.raises(ConvergenceError) as want:
+        checked_orbit_log_reference(pt, target)
+    assert got.value.backtracks >= 20
+    assert got.value.backtracks == want.value.backtracks
+    assert got.value.iterations == want.value.iterations
+    assert got.value.residual == want.value.residual
 
 
 def test_orbit_log_refuses_bad_array_targets(constructions, rng):
@@ -494,6 +517,7 @@ def test_orbit_log_batch_slices_equal_single_calls(constructions, max_iter):
                 # a slice's products may differ from the single call's in the last bits
                 assert got.residual == pytest.approx(want.residual, rel=1e-12)
                 assert got.iterations == want.iterations
+                assert got.backtracks == want.backtracks
         else:
             assert bc.inc.two_norm(got.z - want.z) <= 1e-13
             assert got.iterations == want.iterations
