@@ -713,7 +713,12 @@ def orbit_log(
     max_iter: int = 100,
 ) -> OrbitLogResult:
     """Local inverse of the geodesic exponential at q0: ``orbit_log_batch``
-    on a stack of one target, whose exception, if any, is raised."""
+    on a stack of one target, whose exception, if any, is raised.
+
+    There is one solver loop, and its entry and exit checks are made per
+    target (see ``orbit_log_batch``); callers with many targets, such as
+    the radius probe with one stack per radius, call the batch directly.
+    """
     targets = [q1] if isinstance(q1, OrbitPoint) else np.asarray(q1)[None]
     (outcome,) = orbit_log_batch(q0, targets, tol, max_iter)
     if isinstance(outcome, Exception):
