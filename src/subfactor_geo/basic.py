@@ -97,20 +97,6 @@ class BasicConstruction:
         """E1 of y, or of each slice of a stack, without the membership check."""
         return span_project(self.left_cache, y, 1.0 / self.dim_l2)
 
-    def _reduce_unchecked(self, y: np.ndarray) -> np.ndarray:
-        """(1/lam) E1(y p) pulled back to M, without reduce_R's checks."""
-        return self.inc.from_coords(self._e1_coords(y @ self.jones_p) / self.lam)
-
-    def pullback(self, y: np.ndarray) -> np.ndarray:
-        """Inverse of left_rep on its image; y must lie in left_rep(M)."""
-        x = self.inc.from_coords(self._e1_coords(y))
-        defect = self.two_norm1(self.left(x) - y)
-        if defect > MEMBERSHIP_TOL:
-            raise MembershipError(
-                f"matrix is not in left_rep(M) (defect {defect:.3e})", defect=defect
-            )
-        return x
-
 
 def expectation_E1(bc: BasicConstruction, y: np.ndarray) -> np.ndarray:
     """tau1-orthogonal projection of y in M1 onto left_rep(M), slice by
@@ -133,7 +119,7 @@ def reduce_R(bc: BasicConstruction, y: np.ndarray) -> np.ndarray:
         raise MembershipError(
             f"input is outside the extension algebra (defect {defect:.3e})", defect=defect
         )
-    m = bc._reduce_unchecked(y)
+    m = bc.inc.from_coords(bc._e1_coords(y @ bc.jones_p) / bc.lam)
     resid = op_norm(bc.left(m) @ bc.jones_p - y @ bc.jones_p)
     if resid > 1e-8:
         raise ConstructionError(

@@ -24,7 +24,7 @@ from .algebra import (
     random_horizontal,
     random_unitary,
 )
-from .basic import BasicConstruction, expectation_E1, reduce_R
+from .basic import BasicConstruction, expectation_E1, recover_unitary
 from .errors import (
     ConstructionError,
     ConvergenceError,
@@ -46,8 +46,11 @@ from .linalg import (
 )
 from .tolerances import (
     CONVEXITY_TOL,
+    LENGTH_TOL,
     LIFT_TOL,
     MEMBERSHIP_TOL,
+    PATH_UNITARY_TOL,
+    SECTION_TOL,
     SPECTRAL_TOL,
     WITNESS_TOL,
 )
@@ -213,6 +216,22 @@ def _horizontal_within(point: OrbitPoint, zs: np.ndarray) -> np.ndarray:
     )
 
 
+def _horizontal_refusals(point: OrbitPoint, zs: np.ndarray) -> list[DomainError | None]:
+    """Per slice z of an (n, m, m) stack: None if z is horizontal at the
+    point, else the DomainError naming its exact horizontal_defect_at."""
+    message = "direction is not horizontal at the point (defect {:.3e})"
+    return [
+        None if within else DomainError(message.format(horizontal_defect_at(point, z)))
+        for within, z in zip(_horizontal_within(point, zs), zs)
+    ]
+
+
+def _require_horizontal(point: OrbitPoint, z: np.ndarray) -> None:
+    (refusal,) = _horizontal_refusals(point, z[None])
+    if refusal is not None:
+        raise refusal
+
+
 def random_horizontal_at(
     point: OrbitPoint, rng: np.random.Generator, op_scale: float | None = None
 ) -> np.ndarray:
@@ -237,8 +256,7 @@ class TangentVector:
 
 def delta_q(point: OrbitPoint, z: np.ndarray) -> TangentVector:
     """Differential of the orbit map at the point: z -> zq - qz."""
-    if horizontal_defect_at(point, z) > WITNESS_TOL:
-        raise DomainError("direction is not horizontal at the point")
+    _require_horizontal(point, z)
     lz = point.bc.left(z)
     return TangentVector(point=point, z=z, ambient=lz @ point.q - point.q @ lz)
 
@@ -264,25 +282,24 @@ def tangent_projection(point: OrbitPoint, x: np.ndarray) -> np.ndarray:
     return _tangent_projection_matrix(point.bc, point.q, x)
 
 
-def _kappa(bc: BasicConstruction, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """kappa at the point with witness u, for v tangent there."""
-    lu = bc.left(u)
-    v0 = dagger(lu) @ v @ lu
-    z = u @ bc._reduce_unchecked(v0) @ dagger(u)
-    # horizontality is automatic; enforce it against roundoff
-    z = 0.5 * (z - dagger(z))
-    return z - _translated(bc.inc, u, z)
+def _kappa(bc: BasicConstruction, q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The anti-Hermitian part of (1/2 lam) E1(vq - qv), pulled back to M;
+    q and v may be matching (n, D, D) stacks."""
+    z = bc.inc.from_coords(bc._e1_coords(v @ q - q @ v) / (2.0 * bc.lam))
+    return 0.5 * (z - dagger(z))
 
 
 def kappa_q(point: OrbitPoint, v: np.ndarray) -> np.ndarray:
     """Inverse of delta_q on the tangent space: the unique horizontal z with
-    zq - qz = v.  Computed at the base point by the compression reduction,
-    then conjugated by the witness."""
+    zq - qz = v, as (1/2 lam) E1(vq - qv) pulled back to M.  It reads no
+    witness and holds at every orbit point: vq - qv = zq + qz - 2 qzq, and
+    E1 is a left(M)-bimodule map with E1(q) = lam * 1, so E1(zq) = E1(qz) =
+    lam z while E1(qzq) = lam E_q(z) = 0 for horizontal z."""
     bc = point.bc
     resid = bc.two_norm1(v - tangent_projection(point, v))
     if resid > WITNESS_TOL:
         raise DomainError(f"input is not tangent at the point (residual {resid:.3e})")
-    return _kappa(bc, point.witness, v)
+    return _kappa(bc, point.q, v)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +308,7 @@ def kappa_q(point: OrbitPoint, v: np.ndarray) -> np.ndarray:
 
 def geodesic_at(point: OrbitPoint, z: np.ndarray, t: float) -> OrbitPoint:
     """The conjugation geodesic e^{tz} q e^{-tz} through the point."""
-    if horizontal_defect_at(point, z) > WITNESS_TOL:
-        raise DomainError("direction is not horizontal at the point")
+    _require_horizontal(point, z)
     u_t = spectral_function(t * z, "exp")
     return orbit_point_from_witness(point.bc, u_t @ point.witness)
 
@@ -305,20 +321,20 @@ def geodesic_endpoints(
     ``geodesic_at(point, z, 1.0)`` would raise, or None.
 
     Each slice passes geodesic_at's gates on its own: z horizontal at the
-    point, anti-Hermitian within SPECTRAL_TOL (the gate of the exponential),
-    and the endpoint with its witness e^z u an orbit point.  The accepted
-    slices share one stacked exponential; the endpoint of a slice refused
-    for its direction is left zero.
+    point (refused with geodesic_at's text), anti-Hermitian within
+    SPECTRAL_TOL (the gate of the exponential), and the endpoint with its
+    witness e^z u an orbit point.  The accepted slices share one stacked
+    exponential; the endpoint of a slice refused for its direction is left
+    zero.
     """
     bc = point.bc
-    n = len(zs)
-    refusals: list[DomainError | None] = [None] * n
-    horizontal = _horizontal_within(point, zs)
-    antiherm = op_norm_within(zs + dagger(zs), SPECTRAL_TOL)
-    for k in np.flatnonzero(~(horizontal & antiherm)):
-        refusals[k] = DomainError("direction is not horizontal at the point")
-    qs = np.zeros((n,) + point.q.shape, dtype=complex)
-    keep = np.flatnonzero(horizontal & antiherm)
+    refusals = _horizontal_refusals(point, zs)
+    for k in np.flatnonzero(~op_norm_within(zs + dagger(zs), SPECTRAL_TOL)):
+        refusals[k] = refusals[k] or DomainError(
+            f"direction is not anti-Hermitian (defect {antiherm_defect(zs[k]):.3e})"
+        )
+    qs = np.zeros((len(zs),) + point.q.shape, dtype=complex)
+    keep = np.flatnonzero([refusal is None for refusal in refusals])
     if keep.size:
         witnesses = spectral_function(zs[keep], "exp") @ point.witness
         qs[keep] = _carried_projection(bc, witnesses)
@@ -358,8 +374,7 @@ class DiscreteCurve:
 def sample_geodesic(
     point: OrbitPoint, z: np.ndarray, grid_n: int, t0: float = 0.0, t1: float = 1.0
 ) -> DiscreteCurve:
-    if horizontal_defect_at(point, z) > WITNESS_TOL:
-        raise DomainError("direction is not horizontal at the point")
+    _require_horizontal(point, z)
     if grid_n < 1:
         raise DomainError("grid must have at least one interval")
     ts = np.linspace(t0, t1, grid_n + 1)
@@ -490,11 +505,7 @@ def lift_with_defects(curve: DiscreteCurve) -> tuple[np.ndarray, float, float]:
     qs = curve.samples
     T = qs.shape[0]
     dt = curve.dt
-    qdot = _diff4(qs, dt)
-    # generator at nodes from the closed inversion (1/2 lam) E1(vq - qv)
-    comm = qdot @ qs - qs @ qdot
-    zs = bc.inc.from_coords(bc._e1_coords(comm) / (2.0 * bc.lam))
-    gen = 0.5 * (zs - dagger(zs))
+    gen = _kappa(bc, qs, _diff4(qs, dt))
     # cubic midpoint interpolation of the generator
     mids = np.empty((T - 1,) + gen.shape[1:], dtype=complex)
     if T >= 4:
@@ -540,8 +551,7 @@ def lift_defects(curve: DiscreteCurve, lift: np.ndarray) -> tuple[float, float]:
     llift = bc.left(lift)
     recon = op_norm((llift @ qs[0]) @ dagger(llift) - qs).max()
     v = _diff4(lift, curve.dt) @ dagger(lift)
-    ws = lift @ _witness_at_start(curve)
-    e = ws @ expectation_E(bc.inc, dagger(ws) @ v @ ws) @ dagger(ws)
+    e = _translated(bc.inc, lift @ _witness_at_start(curve), v)
     return float(recon), float(bc.inc.two_norm(e).max())
 
 
@@ -611,7 +621,7 @@ def first_variation(
     inc = bc.inc
     for path in (minus, zero, plus):
         worst = unitary_defect(path[:: max(1, path.shape[0] // 8)]).max()
-        if worst > 1e-8:
+        if worst > PATH_UNITARY_TOL:
             raise DomainError(f"family samples are not unitary (defect {worst:.3e})")
     T = zero.shape[0]
     dt = 1.0 / (T - 1)
@@ -657,7 +667,7 @@ def grassmann_section(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     ex = spectral_function(x, "exp")
     recon = op_norm(ex @ p1 @ dagger(ex) - p2)
     codiag = max(op_norm(p1 @ x @ p1), op_norm((np.eye(d) - p1) @ x @ (np.eye(d) - p1)))
-    if recon > 1e-9 or codiag > 1e-9:
+    if recon > SECTION_TOL or codiag > SECTION_TOL:
         raise ConstructionError(
             f"section postconditions fail: reconstruction {recon:.3e}, "
             f"codiagonality {codiag:.3e}"
@@ -669,19 +679,12 @@ def grassmann_section(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
 
 def orbit_section_theta(bc: BasicConstruction, q: np.ndarray | OrbitPoint) -> np.ndarray:
     """Local cross section: a unitary u in M with u p u* = q, defined for
-    ‖q − p‖ < 1 via the compression reduction of the section exponential."""
+    ‖q − p‖ < 1.  u is recover_unitary of e^x, x = grassmann_section(p, q),
+    the unitary of M1 that carries p to q; those two make the gap and
+    unitarity checks."""
     qm = q.q if isinstance(q, OrbitPoint) else q
-    gap = op_norm(qm - bc.jones_p)
-    if gap >= 1.0:
-        raise RadiusError(f"projection is op-norm {gap:.3f} from the base; need < 1")
-    x = grassmann_section(bc.jones_p, qm)
-    s = spectral_function(x, "exp")
-    u = reduce_R(bc, s)
-    u_defect = op_norm(dagger(u) @ u - bc.inc.identity())
-    if u_defect > WITNESS_TOL:
-        raise DomainError(f"section element is not unitary (defect {u_defect:.3e})")
-    lu = bc.left(u)
-    recon = op_norm(lu @ bc.jones_p @ dagger(lu) - qm)
+    u = recover_unitary(bc, spectral_function(grassmann_section(bc.jones_p, qm), "exp"))
+    recon = op_norm(_carried_projection(bc, u) - qm)
     if recon > WITNESS_TOL:
         raise DomainError(f"section fails u p u* = q (defect {recon:.3e})")
     return u
@@ -735,9 +738,10 @@ def orbit_log_batch(
     """Local inverse of the geodesic exponential at q0, for each target of an
     (n, D, D) stack of arrays or a list of OrbitPoints.
 
-    Damped fixed-point iteration: pull the tangent projection of the
-    remaining displacement back through the inverse commutator map at the
-    current geodesic endpoint, transport it to q0, and accumulate.  A step
+    Damped fixed-point iteration: pull the tangent projection v of the
+    remaining displacement back through kappa at the current geodesic
+    endpoint q, (1/2 lam) E1(vq - qv) as kappa_q computes it from q alone,
+    transport it to q0, and accumulate.  A step
     is accepted only if it lowers the residual ‖e^z q0 e^{-z} - q1‖ (trace
     norm); otherwise it is halved, and a step that reaches 2^-20 stalls.
     All targets iterate together, each with its own step, and leave the
@@ -820,7 +824,7 @@ def orbit_log_batch(
             break
         a = active
         v = _tangent_projection_matrix(bc, q[a], tq[a] - q[a], gate=False)
-        w_at_cur = _kappa(bc, witness[a], v)
+        w_at_cur = _kappa(bc, q[a], v)
         w0 = dagger(ez[a]) @ w_at_cur @ ez[a]
         w0 = 0.5 * (w0 - dagger(w0))
         w0 = w0 - translated_expectation(q0, w0)
@@ -889,7 +893,7 @@ class PolygonalResult:
 
     @property
     def shorter(self) -> bool:
-        return self.total_length <= self.curve_length + 1e-6
+        return self.total_length <= self.curve_length + LENGTH_TOL
 
 
 def shorten_to_polygonal(curve: DiscreteCurve, segment_bound: float) -> PolygonalResult:
@@ -982,8 +986,8 @@ def minimality_experiment(
     bump b vanishing to first order at both endpoints, pushes the result
     down to the orbit, and records both lengths.  A violation is a
     perturbed curve that is shorter in the trace-norm length by more than
-    the 1e-6 the length functional is trusted to, while staying inside the
-    probe radius.
+    LENGTH_TOL, which the length functional is trusted to, while staying
+    inside the probe radius.
     """
     bc = point.bc
     ts = np.linspace(0.0, 1.0, grid_n + 1)
@@ -1011,7 +1015,7 @@ def minimality_experiment(
         disp = op_norm(pert_curve.samples - point.q).max()
         within = linf <= probe_radius
         margin = l2 - l2_geo
-        violation = within and margin < -1e-6
+        violation = within and margin < -LENGTH_TOL
         fv = first_variation(bc, family(-h_fv), geo_us, family(h_fv), h_fv)
         if violation:
             n_bad += 1

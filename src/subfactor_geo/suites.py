@@ -567,7 +567,7 @@ def _suite_variation(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]
             "variation formula matches the finite difference",
             "x_s(t) = γ_s(t)* d/dt γ_s(t) and y_s(t) = γ_s(t)* d/ds γ_s(t)",
             worst_fd,
-            max(1e-5, 10.0 * h * h),
+            res.tol,
             n_var,
         )
     )
@@ -591,7 +591,7 @@ def _suite_variation(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]
             "geodesics are energy-critical for endpoint-fixing variations",
             "F₂(γ) = ∫₀¹ ‖γ̇‖₂² dt",
             worst_crit,
-            max(1e-5, 10.0 * h * h),
+            res.tol,
             n_crit,
         )
     )

@@ -19,6 +19,12 @@ WITNESS_TOL = 1e-8
 CONVEXITY_TOL = 1e-8
 # Membership defect allowed when projecting onto a spanned subalgebra.
 MEMBERSHIP_TOL = 1e-8
+# Unitarity defect allowed for the sampled paths of a variation family.
+PATH_UNITARY_TOL = 1e-8
+# Reconstruction and codiagonality defect allowed for a Grassmann section.
+SECTION_TOL = 1e-9
+# Trace-norm length difference the quadrature of a curve length is trusted to.
+LENGTH_TOL = 1e-6
 # Gram-Schmidt drop tolerance: candidate directions with smaller residual
 # norm are treated as linearly dependent.
 GRAM_DROP_TOL = 1e-9

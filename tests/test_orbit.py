@@ -10,7 +10,7 @@ from subfactor_geo.algebra import (
     random_horizontal,
     random_unitary,
 )
-from subfactor_geo.basic import expectation_E1
+from subfactor_geo.basic import reduce_R
 from subfactor_geo.errors import ConvergenceError, DomainError, MembershipError, RadiusError
 from subfactor_geo.linalg import (
     dagger,
@@ -112,9 +112,16 @@ def test_delta_isometry_constant(bc, rng):
 
 
 def test_delta_rejects_non_horizontal(bc, rng):
-    pt = base_point(bc)
-    with pytest.raises(DomainError):
-        delta_q(pt, 0.2 * bc.inc.identity())
+    z = 0.2 * bc.inc.identity()
+    for pt in (base_point(bc), random_orbit_point(bc, rng)):
+        with pytest.raises(DomainError) as refused:
+            delta_q(pt, z)
+        # one refusal, naming the exact defect, for every horizontality gate
+        assert f"(defect {horizontal_defect_at(pt, z):.3e})" in str(refused.value)
+        for gate in (lambda: geodesic_at(pt, z, 0.5), lambda: sample_geodesic(pt, z, 8)):
+            with pytest.raises(DomainError) as other:
+                gate()
+            assert str(other.value) == str(refused.value)
 
 
 def test_kappa_inverts_delta(bc, rng):
@@ -127,16 +134,16 @@ def test_kappa_inverts_delta(bc, rng):
 
 
 def test_kappa_matches_closed_form_at_base(bc, rng):
-    # at the base, z = pullback(E1(vq - qv) / (2 lam)) is an independent route
-    pt = base_point(bc)
-    q = pt.q
-    for _ in range(8):
-        z = random_horizontal(bc.inc, rng, op_scale=0.4)
+    # kappa_q's closed form (1/2 lam) E1(vq - qv), at the base and at random
+    # orbit points, against the compression route u R(u* v u) u* through the
+    # witness u, R the reduction (1/lam) E1(y p)
+    for pt in [base_point(bc)] + [random_orbit_point(bc, rng) for _ in range(7)]:
+        u, lu = pt.witness, bc.left(pt.witness)
+        z = random_horizontal_at(pt, rng, op_scale=0.4)
         v = delta_q(pt, z).ambient
-        comm = v @ q - q @ v
-        z_direct = bc.pullback(expectation_E1(bc, comm) / (2.0 * bc.lam))
-        assert bc.inc.two_norm(kappa_q(pt, v) - z_direct) < 1e-9
-        assert bc.inc.two_norm(z_direct - z) < 1e-9
+        z_route = u @ reduce_R(bc, dagger(lu) @ v @ lu) @ dagger(u)
+        assert bc.inc.two_norm(kappa_q(pt, v) - z_route) < 1e-9
+        assert bc.inc.two_norm(z_route - z) < 1e-9
 
 
 def test_tangent_projection_properties(bc, rng):
@@ -579,8 +586,10 @@ def test_geodesic_endpoints_match_geodesic_at(constructions):
         assert refusal is None
         assert op_norm(q - geodesic_at(pt, z, 1.0).q) <= 1e-14
     assert isinstance(refusals[3], DomainError)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as single:
         geodesic_at(pt, zs[3], 1.0)
+    assert str(refusals[3]) == str(single.value)
+    assert f"(defect {horizontal_defect_at(pt, zs[3]):.3e})" in str(refusals[3])
     assert not np.any(qs[3])
 
 
