@@ -7,10 +7,25 @@ extension algebra M1 = span(M u MpM).  The normalized matrix trace of the
 D x D representation restricted to M1 plays the role of the canonical trace
 tau1; its compatibility tau1(left_rep(x)) = tau(x) is validated at build
 time and the construction refuses to proceed otherwise.
+
+M1 acts on L2(M) with multiplicity: its commutant there is the right action
+of N (Jones 1983), so each block of M1 appears once per copy of the matching
+block of N.  Operator norms of elements of M1 are therefore taken on one
+copy of each block (``BasicConstruction.op_norm1``).  Let e be a projection
+of N minimal in each block of N, and V a D x r isometry onto the range of
+right multiplication by e.  That right multiplication lies in the commutant
+of M1, and its central support is 1, since e meets every block of N and the
+center of M1 is the right action of the center of N.  So x -> V* x V is an
+injective *-homomorphism of M1 into the r x r matrices, hence isometric:
+the norm of V* x V is the norm of x, on an r x r matrix instead of a D x D
+one (r = 8 of D = 16 for tensor(2,2), 27 of 81 for tensor(3,3)).  The
+frame V is built on first use and gated once: V* V = 1, its range is
+invariant under M1, and the compressed basis of M1 keeps rank K.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +36,7 @@ from .algebra import (
     orthonormalize,
     pimsner_popa_validate,
     random_element,
+    random_hermitian,
     span_coords,
     span_project,
     span_residual,
@@ -28,7 +44,13 @@ from .algebra import (
 )
 from .errors import ConstructionError, DomainError, MembershipError
 from .linalg import dagger, op_norm
-from .tolerances import MEMBERSHIP_TOL, SPECTRAL_TOL, WITNESS_TOL
+from .tolerances import (
+    EIGEN_GROUP_TOL,
+    GRAM_DROP_TOL,
+    MEMBERSHIP_TOL,
+    SPECTRAL_TOL,
+    WITNESS_TOL,
+)
 
 __all__ = [
     "BasicConstruction",
@@ -86,6 +108,22 @@ class BasicConstruction:
     def membership_defects(self, y: np.ndarray) -> np.ndarray:
         """tau1 2-norm distance of y, or of each slice of a stack, from M1."""
         return span_residuals(self.m1_basis, y, 1.0 / self.dim_l2)
+
+    @cached_property
+    def m1_frame(self) -> np.ndarray:
+        """D x r isometry onto one copy of each block of M1 (see the module
+        docstring); built and gated on the first read, then shared."""
+        return _m1_frame(self)
+
+    def op_norm1(self, x: np.ndarray) -> float | np.ndarray:
+        """Operator norm of an element of M1, or of each slice of a stack,
+        taken as op_norm(V* x V) on the frame V.  Exact on M1 only: off M1
+        it reads the compression, which can be smaller.  When r = D this is
+        op_norm(x) itself."""
+        v = self.m1_frame
+        if v.shape[1] == self.dim_l2:
+            return op_norm(x)
+        return op_norm(dagger(v) @ x @ v)
 
     def _e1_coords(self, y: np.ndarray) -> np.ndarray:
         """Coefficients of the projection of y (or of each slice of a stack)
@@ -223,6 +261,61 @@ def _m1_generators(left_cache: np.ndarray, p: np.ndarray) -> np.ndarray:
     gens[:d] = left_cache
     np.matmul((left_cache @ p)[:, None], left_cache[None], out=gens[d:].reshape(d, d, d, d))
     return gens
+
+
+def _compressed_rank(bc: BasicConstruction, v: np.ndarray) -> int:
+    """Rank of the compressions V* m V of the basis of M1, as K vectors."""
+    c = (dagger(v) @ bc.m1_basis @ v).reshape(bc.dim_m1, -1)
+    s = np.linalg.svd(c, compute_uv=False)
+    return int((s > GRAM_DROP_TOL * max(1.0, s.max(initial=0.0))).sum())
+
+
+def _m1_frame(bc: BasicConstruction) -> np.ndarray:
+    """The frame of op_norm1, from one seeded random Hermitian n in N.
+
+    The eigenspaces of right multiplication by n are the ranges of right
+    multiplication by the spectral projections of n, which are minimal in
+    their blocks of N for a generic n.  The groups of equal eigenvalues are
+    taken in order, and a group is kept only if it raises the rank of the
+    compressed basis of M1; the search stops at rank K, after one group
+    when N is a factor.
+    """
+    n = random_hermitian(np.random.default_rng(0), bc.inc.embed_basis)
+    # right multiplication by basis element j of M is left_cache[:, :, j].T
+    r_n = np.tensordot(bc.inc.coords(n), bc.left_cache, axes=([0], [2])).T
+    w, u = np.linalg.eigh((r_n + dagger(r_n)) / 2.0)
+    cuts = np.flatnonzero(np.diff(w) > EIGEN_GROUP_TOL * max(1.0, np.abs(w).max()))
+    v = u[:, :0]
+    rank = 0
+    for group in np.split(u, cuts + 1, axis=1):
+        wider = np.concatenate([v, group], axis=1)
+        wider_rank = _compressed_rank(bc, wider)
+        if wider_rank > rank:
+            v, rank = wider, wider_rank
+        if rank == bc.dim_m1:
+            break
+    _gate_frame(bc, v)
+    return v
+
+
+def _gate_frame(bc: BasicConstruction, v: np.ndarray) -> None:
+    """Refuse a frame that is not an isometry, whose range M1 leaves, or
+    on which the compression of M1 loses rank (a block of M1 is missing)."""
+    isometry = op_norm(dagger(v) @ v - np.eye(v.shape[1]))
+    if isometry > SPECTRAL_TOL:
+        raise ConstructionError(f"M1 frame is not an isometry (defect {isometry:.3e})")
+    mv = bc.m1_basis @ v
+    leak = float(op_norm(mv - v @ (dagger(v) @ mv)).max(initial=0.0))
+    if leak > SPECTRAL_TOL:
+        raise ConstructionError(
+            f"M1 does not leave the frame's range invariant (defect {leak:.3e})"
+        )
+    rank = _compressed_rank(bc, v)
+    if rank != bc.dim_m1:
+        raise ConstructionError(
+            f"M1 compressed to the frame has rank {rank}, expected {bc.dim_m1}: "
+            "a block of M1 is missing"
+        )
 
 
 # Defects of the defining properties of the trace projection, shared by the

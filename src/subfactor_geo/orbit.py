@@ -226,8 +226,22 @@ def _horizontal_refusals(point: OrbitPoint, zs: np.ndarray) -> list[DomainError 
     ]
 
 
-def _require_horizontal(point: OrbitPoint, z: np.ndarray) -> None:
-    (refusal,) = _horizontal_refusals(point, z[None])
+def _direction_refusals(point: OrbitPoint, zs: np.ndarray) -> list[DomainError | None]:
+    """Per slice z of an (n, m, m) stack: None if a geodesic can leave the
+    point along z, else the DomainError of the first gate z fails.  z must
+    be horizontal at the point (refused as _horizontal_refusals refuses),
+    then anti-Hermitian within SPECTRAL_TOL, the gate of the exponential."""
+    refusals = _horizontal_refusals(point, zs)
+    for k in np.flatnonzero(~op_norm_within(zs + dagger(zs), SPECTRAL_TOL)):
+        refusals[k] = refusals[k] or DomainError(
+            f"direction is not anti-Hermitian (defect {antiherm_defect(zs[k]):.3e})"
+        )
+    return refusals
+
+
+def _require(refusals: list[DomainError | None]) -> None:
+    """Raise the refusal of a stack of one, if any."""
+    (refusal,) = refusals
     if refusal is not None:
         raise refusal
 
@@ -256,7 +270,7 @@ class TangentVector:
 
 def delta_q(point: OrbitPoint, z: np.ndarray) -> TangentVector:
     """Differential of the orbit map at the point: z -> zq - qz."""
-    _require_horizontal(point, z)
+    _require(_horizontal_refusals(point, z[None]))
     lz = point.bc.left(z)
     return TangentVector(point=point, z=z, ambient=lz @ point.q - point.q @ lz)
 
@@ -307,8 +321,9 @@ def kappa_q(point: OrbitPoint, v: np.ndarray) -> np.ndarray:
 
 
 def geodesic_at(point: OrbitPoint, z: np.ndarray, t: float) -> OrbitPoint:
-    """The conjugation geodesic e^{tz} q e^{-tz} through the point."""
-    _require_horizontal(point, z)
+    """The conjugation geodesic e^{tz} q e^{-tz} through the point; z must
+    pass the gates of ``geodesic_endpoints``, with its refusal texts."""
+    _require(_direction_refusals(point, z[None]))
     u_t = spectral_function(t * z, "exp")
     return orbit_point_from_witness(point.bc, u_t @ point.witness)
 
@@ -321,18 +336,13 @@ def geodesic_endpoints(
     ``geodesic_at(point, z, 1.0)`` would raise, or None.
 
     Each slice passes geodesic_at's gates on its own: z horizontal at the
-    point (refused with geodesic_at's text), anti-Hermitian within
-    SPECTRAL_TOL (the gate of the exponential), and the endpoint with its
-    witness e^z u an orbit point.  The accepted slices share one stacked
-    exponential; the endpoint of a slice refused for its direction is left
-    zero.
+    point, anti-Hermitian within SPECTRAL_TOL (the gate of the exponential),
+    and the endpoint with its witness e^z u an orbit point.  The accepted
+    slices share one stacked exponential; the endpoint of a slice refused
+    for its direction is left zero.
     """
     bc = point.bc
-    refusals = _horizontal_refusals(point, zs)
-    for k in np.flatnonzero(~op_norm_within(zs + dagger(zs), SPECTRAL_TOL)):
-        refusals[k] = refusals[k] or DomainError(
-            f"direction is not anti-Hermitian (defect {antiherm_defect(zs[k]):.3e})"
-        )
+    refusals = _direction_refusals(point, zs)
     qs = np.zeros((len(zs),) + point.q.shape, dtype=complex)
     keep = np.flatnonzero([refusal is None for refusal in refusals])
     if keep.size:
@@ -357,6 +367,7 @@ class DiscreteCurve:
         gaps = np.diff(self.samples, axis=0)
         # every gap < 0.5: the largest float below 0.5 makes the gate strict
         if not np.all(op_norm_within(gaps, np.nextafter(0.5, 0.0))):
+            # the samples need not lie in M1, so the exact norm, not op_norm1
             gap = op_norm(gaps).max()
             raise DomainError(
                 f"curve is under-resolved: consecutive op-norm gap {gap:.3f} >= 0.5"
@@ -374,7 +385,7 @@ class DiscreteCurve:
 def sample_geodesic(
     point: OrbitPoint, z: np.ndarray, grid_n: int, t0: float = 0.0, t1: float = 1.0
 ) -> DiscreteCurve:
-    _require_horizontal(point, z)
+    _require(_direction_refusals(point, z[None]))
     if grid_n < 1:
         raise DomainError("grid must have at least one interval")
     ts = np.linspace(t0, t1, grid_n + 1)
@@ -533,9 +544,8 @@ def lift_with_defects(curve: DiscreteCurve) -> tuple[np.ndarray, float, float]:
             f"lift reconstruction defect {recon:.3e} exceeds {LIFT_TOL:.1e}; "
             f"re-sample the curve on a finer grid"
         )
-    unit = unitary_defect(lift).max()
-    if unit > SPECTRAL_TOL:
-        raise RefinementError(f"lift unitarity defect {unit:.3e}")
+    if not np.all(op_norm_within(dagger(lift) @ lift - ident, SPECTRAL_TOL)):
+        raise RefinementError(f"lift unitarity defect {unitary_defect(lift).max():.3e}")
     if horiz > LIFT_TOL:
         raise RefinementError(
             f"lift horizontality defect {horiz:.3e} exceeds {LIFT_TOL:.1e}; "
@@ -545,11 +555,12 @@ def lift_with_defects(curve: DiscreteCurve) -> tuple[np.ndarray, float, float]:
 
 
 def lift_defects(curve: DiscreteCurve, lift: np.ndarray) -> tuple[float, float]:
-    """(reconstruction, horizontality) defects of a candidate lift."""
+    """(reconstruction, horizontality) defects of a candidate lift; the
+    reconstruction defect is an operator norm in M1, taken by op_norm1."""
     bc = curve.bc
     qs = curve.samples
     llift = bc.left(lift)
-    recon = op_norm((llift @ qs[0]) @ dagger(llift) - qs).max()
+    recon = bc.op_norm1((llift @ qs[0]) @ dagger(llift) - qs).max()
     v = _diff4(lift, curve.dt) @ dagger(lift)
     e = _translated(bc.inc, lift @ _witness_at_start(curve), v)
     return float(recon), float(bc.inc.two_norm(e).max())
@@ -570,9 +581,10 @@ def curve_lengths(
 
     metric: 'two_norm' (trace-norm length), 'op_norm' (operator-norm
     length), or 'energy' (integrated squared trace-norm speed).  space
-    selects the trace: 'orbit' for extension-algebra-valued paths, 'lift'
-    for ambient-algebra-valued paths.  order 4 swaps the central
-    differences for wider stencils when comparisons need the extra digits.
+    selects the trace: 'orbit' for extension-algebra-valued paths, whose
+    operator norms op_norm1 takes, 'lift' for ambient-algebra-valued paths.
+    order 4 swaps the central differences for wider stencils when
+    comparisons need the extra digits.
     """
     if path.ndim != 3 or path.shape[0] < 2:
         raise DomainError("length functionals need at least two samples")
@@ -583,7 +595,7 @@ def curve_lengths(
     dt = 1.0 / (path.shape[0] - 1)
     vel = _diff2(path, dt) if order == 2 else _diff4(path, dt)
     if metric == "op_norm":
-        return _simpson(op_norm(vel), dt)
+        return _simpson(bc.op_norm1(vel) if space == "orbit" else op_norm(vel), dt)
     two = bc.two_norm1(vel) if space == "orbit" else bc.inc.two_norm(vel)
     return _simpson(two if metric == "two_norm" else two**2, dt)
 
@@ -620,8 +632,9 @@ def first_variation(
         raise DomainError("family slices must share one sampling grid")
     inc = bc.inc
     for path in (minus, zero, plus):
-        worst = unitary_defect(path[:: max(1, path.shape[0] // 8)]).max()
-        if worst > PATH_UNITARY_TOL:
+        probes = path[:: max(1, path.shape[0] // 8)]
+        if not np.all(op_norm_within(dagger(probes) @ probes - inc.identity(), PATH_UNITARY_TOL)):
+            worst = unitary_defect(probes).max()
             raise DomainError(f"family samples are not unitary (defect {worst:.3e})")
     T = zero.shape[0]
     dt = 1.0 / (T - 1)
@@ -908,7 +921,7 @@ def shorten_to_polygonal(curve: DiscreteCurve, segment_bound: float) -> Polygona
     while i < T - 1:
         j = i + 1
         best = -1
-        while j < T and op_norm(qs[j] - qs[i]) < min(segment_bound, LOG_RADIUS):
+        while j < T and bc.op_norm1(qs[j] - qs[i]) < min(segment_bound, LOG_RADIUS):
             best = j
             j += 1
         if best < 0:
@@ -1012,7 +1025,7 @@ def minimality_experiment(
         pert_curve = curve_from_unitaries(bc, us, base=point)
         l2 = curve_lengths(bc, pert_curve.samples, "two_norm", order=4)
         linf = curve_lengths(bc, pert_curve.samples, "op_norm", order=4)
-        disp = op_norm(pert_curve.samples - point.q).max()
+        disp = bc.op_norm1(pert_curve.samples - point.q).max()
         within = linf <= probe_radius
         margin = l2 - l2_geo
         violation = within and margin < -LENGTH_TOL

@@ -41,6 +41,7 @@ from .grassmann import (
 from .linalg import dagger, exp_family, op_norm, polar_antihermitian, spectral_function
 from .orbit import (
     CONVEXITY_RADIUS,
+    OrbitPoint,
     base_point,
     convexity_probe,
     curve_from_unitaries,
@@ -48,13 +49,13 @@ from .orbit import (
     covariant_derivative,
     delta_q,
     first_variation,
-    geodesic_at,
+    geodesic_endpoints,
     geodesic_equation_residual,
     grassmann_section,
     kappa_q,
     lift_with_defects,
     minimality_experiment,
-    orbit_log,
+    orbit_log_batch,
     orbit_section_theta,
     random_horizontal_at,
     random_orbit_point,
@@ -81,7 +82,7 @@ def _random_m1_antihermitian(
     c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     y = np.tensordot(c, bc.m1_basis, axes=1)
     y = 0.5 * (y - dagger(y))
-    nrm = op_norm(y)
+    nrm = bc.op_norm1(y)
     return (scale / nrm) * y if nrm > 0 else y
 
 
@@ -95,6 +96,16 @@ def _p_commuting_unitary_path(
     a = _random_m1_antihermitian(bc, rng, scale)
     a = p @ a @ p + comp @ a @ comp
     return exp_family(a, ts)
+
+
+def _geodesic_endpoints(point: OrbitPoint, zs: np.ndarray) -> np.ndarray:
+    """The endpoints of the geodesics through the point along each slice of
+    zs, raising the first refusal as geodesic_at would."""
+    qs, refusals = geodesic_endpoints(point, zs)
+    for refusal in refusals:
+        if refusal is not None:
+            raise refusal
+    return qs
 
 
 def _subalgebra_antihermitian(
@@ -160,7 +171,7 @@ def _suite_construction(bc: BasicConstruction, cfg: RunConfig) -> list[CheckReco
         worst = max(
             worst,
             op_norm(dagger(u) @ u - ident),
-            op_norm(bc.left(u) @ p - omega @ p),
+            bc.op_norm1(bc.left(u) @ p - omega @ p),
         )
     recs.append(
         record("unitary recovery from the extension", "u = (1/λ)E₁(ωp)", worst, 1e-8, n_rec)
@@ -263,13 +274,13 @@ def _suite_metric(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]:
     for _ in range(n42):
         z = random_horizontal(inc, rng)
         lz = bc.left(z)
-        worst_42 = max(worst_42, sqlam * op_norm(z) - op_norm(lz @ p - p @ lz))
+        worst_42 = max(worst_42, sqlam * op_norm(z) - bc.op_norm1(lz @ p - p @ lz))
         znorm = op_norm(z)
         zs = z * (rng.uniform(0.05, 0.95) * sqlam / znorm)
         zn = op_norm(zs)
         ez = spectral_function(zs, "exp")
         lez = bc.left(ez)
-        spread = op_norm(lez @ p @ dagger(lez) - p)
+        spread = bc.op_norm1(lez @ p @ dagger(lez) - p)
         worst_43 = max(worst_43, zn * (sqlam - zn) - spread)
     recs.append(
         record(
@@ -295,14 +306,20 @@ def _suite_metric(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]:
     worst_log = 0.0
     worst_dm = 0.0
     base = base_point(bc)
-    for _ in range(n_log):
-        z0 = random_horizontal_at(base, rng, op_scale=rng.uniform(0.02, 0.3))
-        q1 = geodesic_at(base, z0, 1.0)
-        res = orbit_log(base, q1, tol=1e-10)
+    z0s = np.stack(
+        [
+            random_horizontal_at(base, rng, op_scale=rng.uniform(0.02, 0.3))
+            for _ in range(n_log)
+        ]
+    )
+    q1s = _geodesic_endpoints(base, z0s)
+    for z0, q1, res in zip(z0s, q1s, orbit_log_batch(base, q1s, tol=1e-10)):
+        if isinstance(res, Exception):
+            raise res
         worst_log = max(worst_log, inc.two_norm(res.z - z0))
         worst_dm = max(
             worst_dm,
-            bc.two_norm1(q1.q - base.q) - sq2lam * inc.two_norm(res.z),
+            bc.two_norm1(q1 - base.q) - sq2lam * inc.two_norm(res.z),
         )
     recs.append(
         record(
@@ -325,15 +342,19 @@ def _suite_metric(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]:
 
     n_sec = max(4, n // 5)
     worst_sec = 0.0
-    for _ in range(n_sec):
-        z = random_horizontal_at(base, rng, op_scale=rng.uniform(0.05, 0.4))
-        q1 = geodesic_at(base, z, 1.0)
+    zs = np.stack(
+        [
+            random_horizontal_at(base, rng, op_scale=rng.uniform(0.05, 0.4))
+            for _ in range(n_sec)
+        ]
+    )
+    for q1 in _geodesic_endpoints(base, zs):
         u = orbit_section_theta(bc, q1)
         lu = bc.left(u)
         worst_sec = max(
             worst_sec,
             op_norm(dagger(u) @ u - inc.identity()),
-            op_norm(lu @ p @ dagger(lu) - q1.q),
+            bc.op_norm1(lu @ p @ dagger(lu) - q1),
         )
     recs.append(
         record(
@@ -452,7 +473,7 @@ def _suite_lifts(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]:
             worst_eq,
             abs(l2_eq - l2_lift),
             drift,
-            op_norm(lv0 @ curve.samples[0] - curve.samples[0] @ lv0),
+            bc.op_norm1(lv0 @ curve.samples[0] - curve.samples[0] @ lv0),
         )
 
         # extension-algebra lift: right-translate by a p-commuting path
@@ -731,7 +752,7 @@ def _suite_grassmann(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]
         lx = bc.left(x)
         gen = lx @ p - p @ dagger(lx)
         ev = spectral_function(t * gen, "exp")
-        worst_block = max(worst_block, op_norm(qb - ev @ p @ dagger(ev)))
+        worst_block = max(worst_block, bc.op_norm1(qb - ev @ p @ dagger(ev)))
     recs.append(
         record(
             "block exponential agrees with dense conjugation",
@@ -769,7 +790,7 @@ def _suite_grassmann(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]
         ew = spectral_function(gen, "exp")
         q2 = ew @ p @ dagger(ew)
         x = grassmann_section(p, q2)
-        worst_sec = max(worst_sec, op_norm(x - gen))
+        worst_sec = max(worst_sec, bc.op_norm1(x - gen))
     recs.append(
         record(
             "section logarithm recovers the codiagonal generator",
@@ -795,7 +816,7 @@ def _suite_degeneracy(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord
         gen = lx @ p - p @ dagger(lx)
         ev = exp_family(gen, t_grid)
         eu = exp_family(lx, t_grid)
-        return op_norm(ev @ p @ dagger(ev) - eu @ p @ dagger(eu)).max()
+        return bc.op_norm1(ev @ p @ dagger(ev) - eu @ p @ dagger(eu)).max()
 
     n_deg = max(6, cfg.trials // 10)
     worst_fwd = 0.0
@@ -808,7 +829,7 @@ def _suite_degeneracy(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord
         worst_fwd = max(worst_fwd, curve_gap(x))
         for t, eu in zip(closed_ts.tolist(), exp_family(bc.left(x), closed_ts)):
             closed = degenerate_geodesic_closed_form(bc, x, t)
-            worst_closed = max(worst_closed, op_norm(closed - eu @ p @ dagger(eu)))
+            worst_closed = max(worst_closed, bc.op_norm1(closed - eu @ p @ dagger(eu)))
     recs.append(
         record(
             "degenerate directions: both exponentials trace one curve",

@@ -25,6 +25,10 @@ PATH_UNITARY_TOL = 1e-8
 SECTION_TOL = 1e-9
 # Trace-norm length difference the quadrature of a curve length is trusted to.
 LENGTH_TOL = 1e-6
+# Relative gap below which neighbouring eigenvalues of a Hermitian matrix
+# are taken as one eigenvalue when its eigenspaces are grouped.
+EIGEN_GROUP_TOL = 1e-8
 # Gram-Schmidt drop tolerance: candidate directions with smaller residual
-# norm are treated as linearly dependent.
+# norm are treated as linearly dependent; relative to the largest singular
+# value, the same cutoff counts the rank of a stack of directions.
 GRAM_DROP_TOL = 1e-9

@@ -15,7 +15,9 @@ from subfactor_geo.algebra import (
     random_unitary,
     AlgebraDescriptor,
 )
+from subfactor_geo import family_construction
 from subfactor_geo.basic import (
+    _gate_frame,
     build_basic_construction,
     dump_construction,
     expectation_E1,
@@ -309,3 +311,88 @@ def test_dump_construction_round_trip(tmp_path, constructions):
     assert op_norm(p - bc.jones_p) < 1e-14
     manifest = (tmp_path / "manifest.json").read_text()
     assert "cafe" in manifest
+
+
+# ---------------------------------------------------------------------------
+# operator norms of M1 elements on one copy of each block
+
+
+@pytest.fixture(scope="module")
+def frame_cases(constructions):
+    cases = dict(constructions)
+    cases["tensor(3,2)"] = family_construction("tensor(3,2)")
+    cases["diagonal C+C in M2"] = diagonal_pair_construction()
+    return cases
+
+
+# frame width r: the sum over the blocks of M1 of their sizes
+FRAME_WIDTHS = {
+    "tensor(1,2)": 4,
+    "tensor(1,3)": 9,
+    "tensor(2,2)": 8,
+    "group_flip(scalars)": 2,
+    "group_flip(m2)": 4,
+    "tensor(3,2)": 12,
+    "diagonal C+C in M2": 4,
+}
+
+
+def test_m1_frame_is_built_on_first_use_only():
+    bc = build_basic_construction(make_tensor_inclusion(2, 2))
+    assert "m1_frame" not in vars(bc)
+    v = bc.m1_frame
+    assert v.shape == (16, 8)
+    assert bc.m1_frame is v
+
+
+def test_op_norm1_equals_op_norm_on_m1(frame_cases):
+    rng = np.random.default_rng(31)
+    for name, bc in frame_cases.items():
+        v = bc.m1_frame
+        assert v.shape == (bc.dim_l2, FRAME_WIDTHS[name]), name
+        c = rng.standard_normal((6, bc.dim_m1)) + 1j * rng.standard_normal((6, bc.dim_m1))
+        xs = np.tensordot(c, bc.m1_basis, axes=1)
+        herm = (xs + dagger(xs)) / 2.0
+        for stack in (xs, herm):
+            exact = op_norm(stack)
+            # the compression itself, also where r = D and op_norm1 is op_norm
+            assert np.all(np.abs(op_norm(dagger(v) @ stack @ v) - exact) <= 1e-13 * exact), name
+            assert np.all(np.abs(bc.op_norm1(stack) - exact) <= 1e-13 * exact), name
+            for x, e in zip(stack, exact):
+                one = bc.op_norm1(x)
+                assert isinstance(one, float)
+                assert abs(one - e) <= 1e-13 * e, name
+
+
+def test_op_norm1_is_op_norm_when_the_frame_is_square(constructions):
+    rng = np.random.default_rng(32)
+    for name in ("tensor(1,2)", "tensor(1,3)", "group_flip(scalars)"):
+        bc = constructions[name]
+        assert bc.m1_frame.shape[1] == bc.dim_l2
+        x = np.tensordot(rng.standard_normal((3, bc.dim_m1)), bc.m1_basis, axes=1)
+        assert np.array_equal(bc.op_norm1(x), op_norm(x))
+
+
+def test_m1_frame_keeps_every_block_of_a_non_factor():
+    # M1 of C+C in M2 is M2 + M2, one block per minimal projection of N;
+    # one eigenvalue group of the right action holds one block only
+    bc = diagonal_pair_construction()
+    v = bc.m1_frame
+    _gate_frame(bc, v)
+    with pytest.raises(ConstructionError, match="rank 4, expected 8: a block of M1 is missing"):
+        _gate_frame(bc, v[:, :2])
+    # the dropped block is invisible to the compression: its central
+    # projection reads norm 0 there
+    blocks = [v[:, :2] @ dagger(v[:, :2]), v[:, 2:] @ dagger(v[:, 2:])]
+    assert op_norm(dagger(v[:, :2]) @ blocks[1] @ v[:, :2]) < 1e-13
+    assert abs(op_norm(blocks[1]) - 1.0) < 1e-13
+
+
+def test_m1_frame_gates_refuse_bad_frames(constructions):
+    bc = constructions["tensor(2,2)"]
+    v = bc.m1_frame
+    with pytest.raises(ConstructionError, match="not an isometry"):
+        _gate_frame(bc, 1.01 * v)
+    q, _ = np.linalg.qr(np.random.default_rng(33).standard_normal((bc.dim_l2, 8)))
+    with pytest.raises(ConstructionError, match="does not leave the frame's range invariant"):
+        _gate_frame(bc, q.astype(complex))

@@ -13,6 +13,7 @@ from subfactor_geo.algebra import (
 from subfactor_geo.basic import reduce_R
 from subfactor_geo.errors import ConvergenceError, DomainError, MembershipError, RadiusError
 from subfactor_geo.linalg import (
+    antiherm_defect,
     dagger,
     log_unitary_principal,
     op_norm,
@@ -591,6 +592,37 @@ def test_geodesic_endpoints_match_geodesic_at(constructions):
     assert str(refusals[3]) == str(single.value)
     assert f"(defect {horizontal_defect_at(pt, zs[3]):.3e})" in str(refusals[3])
     assert not np.any(qs[3])
+
+
+def test_geodesic_refuses_a_direction_its_exponential_cannot_take(constructions):
+    # horizontal within WITNESS_TOL, but not anti-Hermitian within
+    # SPECTRAL_TOL: every geodesic form refuses it with one text
+    bc = constructions["tensor(1,2)"]
+    rng = np.random.default_rng(5)
+    pt = base_point(bc)
+    z = random_horizontal_at(pt, rng) + 1e-9 * bc.inc.identity()
+    assert horizontal_defect_at(pt, z) <= 1e-8
+    expected = f"direction is not anti-Hermitian (defect {antiherm_defect(z):.3e})"
+    assert expected.endswith("(defect 2.000e-09)")
+    _, (refusal,) = geodesic_endpoints(pt, z[None])
+    assert str(refusal) == expected
+    for gate in (lambda: geodesic_at(pt, z, 1.0), lambda: sample_geodesic(pt, z, 8)):
+        with pytest.raises(DomainError) as refused:
+            gate()
+        assert str(refused.value) == expected
+
+
+def test_first_variation_names_the_exact_unitarity_defect(constructions):
+    bc = constructions["tensor(2,2)"]
+    ts = np.linspace(0.0, 1.0, 17)
+    z = random_horizontal(bc.inc, np.random.default_rng(6))
+    us = spectral_function(ts[:, None, None] * z, "exp")
+    bad = 1.001 * us
+    with pytest.raises(DomainError) as refused:
+        first_variation(bc, us, us, bad, 1e-3)
+    assert str(refused.value) == (
+        f"family samples are not unitary (defect {unitary_defect(bad[::2]).max():.3e})"
+    )
 
 
 def test_orbit_log_validates_at_most_one_point(constructions, rng, monkeypatch):
