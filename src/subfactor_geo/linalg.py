@@ -9,10 +9,21 @@ to machine precision.
 ``dagger``, ``op_norm``, the three ``*_defect`` measures,
 ``spectral_function`` and ``log_unitary_principal`` accept a single matrix or
 a stack of shape ``(..., n, n)`` and act slice by slice, with one batched
-LAPACK call per stack (``log_unitary_principal`` runs its complex Schur once
-per slice and everything else once per stack); each slice of a stacked result
-is bitwise equal to the result for that slice alone.  ``op_norm`` returns a
-float for a matrix and an array of shape ``(...)`` for a stack.
+LAPACK call per step and stack; each slice of a stacked result is bitwise
+equal to the result for that slice alone.  ``op_norm`` returns a float for a
+matrix and an array of shape ``(...)`` for a stack.
+
+``log_unitary_principal`` diagonalizes a unitary U through a Cayley
+transform with a shifted pole, in numpy alone.  The pole e^{iφ} sits in the
+middle of the widest gap between the eigenangles of U, and with
+v = e^{-iφ}U the matrix C = i(1 - v)^{-1}(1 + v) is Hermitian with
+eigenvalue -cot(b/2) for each eigenangle b of v in (0, 2π).  That map is
+strictly increasing in b, so C has exactly the eigenspaces of U: ``eigh`` of
+C returns an orthonormal eigenbasis of U, also on clustered or repeated
+spectrum, where an eigenbasis from U's own eigenvectors need not be
+orthonormal.  The widest of the n gaps is at least 2π/n, so every b lies in
+[π/n, 2π - π/n] and ‖C‖ ≤ cot(π/2n): the pole stays away from the spectrum
+and the solve stays well conditioned, also for eigenangles next to ±π.
 
 ``exp_family(z, ts)`` samples e^{tz} for one anti-Hermitian z on a vector of
 times with one eigh of z; every path of one generator is sampled through it,
@@ -30,7 +41,6 @@ exact test.  Error messages still report exact operator-norm defects.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BranchCutError, DomainError
 from .tolerances import ANGLE_GUARD, SPECTRAL_TOL
@@ -195,12 +205,16 @@ def log_unitary_principal(u: np.ndarray) -> np.ndarray:
     a ``(..., n, n)`` stack.
 
     Eigenangles are taken in (-pi, pi); spectrum within ANGLE_GUARD of -1
-    raises BranchCutError.  Uses a complex Schur decomposition so the
-    eigenbasis stays orthonormal on clustered spectrum.  The Schur runs once
-    per slice; the unitarity and normality gates, the branch-cut guard and
-    the reconstruction run once per stack, and each slice of the result is
-    bitwise equal to the logarithm of that slice alone.  A stack's errors
-    name the first failing slice.
+    raises BranchCutError.  The eigenbasis Q is the ``eigh`` basis of the
+    Cayley transform C = i(1 - v)^{-1}(1 + v), v = e^{-iφ}U, with the pole
+    e^{iφ} in the middle of the widest gap between U's eigenangles (from
+    ``eigvals``).  C is Hermitian, and its eigenvalue -cot(b/2) is
+    injective in the eigenangle b of v, so C's eigenspaces are U's and Q is
+    orthonormal on clustered spectrum; the widest gap is at least 2π/n, so
+    ‖C‖ ≤ cot(π/2n).  The angles are read from the diagonal of T = Q*UQ,
+    whose off-diagonal part is the normality gate.  Every step runs once per
+    stack, and each slice of the result is bitwise equal to the logarithm of
+    that slice alone.  A stack's errors name the first failing slice.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
@@ -213,10 +227,15 @@ def log_unitary_principal(u: np.ndarray) -> np.ndarray:
         raise DomainError(
             f"{where} is not unitary (defect {unitary_defect(u[k]):.3e} > {SPECTRAL_TOL:.1e})"
         )
-    t = np.empty_like(u)
-    q = np.empty_like(u)
-    for k in np.ndindex(u.shape[:-2]):
-        t[k], q[k] = scipy.linalg.schur(u[k], output="complex")
+    a = np.sort(np.angle(np.linalg.eigvals(u)), axis=-1)
+    gaps = np.diff(a, axis=-1, append=a[..., :1] + 2.0 * np.pi)
+    pole = np.take_along_axis(a + gaps / 2.0, np.argmax(gaps, axis=-1)[..., None], -1)
+    v = np.exp(-1j * pole)[..., None] * u
+    eye = np.eye(n)
+    s = np.linalg.solve(eye - v, eye + v)
+    # C = i s; eigh reads the Hermitian part of C, i (s - s*) / 2
+    _, q = np.linalg.eigh((s - dagger(s)) * 0.5j)
+    t = dagger(q) @ u @ q
     diag = np.diagonal(t, axis1=-2, axis2=-1)
     off = t.copy()
     off[..., np.arange(n), np.arange(n)] = 0.0

@@ -2,12 +2,15 @@
 
 import gc
 import json
+import os
+import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import subfactor_geo
 from subfactor_geo import cli
 from subfactor_geo.cli import main
 from subfactor_geo.errors import DomainError, RadiusError
@@ -266,3 +269,38 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# The package runs on numpy alone: importing the CLI and running the kernels
+# of the local geometry must not load scipy, whose import would add to the
+# start-up time and memory of every process.
+_SCIPY_FREE = """
+import sys
+import numpy as np
+import subfactor_geo.cli
+from subfactor_geo import family_construction
+from subfactor_geo.algebra import random_unitary
+from subfactor_geo.linalg import log_unitary_principal, spectral_function
+from subfactor_geo.orbit import convexity_probe, grassmann_section
+
+rng = np.random.default_rng(3)
+bc = family_construction("tensor(1,2)")
+log_unitary_principal(random_unitary(rng, bc.inc.amb_basis, scale=0.5))
+w = spectral_function(np.array([[0.0, -0.2], [0.2, 0.0]], dtype=complex), "exp")
+p1 = np.diag([1.0, 0.0]).astype(complex)
+grassmann_section(p1, w @ p1 @ w.conj().T)
+u0 = random_unitary(rng, bc.inc.amb_basis, scale=0.1)
+convexity_probe(bc, u0, u0, u0 @ random_unitary(rng, bc.inc.amb_basis, scale=0.1), grid_n=8)
+if "scipy" in sys.modules:
+    sys.exit(f"scipy was imported: {sorted(m for m in sys.modules if m.startswith('scipy'))}")
+"""
+
+
+def test_cli_and_local_geometry_do_not_import_scipy():
+    src = os.path.dirname(os.path.dirname(subfactor_geo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE],
+        env=env, capture_output=True, text=True, check=False, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

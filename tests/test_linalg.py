@@ -1,4 +1,6 @@
-"""Spectral calculus against independent oracles (series, scipy.linalg)."""
+"""Spectral calculus against independent oracles (series, scipy.linalg).
+
+scipy serves only as a reference here; the package itself runs on numpy."""
 
 import warnings
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subfactor_geo.errors import BranchCutError, DomainError
+from subfactor_geo.tolerances import ANGLE_GUARD
 from subfactor_geo.linalg import (
     op_norm_within,
     antiherm_defect,
@@ -157,7 +160,8 @@ def random_unitary_stack(rng, count, n):
 @pytest.mark.parametrize("n", [2, 4])
 def test_stacked_log_is_bitwise_the_slice_loop(rng, n):
     stack = random_unitary_stack(rng, 6, n)
-    # v ⊗ 1₂ has every eigenvalue twice: the clustered case Schur is kept for
+    # v ⊗ 1₂ has every eigenvalue twice: clustered spectrum, on which the
+    # eigh basis of the Cayley transform must stay orthonormal
     v = spectral_function(random_antiherm(rng, n // 2, scale=1.5), "exp")
     stack[1] = np.kron(v, np.eye(2))
     stack[2] = np.eye(n)
@@ -199,6 +203,89 @@ def test_stacked_log_names_the_branch_cut_slice(rng):
     assert exc.value.eigenvalue == single.value.eigenvalue
     assert abs(exc.value.eigenvalue + 1.0) < 1e-12
     assert f"{single.value.eigenvalue:.12f}" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# the Cayley-transform logarithm against the complex Schur route
+
+
+def schur_log(u):
+    """Principal logarithm from scipy's complex Schur form, and the Schur
+    eigenvalue of largest angle (the one the branch-cut guard reports)."""
+    t, q = scipy.linalg.schur(u, output="complex")
+    diag = np.diag(t)
+    angles = np.angle(diag)
+    x = (q * (1j * angles)) @ dagger(q)
+    return (x - dagger(x)) / 2.0, diag[np.argmax(np.abs(angles))]
+
+
+def assert_log_matches_schur(u):
+    ours = log_unitary_principal(u)
+    ref, _ = schur_log(u)
+    assert op_norm(ours - ref) < 1e-13
+    assert np.array_equal(ours, -dagger(ours))
+
+
+def random_unitary(rng, n):
+    return spectral_function(random_antiherm(rng, n, scale=2.0), "exp")
+
+
+def with_angles(rng, angles):
+    """W diag(e^{i angles}) W* for a random unitary W."""
+    w = random_unitary(rng, len(angles))
+    return (w * np.exp(1j * np.asarray(angles))) @ dagger(w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_log_matches_schur_on_random_unitaries(rng, n):
+    for scale in (0.05, 1.0, 2.5, 3.0, 3.13):
+        for _ in range(5):
+            assert_log_matches_schur(spectral_function(random_antiherm(rng, n, scale=scale), "exp"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_log_matches_schur_on_clusters_and_identity(rng, n):
+    assert_log_matches_schur(np.eye(n, dtype=complex))
+    assert np.array_equal(log_unitary_principal(np.eye(n)), np.zeros((n, n)))
+    v = spectral_function(random_antiherm(rng, n, scale=3.0), "exp")
+    assert_log_matches_schur(np.kron(v, np.eye(2)))
+    assert_log_matches_schur(np.kron(np.eye(2), v))
+
+
+@pytest.mark.parametrize("d,r", [(2, 1), (4, 1), (4, 2), (8, 3), (16, 4)])
+def test_log_matches_schur_on_grassmann_symmetry_products(rng, d, r):
+    # (2p₂ − 1)(2p₁ − 1) has conjugate eigenvalue pairs and ±1 with multiplicity
+    frame = random_unitary(rng, d)[:, :r]
+    p1 = frame @ dagger(frame)
+    for scale in (1e-3, 0.3, 1.0, 1.5):
+        w = spectral_function(random_antiherm(rng, d, scale=scale), "exp")
+        p2 = w @ p1 @ dagger(w)
+        assert_log_matches_schur((2.0 * p2 - np.eye(d)) @ (2.0 * p1 - np.eye(d)))
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-7, 5e-8])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_log_matches_schur_next_to_the_branch_cut(rng, n, delta):
+    # a pole left at -1 would lose about 1e-16 / delta here
+    for sign in (1.0, -1.0):
+        rest = rng.uniform(-3.0, 3.0, n - 1)
+        u = with_angles(rng, np.concatenate([[sign * (np.pi - delta)], rest]))
+        assert_log_matches_schur(u)
+
+
+def test_log_refuses_the_branch_cut_like_schur(rng):
+    delta = 5e-9
+    for n in (2, 4, 8):
+        stack = random_unitary_stack(rng, 3, n)
+        stack[1] = with_angles(rng, np.concatenate([[np.pi - delta], rng.uniform(-3.0, 3.0, n - 1)]))
+        _, ref = schur_log(stack[1])
+        assert np.pi - abs(np.angle(ref)) < ANGLE_GUARD
+        with pytest.raises(BranchCutError, match=r"of slice \(1,\) is within") as exc:
+            log_unitary_principal(stack)
+        assert abs(exc.value.eigenvalue - ref) < 1e-13
+        with pytest.raises(BranchCutError) as single:
+            log_unitary_principal(stack[1])
+        assert single.value.eigenvalue == exc.value.eigenvalue
 
 
 @pytest.mark.parametrize("n", [2, 4, 16])
