@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .linalg import dagger, op_norm
-from .tolerances import GRAM_DROP_TOL, SPECTRAL_TOL
+from .tolerances import GRAM_DROP_TOL, PP_MARGIN_TOL, SPECTRAL_TOL
 
 __all__ = [
     "AlgebraDescriptor",
@@ -304,42 +304,41 @@ def pimsner_popa_validate(
 ) -> PPReport:
     """Check E(x*x) >= lam * x*x over a deterministic probe family.
 
-    Probes: every basis element of M, ``n_samples`` Gaussian elements of M,
-    and the spectral projections of the Hermitian parts of those samples
-    (low-rank probes; Gaussian elements alone are far from the extremals of
-    the inequality, projections sit on them).  Feasible means the worst
-    eigenvalue margin stays above -1e-10.  Deterministic under the seed.
+    Probes: every basis element of M, then for each of ``n_samples``
+    Gaussian elements x of M, x itself followed by the rank-one spectral
+    projections of its Hermitian part (low-rank probes; Gaussian elements
+    alone are far from the extremals of the inequality, projections sit on
+    them).  The probes form one stack, and x*x, E(x*x) - lam * x*x and its
+    eigenvalues are each computed once over it.  Feasible means the worst
+    eigenvalue margin is at least -``PP_MARGIN_TOL``; the witness is the
+    first probe with the worst margin.  Deterministic under the seed.
     """
     if lam is None:
         lam = inc.lam
     if not lam > 0:
         raise DomainError(f"lambda must be positive, got {lam}")
     rng = np.random.default_rng(seed)
-    probes: list[np.ndarray] = [b for b in inc.amb_basis]
-    for _ in range(n_samples):
-        x = random_element(rng, inc.amb_basis)
-        probes.append(x)
-        xh = (x + dagger(x)) / 2.0
-        _, vecs = np.linalg.eigh(xh)
-        for col in range(vecs.shape[1]):
-            v = vecs[:, col]
-            probes.append(np.outer(v, v.conj()))
-    worst = np.inf
-    witness = None
-    for x in probes:
-        y = dagger(x) @ x
-        d = expectation_E(inc, y) - lam * y
-        margin = float(np.linalg.eigvalsh((d + dagger(d)) / 2.0).min())
-        if margin < worst:
-            worst = margin
-            witness = x
-    feasible = worst >= -1e-10
+    shape = inc.amb_basis.shape[1:]
+    xs = np.array([random_element(rng, inc.amb_basis) for _ in range(n_samples)])
+    xs = xs.reshape((n_samples,) + shape)
+    _, vecs = np.linalg.eigh((xs + dagger(xs)) / 2.0)
+    # projs[s, c] = v v* for the column v = vecs[s, :, c]
+    cols = np.swapaxes(vecs, -1, -2)
+    projs = cols[..., :, None] * cols[..., None, :].conj()
+    samples = np.concatenate([xs[:, None], projs], axis=1).reshape((-1,) + shape)
+    probes = np.concatenate([inc.amb_basis, samples])
+    y = dagger(probes) @ probes
+    d = expectation_E(inc, y) - lam * y
+    margins = np.linalg.eigvalsh((d + dagger(d)) / 2.0).min(axis=-1)
+    k = int(np.argmin(margins))
+    worst = float(margins[k])
+    feasible = worst >= -PP_MARGIN_TOL
     return PPReport(
         feasible=feasible,
         worst_margin=worst,
         lam=float(lam),
         n_checked=len(probes),
-        witness=None if feasible else witness,
+        witness=None if feasible else probes[k].copy(),
     )
 
 

@@ -187,15 +187,9 @@ def cmd_geodesic(cfg: RunConfig) -> int:
     for i in range(d):
         for j in range(d):
             header += [f"q_{i}_{j}_re", f"q_{i}_{j}_im"]
-    rows = []
     ts = np.linspace(0.0, 1.0, grid + 1)
-    for k, t in enumerate(ts):
-        q = curve.samples[k]
-        row = [float(t)]
-        for i in range(d):
-            for j in range(d):
-                row += [float(q[i, j].real), float(q[i, j].imag)]
-        rows.append(row)
+    # (re, im) of each entry in row-major order, the order of the header
+    rows = np.column_stack([ts, curve.samples.view(float).reshape(len(ts), -1)])
     csv_path = os.path.join(out, "geodesic.csv")
     write_csv_rows(csv_path, header, rows)
 
@@ -331,13 +325,10 @@ def _sweep_convexity(bc: BasicConstruction, cfg: RunConfig, out: str) -> dict:
     if cfg.trials == 0:
         write_csv_rows(os.path.join(out, "convexity.csv"), header, [])
         return {"status": "no data", "n_trials": 0}
-    rows = []
-    violations = 0
-    for k in range(cfg.trials):
-        rep = convexity_probe(bc, *sample_convexity_triple(bc.inc, rng), grid_n=32)
-        violations += int(not rep.passed)
-        rows.append([k, rep.min_second_difference, int(rep.passed)])
+    reps = convexity_probe(bc, *sample_convexity_triple(bc.inc, rng, cfg.trials), grid_n=32)
+    rows = [[k, rep.min_second_difference, int(rep.passed)] for k, rep in enumerate(reps)]
     write_csv_rows(os.path.join(out, "convexity.csv"), header, rows)
+    violations = sum(not rep.passed for rep in reps)
     return {"status": "ok", "n_trials": cfg.trials, "violations": violations}
 
 

@@ -1070,42 +1070,74 @@ def convexity_probe(
     u1: np.ndarray,
     u2: np.ndarray,
     grid_n: int = 32,
-) -> ConvexityReport:
+) -> ConvexityReport | list[ConvexityReport]:
     """Squared trace-norm log-distance from u0 to the unitary geodesic from
     u1 to u2, sampled on a grid; reports the smallest second difference.
 
-    The three unitaries must be pairwise closer than ``CONVEXITY_RADIUS`` in
-    operator norm.  The grid takes one stacked logarithm.
+    Takes three matrices and returns one report, or three ``(n, D, D)``
+    stacks of triples and returns a list of n reports, each equal to the
+    report of its triple alone.  The three unitaries of each triple must be
+    pairwise closer than ``CONVEXITY_RADIUS`` in operator norm; a stack's
+    ``RadiusError`` names its first failing slice.  The first logarithm is
+    one stacked call.  Each triple's geodesic comes from its own
+    ``exp_family`` call, and the logarithms of all n·(grid_n + 1) path
+    products run as min(n, grid_n + 1) stacked calls of about
+    max(n, grid_n + 1) slices each, which bounds the working set.
     """
-    gaps = op_norm(np.stack([u0 - u1, u0 - u2, u1 - u2]))
-    for gap in gaps.tolist():
-        if gap >= CONVEXITY_RADIUS:
-            raise RadiusError(
-                f"unitaries are op-norm {gap:.4f} apart; the convexity window "
-                f"requires < {CONVEXITY_RADIUS:.4f}"
-            )
-    w = log_unitary_principal(dagger(u1) @ u2)
-    exps = exp_family(w, np.linspace(0.0, 1.0, grid_n + 1))
-    lg = log_unitary_principal(dagger(u0) @ (u1 @ exps))
-    # Python's float power, not numpy's square: the two can differ by an ulp.
-    f = np.array([v**2 for v in bc.inc.two_norm(lg).tolist()])
-    second = f[:-2] - 2.0 * f[1:-1] + f[2:]
-    min_second = float(second.min()) if second.size else 0.0
-    return ConvexityReport(
-        f_values=tuple(f.tolist()),
-        min_second_difference=min_second,
-        passed=min_second >= -CONVEXITY_TOL,
+    single = np.ndim(u0) == 2
+    if single:
+        u0, u1, u2 = u0[None], u1[None], u2[None]
+    gaps = op_norm(np.stack([u0 - u1, u0 - u2, u1 - u2], axis=1))
+    wide = gaps >= CONVEXITY_RADIUS
+    if np.any(wide):
+        k, j = np.argwhere(wide)[0]
+        which = "" if single else f" of slice {k}"
+        raise RadiusError(
+            f"unitaries{which} are op-norm {gaps[k, j]:.4f} apart; the convexity "
+            f"window requires < {CONVEXITY_RADIUS:.4f}"
+        )
+    ts = np.linspace(0.0, 1.0, grid_n + 1)
+    ws = log_unitary_principal(dagger(u1) @ u2)
+    prods = np.concatenate(
+        [dagger(a) @ (b @ exp_family(w, ts)) for a, b, w in zip(u0, u1, ws)]
     )
+    n_stacks = min(len(u0), len(ts))
+    norms = np.concatenate(
+        [bc.inc.two_norm(log_unitary_principal(c)) for c in np.array_split(prods, n_stacks)]
+    )
+    # Python's float power, not numpy's square: the two can differ by an ulp.
+    f = np.array([v**2 for v in norms.tolist()]).reshape(len(u0), len(ts))
+    second = f[:, :-2] - 2.0 * f[:, 1:-1] + f[:, 2:]
+    min_second = second.min(axis=1) if grid_n > 1 else np.zeros(len(u0))
+    reports = [
+        ConvexityReport(
+            f_values=tuple(row),
+            min_second_difference=m,
+            passed=m >= -CONVEXITY_TOL,
+        )
+        for row, m in zip(f.tolist(), min_second.tolist())
+    ]
+    return reports[0] if single else reports
 
 
 def sample_convexity_triple(
-    inc: Inclusion, rng: np.random.Generator
+    inc: Inclusion, rng: np.random.Generator, n: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Three unitaries of M, each exp of a Gaussian anti-Hermitian element
     rescaled to an operator norm drawn from [0.05, 0.25]; pairwise inside
-    the convexity window."""
-    gens = []
-    for _ in range(3):
-        a = random_antihermitian(rng, inc.amb_basis)
-        gens.append(rng.uniform(0.05, 0.25) * a / max(op_norm(a), 1e-12))
-    return tuple(spectral_function(np.stack(gens), "exp"))
+    the convexity window.
+
+    With ``n``, three ``(n, D, D)`` stacks holding n triples, equal to n
+    draws of one triple in turn: the generators are drawn in that order,
+    then rescaled by one stacked ``op_norm`` and exponentiated by one
+    ``spectral_function``."""
+    count = 1 if n is None else n
+    gens, scales = [], []
+    for _ in range(3 * count):
+        gens.append(random_antihermitian(rng, inc.amb_basis))
+        scales.append(rng.uniform(0.05, 0.25))
+    a = np.stack(gens)
+    a = np.array(scales)[:, None, None] * a / np.maximum(op_norm(a), 1e-12)[:, None, None]
+    us = spectral_function(a, "exp").reshape((count, 3) + a.shape[-2:])
+    triples = us[0] if n is None else np.swapaxes(us, 0, 1)
+    return tuple(triples)

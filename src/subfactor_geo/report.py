@@ -8,8 +8,11 @@ printed on standard output only, never written into the artifacts.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 # Closed vocabulary of anchor strings a check record may carry.  Each names
 # the identity, inequality, or map whose numerical verification the record
@@ -185,17 +188,19 @@ def render_table(report: RunReport) -> str:
     return "\n".join(lines)
 
 
-def write_csv_rows(path: str, header: list[str], rows: list[list]) -> None:
-    """Write CSV with fixed formatting (LF endings, repr-stable floats)."""
-    import csv
+def write_csv_rows(path: str, header: list[str], rows: list[list] | np.ndarray) -> None:
+    """Write CSV with fixed formatting (LF endings, repr-stable floats).
 
-    def fmt(v):
-        if isinstance(v, float):
-            return f"{v:.12e}"
-        return v
-
+    ``rows`` is a list of rows, written through ``csv.writer`` with every
+    Python float as ``%.12e``, or a 2-D float array, written as one
+    ``%.12e`` line per row: the same bytes as its rows as lists of floats,
+    since a formatted float never needs quoting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["%.12e"] * rows.shape[1]) + "\n"
+            fh.writelines(line % tuple(row) for row in rows.tolist())
+            return
         for row in rows:
-            writer.writerow([fmt(v) for v in row])
+            writer.writerow([f"{v:.12e}" if isinstance(v, float) else v for v in row])

@@ -673,8 +673,7 @@ def _suite_convexity(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]
     recs = []
     n_con = max(4, cfg.trials // 2)
     worst = 0.0
-    for _ in range(n_con):
-        rep = convexity_probe(bc, *sample_convexity_triple(inc, rng), grid_n=32)
+    for rep in convexity_probe(bc, *sample_convexity_triple(inc, rng, n_con), grid_n=32):
         worst = max(worst, -rep.min_second_difference)
     recs.append(
         record(

@@ -28,6 +28,9 @@ LENGTH_TOL = 1e-6
 # Relative gap below which neighbouring eigenvalues of a Hermitian matrix
 # are taken as one eigenvalue when its eigenspaces are grouped.
 EIGEN_GROUP_TOL = 1e-8
+# Most negative eigenvalue of E(x*x) - lam * x*x that a Pimsner-Popa
+# feasibility probe may read and still count as satisfying the inequality.
+PP_MARGIN_TOL = 1e-10
 # Gram-Schmidt drop tolerance: candidate directions with smaller residual
 # norm are treated as linearly dependent; relative to the largest singular
 # value, the same cutoff counts the rank of a stack of directions.

@@ -28,7 +28,7 @@ from subfactor_geo.errors import DomainError
 from subfactor_geo.grassmann import kernel_real_onb
 from subfactor_geo.linalg import dagger, op_norm, unitary_defect
 from subfactor_geo.orbit import base_point, horizontal_defect_at
-from subfactor_geo.tolerances import GRAM_DROP_TOL
+from subfactor_geo.tolerances import GRAM_DROP_TOL, PP_MARGIN_TOL
 
 # sharp feasibility threshold of E(x*x) >= lam*x*x per family, worked out
 # from rank-one probes: tensor(m,k) saturates at 1/(min(m,k)*k), the flip
@@ -126,7 +126,41 @@ def test_pimsner_popa_sharp_threshold(family_name, inclusions):
     # the witness actually violates the inequality at that lambda
     y = dagger(above.witness) @ above.witness
     d = expectation_E(inc, y) - (sharp + 0.01) * y
-    assert np.linalg.eigvalsh((d + dagger(d)) / 2.0).min() < -1e-10
+    assert np.linalg.eigvalsh((d + dagger(d)) / 2.0).min() < -PP_MARGIN_TOL
+
+
+def _pp_reference(inc, n_samples, lam, seed):
+    """The per-probe loop the stacked probe replaced: (feasible, worst
+    margin, probe count, witness), the witness the first strict minimum."""
+    rng = np.random.default_rng(seed)
+    probes = list(inc.amb_basis)
+    for _ in range(n_samples):
+        x = random_element(rng, inc.amb_basis)
+        probes.append(x)
+        _, vecs = np.linalg.eigh((x + dagger(x)) / 2.0)
+        probes.extend(np.outer(v, v.conj()) for v in vecs.T)
+    worst, witness = np.inf, None
+    for x in probes:
+        y = dagger(x) @ x
+        d = expectation_E(inc, y) - lam * y
+        margin = float(np.linalg.eigvalsh((d + dagger(d)) / 2.0).min())
+        if margin < worst:
+            worst, witness = margin, x
+    return worst >= -PP_MARGIN_TOL, worst, len(probes), witness
+
+
+def test_pimsner_popa_stack_matches_per_probe_loop(family_name, inclusions):
+    inc = inclusions[family_name]
+    sharp = SHARP_LAMBDA[family_name]
+    for lam, n_samples, seed in ((inc.lam, 32, 0), (sharp - 0.01, 24, 5), (sharp + 0.01, 24, 5)):
+        rep = pimsner_popa_validate(inc, n_samples=n_samples, lam=lam, seed=seed)
+        feasible, worst, n_checked, witness = _pp_reference(inc, n_samples, lam, seed)
+        assert rep.n_checked == n_checked
+        assert rep.feasible == feasible
+        assert abs(rep.worst_margin - worst) <= 1e-14
+    # the refused case of test_pimsner_popa_sharp_threshold names the same probe
+    assert not rep.feasible
+    assert np.array_equal(rep.witness, witness)
 
 
 def test_pimsner_popa_rejects_nonpositive_lambda(inclusions):

@@ -224,6 +224,17 @@ def test_write_csv_rows_formatting(tmp_path):
     assert lines[2].startswith("x,3.14159265")
     assert "\r" not in text
 
+    # a float array writes the bytes of the same table as Python floats
+    table = [[0.0, -0.0, 1e-300], [9.999e99, -np.pi, 0.5]]
+    as_lists = tmp_path / "lists.csv"
+    as_array = tmp_path / "array.csv"
+    write_csv_rows(str(as_lists), ["a", "b", "c"], table)
+    write_csv_rows(str(as_array), ["a", "b", "c"], np.array(table))
+    assert as_array.read_bytes() == as_lists.read_bytes()
+    assert as_array.read_text().split("\n")[1] == (
+        "0.000000000000e+00,-0.000000000000e+00,1.000000000000e-300"
+    )
+
 
 def test_every_suite_anchor_is_in_the_vocabulary(constructions):
     # run a tiny pass over two structurally different families and check the

@@ -754,28 +754,52 @@ def test_convexity_probe_is_bitwise_the_per_point_loop(constructions, family):
 
     bc = constructions[family]
     inc = bc.inc
-    rng = np.random.default_rng(8)
-    ref_rng = np.random.default_rng(8)
-    for _ in range(4):
-        u0, u1, u2 = sample_convexity_triple(inc, rng)
-        ref_triple = []
+
+    def ref_triple(ref_rng):
+        triple = []
         for _ in range(3):
             a = random_antihermitian(ref_rng, inc.amb_basis)
             a = ref_rng.uniform(0.05, 0.25) * a / max(op_norm(a), 1e-12)
-            ref_triple.append(spectral_function(a, "exp"))
-        for got, ref in zip((u0, u1, u2), ref_triple):
-            assert np.array_equal(got, ref)
+            triple.append(spectral_function(a, "exp"))
+        return triple
 
-        rep = convexity_probe(bc, u0, u1, u2, grid_n=32)
+    def ref_f(u0, u1, u2):
         # one 2-D logarithm per grid point; two_norm gives a Python float,
         # so ** 2 is CPython's float power (libm pow), which can differ by
         # an ulp from numpy's x * x: the probe must square Python floats too
         w = log_unitary_principal(dagger(u1) @ u2)
-        ref_f = []
-        for e in exp_family(w, np.linspace(0.0, 1.0, 33)):
-            lg = log_unitary_principal(dagger(u0) @ (u1 @ e))
-            ref_f.append(inc.two_norm(lg) ** 2)
-        assert rep.f_values == tuple(ref_f)
+        return tuple(
+            inc.two_norm(log_unitary_principal(dagger(u0) @ (u1 @ e))) ** 2
+            for e in exp_family(w, np.linspace(0.0, 1.0, 33))
+        )
+
+    rng = np.random.default_rng(8)
+    ref_rng = np.random.default_rng(8)
+    for _ in range(4):
+        u0, u1, u2 = sample_convexity_triple(inc, rng)
+        ref = ref_triple(ref_rng)
+        for got, want in zip((u0, u1, u2), ref):
+            assert np.array_equal(got, want)
+        assert convexity_probe(bc, u0, u1, u2, grid_n=32).f_values == ref_f(*ref)
+
+    # a stack of n triples is n draws in turn, and each report is its
+    # triple's, whichever stacked logarithm call its grid points fall in
+    for n in (1, 5, 40):
+        stacks = sample_convexity_triple(inc, rng, n)
+        refs = [ref_triple(ref_rng) for _ in range(n)]
+        for k, ref in enumerate(refs):
+            for got, want in zip(stacks, ref):
+                assert np.array_equal(got[k], want)
+        reps = convexity_probe(bc, *stacks, grid_n=32)
+        assert [rep.f_values for rep in reps] == [ref_f(*ref) for ref in refs]
+    assert rng.random() == ref_rng.random()
+
+    # one wide triple refuses the whole stack and is named
+    u0s, u1s, u2s = (s.copy() for s in sample_convexity_triple(inc, rng, 5))
+    a = random_antihermitian(rng, inc.amb_basis)
+    u2s[3] = u0s[3] @ spectral_function(1.4 * a / op_norm(a), "exp")
+    with pytest.raises(RadiusError, match=r"unitaries of slice 3 are op-norm"):
+        convexity_probe(bc, u0s, u1s, u2s, grid_n=32)
 
 
 def test_convexity_rejects_wide_triples(constructions, rng):
