@@ -15,7 +15,13 @@ won (ties count for neither side).  It also reads each run's
 ``.bench_out/<workload>/result.json`` and keeps, per part of the workload,
 the lower median of the part's times in that run, summarised the same way
 under ``parts``; this shows which part a change of ``run_s`` comes from.
-``--seeds`` must name at least two
+After a workload's pairs, it runs ``perfbench/run.py --trace 1`` once in each
+checkout at the first seed and keeps, under ``traced``, each side's exit
+code, the ``correct`` field of its result line and its ``check failed:``
+lines: a traced run also checks every part against ``expected.json`` and
+runs the count self-check, which untraced pairs do not show.  The script
+exits 1 when the change's traced run of any workload fails.  ``--seeds``
+must name at least two
 seeds, since the quartiles need two runs a side; fewer is refused before
 any run.  The output is rewritten after every workload, so an interrupted
 run keeps the workloads already finished.
@@ -48,6 +54,28 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> tuple[dic
         times.setdefault(o["part"], []).append(o["seconds"])
     parts = {part: statistics.median_low(t) for part, t in times.items()}
     return json.loads(lines[-2]), json.loads(lines[-1]), parts
+
+
+def run_traced(checkout: str, workload: str, seed: int, seconds: int) -> dict:
+    """One traced benchmark run: its exit code, the ``correct`` field of its
+    result line (None when it printed none) and its ``check failed:`` lines."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "1",
+    ]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    try:
+        correct = json.loads(out.stdout.strip().splitlines()[-1])["correct"]
+    except (IndexError, ValueError, KeyError):
+        correct = None
+    return {
+        "seed": seed,
+        "exit": out.returncode,
+        "correct": correct,
+        "check_failed": [
+            line for line in out.stderr.splitlines() if line.startswith("check failed:")
+        ],
+    }
 
 
 def side_summary(values: list[float]) -> dict:
@@ -117,10 +145,19 @@ def main() -> None:
             }
             for part in part_runs["change"][0]
         }
+        table["traced"] = {
+            side: run_traced(getattr(args, side), workload, seeds[0], seconds)
+            for side in ("parent", "change")
+        }
+        print(workload, "traced", table["traced"], flush=True)
         report["workloads"][workload] = table
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
+    failed = [w for w, t in report["workloads"].items() if t["traced"]["change"]["exit"] != 0]
+    if failed:
+        print(f"the change's traced run failed on {', '.join(failed)}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,16 @@ the norm of V* x V is the norm of x, on an r x r matrix instead of a D x D
 one (r = 8 of D = 16 for tensor(2,2), 27 of 81 for tensor(3,3)).  The
 frame V is built on first use and gated once: V* V = 1, its range is
 invariant under M1, and the compressed basis of M1 keeps rank K.
+
+The whole construction compresses the same way (``BasicConstruction.compressed``):
+its left images, trace projection and basis of M1 are V* . V of these, and
+its own frame is the identity.  When N is a factor, every block of M1 has
+multiplicity D/r on L2(M), so tr(x) = (D/r) tr(V* x V) on M1 and tau1 is
+tr/r on the compression, where the Markov check confirms it.  The
+verification suites run there, all but the construction suite, which
+verifies the construction on L2(M).  What reads L2(M) itself -- the frame
+search (right multiplication by M, from left_cache), the center of M1 and
+verify_construction_properties -- is not run on the compression.
 """
 from __future__ import annotations
 
@@ -61,7 +71,6 @@ __all__ = [
     "verify_construction_properties",
     "PropertyRecord",
     "ConstructionReport",
-    "dump_construction",
 ]
 
 
@@ -124,6 +133,14 @@ class BasicConstruction:
         if v.shape[1] == self.dim_l2:
             return op_norm(x)
         return op_norm(dagger(v) @ x @ v)
+
+    @cached_property
+    def compressed(self) -> BasicConstruction:
+        """This construction on one copy of each block of M1 (see the module
+        docstring); built and gated on the first read, then shared.  It is
+        the construction itself when the frame is square or when the
+        compression fails the Markov check."""
+        return _compress(self)
 
     def _e1_coords(self, y: np.ndarray) -> np.ndarray:
         """Coefficients of the projection of y (or of each slice of a stack)
@@ -223,10 +240,7 @@ def build_basic_construction(inc: Inclusion) -> BasicConstruction:
             f"left_rep is not multiplicative (defect {homo_defect:.3e})"
         )
 
-    # Markov compatibility: the normalized D-trace restricts to tau
-    markov = float(
-        np.abs(np.trace(left_cache, axis1=1, axis2=2) / d - inc.trace(basis)).max()
-    )
+    markov = _markov_defect(inc, left_cache)
     if markov > SPECTRAL_TOL:
         raise ConstructionError(
             f"Markov incompatibility: normalized trace of the representation "
@@ -251,6 +265,41 @@ def build_basic_construction(inc: Inclusion) -> BasicConstruction:
     )
     _gate_properties(bc)
     return bc
+
+
+def _markov_defect(inc: Inclusion, left_cache: np.ndarray) -> float:
+    """Markov compatibility: how far the normalized trace of the
+    representation, restricted to left(M), is from tau."""
+    trace = np.trace(left_cache, axis1=1, axis2=2) / left_cache.shape[1]
+    return float(np.abs(trace - inc.trace(inc.amb_basis)).max())
+
+
+def _compress(bc: BasicConstruction) -> BasicConstruction:
+    """The construction carried by V* . V on the frame V of op_norm1, with
+    the identity as its own frame; bc itself when V is square or when the
+    compressed representation fails the Markov check (blocks of M1 with
+    unequal multiplicities).  Gated by the build's property gates."""
+    v = bc.m1_frame
+    r = v.shape[1]
+    if r == bc.dim_l2:
+        return bc
+    vh = dagger(v)
+    left_cache = np.ascontiguousarray(vh @ bc.left_cache @ v)
+    if _markov_defect(bc.inc, left_cache) > SPECTRAL_TOL:
+        return bc
+    small = BasicConstruction(
+        inc=bc.inc,
+        left_cache=left_cache,
+        jones_p=vh @ bc.jones_p @ v,
+        m1_basis=vh @ bc.m1_basis @ v,
+        lam=bc.lam,
+    )
+    # the frame of the compression is the identity, and compressing again
+    # changes nothing; neither may be derived from the compressed arrays,
+    # which hold no right action of M
+    vars(small).update(m1_frame=np.eye(r, dtype=complex), compressed=small)
+    _gate_properties(small)
+    return small
 
 
 def _m1_generators(left_cache: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -586,38 +635,3 @@ def verify_construction_properties(
         )
     )
     return ConstructionReport(records=tuple(records))
-
-
-def dump_construction(bc: BasicConstruction, out_dir, config_hash: str = "") -> list[str]:
-    """Write the trace projection and extension basis as matrix text files
-    plus a manifest; returns the written file names."""
-    import json
-    import os
-
-    from .linalg import dump_matrix
-
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    def put(name: str, mat: np.ndarray) -> None:
-        path = os.path.join(out_dir, name)
-        with open(path, "w") as fh:
-            fh.write(dump_matrix(mat))
-        written.append(name)
-
-    put("jones_p.txt", bc.jones_p)
-    for i, b in enumerate(bc.m1_basis):
-        put(f"m1_basis_{i:03d}.txt", b)
-    manifest = {
-        "schema": 1,
-        "family": bc.inc.family_tag,
-        "dim_l2": bc.dim_l2,
-        "dim_m1": bc.dim_m1,
-        "lam": bc.lam,
-        "config_hash": config_hash,
-        "files": written,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return written + ["manifest.json"]

@@ -29,8 +29,6 @@ from .linalg import dagger, herm_defect, op_norm, polar_antihermitian, spectral_
 from .tolerances import SPECTRAL_TOL
 
 __all__ = [
-    "GrassmannTangent",
-    "grassmann_tangent",
     "tangent_decompose",
     "DecomposeResult",
     "grassmann_exp_block",
@@ -45,23 +43,6 @@ __all__ = [
     "sample_degenerate_direction",
     "sample_nondegenerate_direction",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class GrassmannTangent:
-    """Expectation-free parameter x with its ambient Hermitian vector."""
-
-    x: np.ndarray        # element of M, E(x) = 0
-    ambient: np.ndarray  # (D, D): left(x) p + p left(x)*
-
-
-def grassmann_tangent(bc: BasicConstruction, x: np.ndarray) -> GrassmannTangent:
-    e = expectation_E(bc.inc, x)
-    if bc.inc.two_norm(e) > SPECTRAL_TOL:
-        raise DomainError("parameter has a nonzero expectation")
-    lx = bc.left(x)
-    p = bc.jones_p
-    return GrassmannTangent(x=x, ambient=lx @ p + p @ dagger(lx))
 
 
 @dataclass(frozen=True, eq=False)

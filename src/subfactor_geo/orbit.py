@@ -13,6 +13,7 @@ minimality / convexity experiment drivers.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -355,7 +356,12 @@ def geodesic_endpoints(
 
 @dataclass(frozen=True, eq=False)
 class DiscreteCurve:
-    """Orbit-valued path sampled on a uniform grid over [0, 1]."""
+    """Orbit-valued path sampled on a uniform grid over [0, 1].
+
+    Every sample must lie in M1 within MEMBERSHIP_TOL, so that op_norm1
+    reads the exact operator norm of samples and their differences, and
+    consecutive samples must be closer than 0.5 in operator norm.
+    """
 
     bc: BasicConstruction
     samples: np.ndarray                 # (T, D, D)
@@ -364,10 +370,17 @@ class DiscreteCurve:
     def __post_init__(self) -> None:
         if self.samples.ndim != 3 or self.samples.shape[0] < 2:
             raise DomainError("a curve needs at least two samples")
+        defects = self.bc.membership_defects(self.samples)
+        worst = int(np.argmax(defects))
+        if defects[worst] > MEMBERSHIP_TOL:
+            raise MembershipError(
+                f"curve sample {worst} is outside the extension algebra "
+                f"(defect {defects[worst]:.3e})",
+                defect=float(defects[worst]),
+            )
         gaps = np.diff(self.samples, axis=0)
         # every gap < 0.5: the largest float below 0.5 makes the gate strict
         if not np.all(op_norm_within(gaps, np.nextafter(0.5, 0.0))):
-            # the samples need not lie in M1, so the exact norm, not op_norm1
             gap = op_norm(gaps).max()
             raise DomainError(
                 f"curve is under-resolved: consecutive op-norm gap {gap:.3f} >= 0.5"
@@ -501,7 +514,9 @@ def horizontal_lift(curve: DiscreteCurve) -> np.ndarray:
     return lift_with_defects(curve)[0]
 
 
-def lift_with_defects(curve: DiscreteCurve) -> tuple[np.ndarray, float, float]:
+def lift_with_defects(
+    curves: DiscreteCurve | Sequence[DiscreteCurve],
+) -> tuple[np.ndarray, float, float] | list[tuple[np.ndarray, float, float]]:
     """Integrate G' = kappa(q') G, G(0) = 1 along the curve; returns the lift
     with the (reconstruction, horizontality) defects its gates measured.
 
@@ -511,47 +526,68 @@ def lift_with_defects(curve: DiscreteCurve) -> tuple[np.ndarray, float, float]:
     instead: reconstruction within LIFT_TOL, unitarity within SPECTRAL_TOL,
     and horizontality of G' G* within LIFT_TOL; failure raises a refinement
     error suggesting a finer grid.
+
+    Takes one curve and returns one triple, or a sequence of curves on one
+    grid and returns a list of triples, each bitwise equal to the triple of
+    its curve alone: the generators are computed curve by curve, and one
+    RK4 loop steps the (n, m, m) stack of all lifts at once.  Each curve is
+    then gated on its own, and a refusal names the first failing curve.
     """
-    bc = curve.bc
-    qs = curve.samples
-    T = qs.shape[0]
-    dt = curve.dt
-    gen = _kappa(bc, qs, _diff4(qs, dt))
+    single = isinstance(curves, DiscreteCurve)
+    if single:
+        curves = [curves]
+    if not curves:
+        return []
+    if len({curve.samples.shape[0] for curve in curves}) > 1:
+        raise DomainError("stacked lifts need curves on one grid")
+    T = curves[0].samples.shape[0]
+    dt = curves[0].dt
+    gen = np.stack(
+        [_kappa(curve.bc, curve.samples, _diff4(curve.samples, dt)) for curve in curves]
+    )
     # cubic midpoint interpolation of the generator
-    mids = np.empty((T - 1,) + gen.shape[1:], dtype=complex)
+    mids = np.empty((len(gen), T - 1) + gen.shape[2:], dtype=complex)
     if T >= 4:
-        mids[1:-1] = (-gen[:-3] + 9.0 * gen[1:-2] + 9.0 * gen[2:-1] - gen[3:]) / 16.0
-        mids[0] = (5 * gen[0] + 15 * gen[1] - 5 * gen[2] + gen[3]) / 16.0
-        mids[-1] = (gen[-4] - 5 * gen[-3] + 15 * gen[-2] + 5 * gen[-1]) / 16.0
+        mids[:, 1:-1] = (
+            -gen[:, :-3] + 9.0 * gen[:, 1:-2] + 9.0 * gen[:, 2:-1] - gen[:, 3:]
+        ) / 16.0
+        mids[:, 0] = (5 * gen[:, 0] + 15 * gen[:, 1] - 5 * gen[:, 2] + gen[:, 3]) / 16.0
+        mids[:, -1] = (gen[:, -4] - 5 * gen[:, -3] + 15 * gen[:, -2] + 5 * gen[:, -1]) / 16.0
     else:
-        mids[:] = 0.5 * (gen[:-1] + gen[1:])
-    ident = bc.inc.identity()
-    lift = np.empty_like(gen)
-    lift[0] = ident
-    g = ident
+        mids[:] = 0.5 * (gen[:, :-1] + gen[:, 1:])
+    ident = curves[0].bc.inc.identity()
+    lifts = np.empty_like(gen)
+    lifts[:, 0] = ident
+    g = lifts[:, 0].copy()
     for i in range(T - 1):
-        a0, am, a1 = gen[i], mids[i], gen[i + 1]
+        a0, am, a1 = gen[:, i], mids[:, i], gen[:, i + 1]
         k1 = a0 @ g
         k2 = am @ (g + 0.5 * dt * k1)
         k3 = am @ (g + 0.5 * dt * k2)
         k4 = a1 @ (g + dt * k3)
         g = g + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        lift[i + 1] = g
+        lifts[:, i + 1] = g
 
-    recon, horiz = lift_defects(curve, lift)
-    if recon > LIFT_TOL:
-        raise RefinementError(
-            f"lift reconstruction defect {recon:.3e} exceeds {LIFT_TOL:.1e}; "
-            f"re-sample the curve on a finer grid"
-        )
-    if not np.all(op_norm_within(dagger(lift) @ lift - ident, SPECTRAL_TOL)):
-        raise RefinementError(f"lift unitarity defect {unitary_defect(lift).max():.3e}")
-    if horiz > LIFT_TOL:
-        raise RefinementError(
-            f"lift horizontality defect {horiz:.3e} exceeds {LIFT_TOL:.1e}; "
-            f"re-sample the curve on a finer grid"
-        )
-    return lift, recon, horiz
+    results = []
+    for k, (curve, lift) in enumerate(zip(curves, lifts)):
+        which = "" if single else f" of curve {k}"
+        recon, horiz = lift_defects(curve, lift)
+        if recon > LIFT_TOL:
+            raise RefinementError(
+                f"lift{which} reconstruction defect {recon:.3e} exceeds {LIFT_TOL:.1e}; "
+                f"re-sample the curve on a finer grid"
+            )
+        if not np.all(op_norm_within(dagger(lift) @ lift - ident, SPECTRAL_TOL)):
+            raise RefinementError(
+                f"lift{which} unitarity defect {unitary_defect(lift).max():.3e}"
+            )
+        if horiz > LIFT_TOL:
+            raise RefinementError(
+                f"lift{which} horizontality defect {horiz:.3e} exceeds {LIFT_TOL:.1e}; "
+                f"re-sample the curve on a finer grid"
+            )
+        results.append((lift, recon, horiz))
+    return results[0] if single else results
 
 
 def lift_defects(curve: DiscreteCurve, lift: np.ndarray) -> tuple[float, float]:
@@ -918,19 +954,18 @@ def shorten_to_polygonal(curve: DiscreteCurve, segment_bound: float) -> Polygona
     T = qs.shape[0]
     breaks = [0]
     i = 0
+    bound = min(segment_bound, LOG_RADIUS)
     while i < T - 1:
-        j = i + 1
-        best = -1
-        while j < T and bc.op_norm1(qs[j] - qs[i]) < min(segment_bound, LOG_RADIUS):
-            best = j
-            j += 1
-        if best < 0:
+        # the next break is the last sample before the first at or past the bound
+        far = np.flatnonzero(~(bc.op_norm1(qs[i + 1 :] - qs[i]) < bound))
+        best = i + (far[0] if far.size else T - 1 - i)
+        if best == i:
             raise DomainError(
                 f"no partition with consecutive gaps below {segment_bound}; "
                 f"adjacent samples already exceed the bound"
             )
-        breaks.append(best)
-        i = best
+        breaks.append(int(best))
+        i = int(best)
     w = _witness_at_start(curve)
     vectors: list[np.ndarray] = []
     lengths: list[float] = []

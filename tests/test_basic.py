@@ -19,14 +19,13 @@ from subfactor_geo import family_construction
 from subfactor_geo.basic import (
     _gate_frame,
     build_basic_construction,
-    dump_construction,
     expectation_E1,
     recover_unitary,
     reduce_R,
     verify_construction_properties,
 )
 from subfactor_geo.errors import ConstructionError, DomainError, MembershipError
-from subfactor_geo.linalg import dagger, load_matrix, op_norm, spectral_function
+from subfactor_geo.linalg import dagger, op_norm, spectral_function
 
 
 def gram_solve_expectation(bc, y):
@@ -303,16 +302,6 @@ def test_gate_and_verifier_share_the_property_defects():
     assert found.group(2) == f"{rec.worst_defect:.3e}"
 
 
-def test_dump_construction_round_trip(tmp_path, constructions):
-    bc = constructions["group_flip(scalars)"]
-    names = dump_construction(bc, tmp_path, config_hash="cafe")
-    assert "jones_p.txt" in names
-    p = load_matrix((tmp_path / "jones_p.txt").read_text())
-    assert op_norm(p - bc.jones_p) < 1e-14
-    manifest = (tmp_path / "manifest.json").read_text()
-    assert "cafe" in manifest
-
-
 # ---------------------------------------------------------------------------
 # operator norms of M1 elements on one copy of each block
 
@@ -396,3 +385,82 @@ def test_m1_frame_gates_refuse_bad_frames(constructions):
     q, _ = np.linalg.qr(np.random.default_rng(33).standard_normal((bc.dim_l2, 8)))
     with pytest.raises(ConstructionError, match="does not leave the frame's range invariant"):
         _gate_frame(bc, q.astype(complex))
+
+
+# ---------------------------------------------------------------------------
+# the construction compressed to one copy of each block of M1
+
+
+def test_compressed_is_built_on_first_use_only():
+    bc = build_basic_construction(make_tensor_inclusion(2, 2))
+    assert "compressed" not in vars(bc) and "m1_frame" not in vars(bc)
+    small = bc.compressed
+    assert bc.compressed is small
+    assert small.compressed is small
+    assert np.array_equal(small.m1_frame, np.eye(8))
+
+
+def test_compressed_width_is_one_copy_of_each_block(frame_cases):
+    for name, bc in frame_cases.items():
+        small = bc.compressed
+        r = FRAME_WIDTHS[name]
+        assert small.dim_l2 == r, name
+        assert (small is bc) == (r == bc.dim_l2), name
+        assert small.dim_m1 == bc.dim_m1 and small.lam == bc.lam, name
+    assert frame_cases["tensor(2,2)"].compressed.dim_l2 == 8
+    assert frame_cases["group_flip(m2)"].compressed.dim_l2 == 4
+    assert frame_cases["diagonal C+C in M2"].compressed is frame_cases["diagonal C+C in M2"]
+
+
+def test_compression_commutes_with_the_operations_of_m1(frame_cases):
+    # x -> V* x V is a trace-preserving *-homomorphism of M1 that carries E1
+    # and the operator norm: tau1 is tr/r on r x r because every block of M1
+    # has multiplicity D/r on L2(M)
+    rng = np.random.default_rng(41)
+    for name in ("tensor(2,2)", "group_flip(m2)", "tensor(3,2)"):
+        bc = frame_cases[name]
+        small = bc.compressed
+        v = bc.m1_frame
+
+        def squeeze(a):
+            return dagger(v) @ a @ v
+
+        c = rng.standard_normal((2, 6, bc.dim_m1)) + 1j * rng.standard_normal((2, 6, bc.dim_m1))
+        x, y = (np.tensordot(ci, bc.m1_basis, axes=1) for ci in c)
+        x = x / op_norm(x)[:, None, None]
+        y = y / op_norm(y)[:, None, None]
+        assert op_norm(squeeze(x @ y) - squeeze(x) @ squeeze(y)).max() <= 1e-13, name
+        assert op_norm(squeeze(dagger(x)) - dagger(squeeze(x))).max() <= 1e-13, name
+        for a in x:
+            assert abs(small.tau1(squeeze(a)) - bc.tau1(a)) <= 1e-13, name
+        e1 = op_norm(squeeze(bc._e1_unchecked(x)) - small._e1_unchecked(squeeze(x)))
+        assert e1.max() <= 1e-13, name
+        assert np.abs(small.op_norm1(squeeze(x)) - bc.op_norm1(x)).max() <= 1e-13, name
+        # the compressed arrays are the compressions of the construction's
+        assert op_norm(small.jones_p - squeeze(bc.jones_p)) == 0.0, name
+        assert np.array_equal(small.m1_basis, squeeze(bc.m1_basis)), name
+        assert small.membership_defects(squeeze(x)).max() <= 1e-13, name
+
+
+def test_compressed_falls_back_when_the_markov_check_fails(constructions):
+    # a frame that keeps only part of one copy of M1 breaks tau1 = tr/r;
+    # the construction then stays on L2(M)
+    bc = constructions["tensor(2,2)"]
+    clone = dataclasses.replace(bc)
+    vars(clone)["m1_frame"] = bc.m1_frame[:, :4]
+    assert clone.compressed is clone
+
+
+def test_suites_on_the_compression_keep_every_status(constructions):
+    from subfactor_geo.config import SUITE_NAMES, parse_config
+    from subfactor_geo.suites import _SUITE_FUNCS
+
+    for name, bc in constructions.items():
+        cfg = parse_config({"inclusion": {"family": name}, "seed": 9, "trials": 4, "grid": 32})
+        for suite in (s for s in SUITE_NAMES if s != "construction"):
+            on_l2 = _SUITE_FUNCS[suite](bc, cfg)
+            on_small = _SUITE_FUNCS[suite](bc.compressed, cfg)
+            assert [(r.name, r.status, r.samples) for r in on_small] == [
+                (r.name, r.status, r.samples) for r in on_l2
+            ], (name, suite)
+            assert all(r.status == "pass" for r in on_small), (name, suite)

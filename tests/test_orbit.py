@@ -11,7 +11,13 @@ from subfactor_geo.algebra import (
     random_unitary,
 )
 from subfactor_geo.basic import reduce_R
-from subfactor_geo.errors import ConvergenceError, DomainError, MembershipError, RadiusError
+from subfactor_geo.errors import (
+    ConvergenceError,
+    DomainError,
+    MembershipError,
+    RadiusError,
+    RefinementError,
+)
 from subfactor_geo.linalg import (
     antiherm_defect,
     dagger,
@@ -928,15 +934,89 @@ def test_curve_functionals_match_per_sample_reference(constructions):
 
 def test_curve_gap_check_is_strict(constructions):
     # a gap of exactly 0.5 is refused, the largest float below it accepted;
-    # the samples are multiples of a matrix unit so that every gap is exact
+    # the samples are multiples of the identity of L2(M), which lie in M1
+    # and have exact gaps
     bc = constructions["tensor(2,2)"]
-    unit = np.zeros((bc.dim_l2, bc.dim_l2))
-    unit[0, 0] = 1.0
+    one = np.eye(bc.dim_l2)
     for gap, ok in ((0.5, False), (np.nextafter(0.5, 0.0), True)):
-        samples = np.stack([0.0 * unit, gap * unit, 0.0 * unit])
+        samples = np.stack([0.0 * one, gap * one, 0.0 * one])
         assert max(_reference_gaps(samples)) == gap
         if ok:
             DiscreteCurve(bc=bc, samples=samples)
         else:
             with pytest.raises(DomainError, match="gap 0.500 >= 0.5"):
                 DiscreteCurve(bc=bc, samples=samples)
+
+
+def test_curve_refuses_samples_outside_m1(constructions):
+    # the arena matrix unit e00 of L2(M) is not in M1 on tensor(2,2), where
+    # op_norm1 would under-read it (0.5 against 1.0); the curve names the
+    # worst sample and its defect
+    bc = constructions["tensor(2,2)"]
+    unit = np.zeros((bc.dim_l2, bc.dim_l2))
+    unit[0, 0] = 1.0
+    defect = bc.membership_defect(0.4 * unit)
+    assert defect > 0.08
+    samples = np.stack([0.0 * unit, 0.4 * unit, 0.0 * unit])
+    with pytest.raises(
+        MembershipError, match=f"curve sample 1 is outside the extension algebra .defect {defect:.3e}"
+    ) as info:
+        DiscreteCurve(bc=bc, samples=samples)
+    assert info.value.defect == defect
+
+
+def _lift_test_curves(bc, n, grid_n=256, seed=5):
+    from subfactor_geo.suites import _poly_unitary_path
+
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, 1.0, grid_n + 1)
+    return [
+        curve_from_unitaries(bc, _poly_unitary_path(bc.inc.amb_basis, rng, ts))
+        for _ in range(n)
+    ]
+
+
+def test_stacked_lifts_equal_single_lifts_bitwise(constructions):
+    for name in ("tensor(1,3)", "tensor(2,2)", "group_flip(scalars)"):
+        bc = constructions[name].compressed
+        curves = _lift_test_curves(bc, 3)
+        stacked = lift_with_defects(curves)
+        assert len(stacked) == 3
+        for curve, (lift, recon, horiz) in zip(curves, stacked):
+            one, one_recon, one_horiz = lift_with_defects(curve)
+            assert np.array_equal(lift, one), name
+            assert (recon, horiz) == (one_recon, one_horiz), name
+            assert (recon, horiz) == lift_defects(curve, lift), name
+    assert lift_with_defects([]) == []
+
+
+def test_stacked_lift_refusal_names_its_curve(constructions):
+    # a still curve lifts exactly; a moving one on 8 intervals misses LIFT_TOL
+    bc = constructions["tensor(1,2)"]
+    (moving,) = _lift_test_curves(bc, 1, grid_n=8)
+    still = DiscreteCurve(bc=bc, samples=np.stack([bc.jones_p] * 9))
+    with pytest.raises(RefinementError, match="^lift reconstruction defect"):
+        lift_with_defects(moving)
+    with pytest.raises(RefinementError, match="^lift of curve 1 reconstruction defect"):
+        lift_with_defects([still, moving, still])
+    with pytest.raises(DomainError, match="stacked lifts need curves on one grid"):
+        lift_with_defects([still, _lift_test_curves(bc, 1, grid_n=16)[0]])
+
+
+def test_shorten_breaks_match_the_per_sample_reference(constructions, rng):
+    # the breaks of one stacked norm per partition point are those of the
+    # sample-by-sample walk: the last sample before the first at the bound
+    bc = constructions["group_flip(m2)"]
+    z = random_horizontal(bc.inc, rng, op_scale=0.25)
+    w = random_antihermitian(rng, bc.inc.amb_basis)
+    curve = curve_from_unitaries(bc, wiggly_unitary_path(bc, z, 0.3 * w / op_norm(w), 192))
+    for bound in (0.1, 0.2, 0.3):
+        qs = curve.samples
+        breaks, i = [0], 0
+        while i < len(qs) - 1:
+            j = i + 1
+            while j < len(qs) and bc.op_norm1(qs[j] - qs[i]) < bound:
+                j += 1
+            breaks.append(j - 1)
+            i = j - 1
+        assert shorten_to_polygonal(curve, segment_bound=bound).break_indices == tuple(breaks)
