@@ -10,27 +10,28 @@ time and the construction refuses to proceed otherwise.
 
 M1 acts on L2(M) with multiplicity: its commutant there is the right action
 of N (Jones 1983), so each block of M1 appears once per copy of the matching
-block of N.  Operator norms of elements of M1 are therefore taken on one
-copy of each block (``BasicConstruction.op_norm1``).  Let e be a projection
-of N minimal in each block of N, and V a D x r isometry onto the range of
-right multiplication by e.  That right multiplication lies in the commutant
-of M1, and its central support is 1, since e meets every block of N and the
+block of N.  The construction therefore compresses to one copy of each
+block (``BasicConstruction.compressed``).  Let e be a projection of N
+minimal in each block of N, and V a D x r isometry onto the range of right
+multiplication by e.  That right multiplication lies in the commutant of
+M1, and its central support is 1, since e meets every block of N and the
 center of M1 is the right action of the center of N.  So x -> V* x V is an
 injective *-homomorphism of M1 into the r x r matrices, hence isometric:
-the norm of V* x V is the norm of x, on an r x r matrix instead of a D x D
-one (r = 8 of D = 16 for tensor(2,2), 27 of 81 for tensor(3,3)).  The
-frame V is built on first use and gated once: V* V = 1, its range is
+operator norms, products, adjoints and spectral functions of elements of M1
+are those of their compressions, on r x r matrices instead of D x D ones
+(r = 8 of D = 16 for tensor(2,2), 27 of 81 for tensor(3,3)).  The frame V
+is gated once, when the compression is built: V* V = 1, its range is
 invariant under M1, and the compressed basis of M1 keeps rank K.
 
-The whole construction compresses the same way (``BasicConstruction.compressed``):
-its left images, trace projection and basis of M1 are V* . V of these, and
-its own frame is the identity.  When N is a factor, every block of M1 has
+The compressed construction's left images, trace projection and basis of M1
+are V* . V of these.  When N is a factor, every block of M1 has
 multiplicity D/r on L2(M), so tr(x) = (D/r) tr(V* x V) on M1 and tau1 is
 tr/r on the compression, where the Markov check confirms it.  The
 verification suites run there, all but the construction suite, which
-verifies the construction on L2(M).  What reads L2(M) itself -- the frame
-search (right multiplication by M, from left_cache), the center of M1 and
-verify_construction_properties -- is not run on the compression.
+verifies the construction on L2(M); so do the CLI's log and sweeps.  What
+reads L2(M) itself -- the frame search (right multiplication by M, from
+left_cache), the center of M1 and verify_construction_properties -- is not
+run on the compression.
 """
 from __future__ import annotations
 
@@ -105,10 +106,15 @@ class BasicConstruction:
         return complex(np.vdot(b, a)) / self.dim_l2
 
     def two_norm1(self, a: np.ndarray) -> float | np.ndarray:
-        """tau1 2-norm; slice by slice, as an array, for (..., D, D) stacks."""
-        if a.ndim == 2:
-            return float(np.linalg.norm(a)) / np.sqrt(self.dim_l2)
-        return np.linalg.norm(a, axis=(-2, -1)) / np.sqrt(self.dim_l2)
+        """tau1 2-norm; slice by slice, as an array, for (..., D, D) stacks.
+        A matrix and each slice take one formula, the dot products of the
+        flattened real and imaginary parts, so a slice's norm does not
+        depend on the stack it sits in."""
+        flat = a.reshape(a.shape[:-2] + (1, -1))
+        re, im = flat.real, flat.imag
+        sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+        norms = np.sqrt(sq[..., 0, 0]) / np.sqrt(self.dim_l2)
+        return float(norms) if a.ndim == 2 else norms
 
     def membership_defect(self, y: np.ndarray) -> float:
         """Largest tau1 2-norm distance of y, or of a slice of a stack, from M1."""
@@ -117,22 +123,6 @@ class BasicConstruction:
     def membership_defects(self, y: np.ndarray) -> np.ndarray:
         """tau1 2-norm distance of y, or of each slice of a stack, from M1."""
         return span_residuals(self.m1_basis, y, 1.0 / self.dim_l2)
-
-    @cached_property
-    def m1_frame(self) -> np.ndarray:
-        """D x r isometry onto one copy of each block of M1 (see the module
-        docstring); built and gated on the first read, then shared."""
-        return _m1_frame(self)
-
-    def op_norm1(self, x: np.ndarray) -> float | np.ndarray:
-        """Operator norm of an element of M1, or of each slice of a stack,
-        taken as op_norm(V* x V) on the frame V.  Exact on M1 only: off M1
-        it reads the compression, which can be smaller.  When r = D this is
-        op_norm(x) itself."""
-        v = self.m1_frame
-        if v.shape[1] == self.dim_l2:
-            return op_norm(x)
-        return op_norm(dagger(v) @ x @ v)
 
     @cached_property
     def compressed(self) -> BasicConstruction:
@@ -275,13 +265,12 @@ def _markov_defect(inc: Inclusion, left_cache: np.ndarray) -> float:
 
 
 def _compress(bc: BasicConstruction) -> BasicConstruction:
-    """The construction carried by V* . V on the frame V of op_norm1, with
-    the identity as its own frame; bc itself when V is square or when the
-    compressed representation fails the Markov check (blocks of M1 with
-    unequal multiplicities).  Gated by the build's property gates."""
-    v = bc.m1_frame
-    r = v.shape[1]
-    if r == bc.dim_l2:
+    """The construction carried by V* . V on the frame V of one copy of each
+    block of M1; bc itself when V is square or when the compressed
+    representation fails the Markov check (blocks of M1 with unequal
+    multiplicities).  Gated by the build's property gates."""
+    v = _m1_frame(bc)
+    if v.shape[1] == bc.dim_l2:
         return bc
     vh = dagger(v)
     left_cache = np.ascontiguousarray(vh @ bc.left_cache @ v)
@@ -294,10 +283,9 @@ def _compress(bc: BasicConstruction) -> BasicConstruction:
         m1_basis=vh @ bc.m1_basis @ v,
         lam=bc.lam,
     )
-    # the frame of the compression is the identity, and compressing again
-    # changes nothing; neither may be derived from the compressed arrays,
-    # which hold no right action of M
-    vars(small).update(m1_frame=np.eye(r, dtype=complex), compressed=small)
+    # compressing again changes nothing, and may not be derived from the
+    # compressed arrays, which hold no right action of M
+    vars(small)["compressed"] = small
     _gate_properties(small)
     return small
 
@@ -320,7 +308,8 @@ def _compressed_rank(bc: BasicConstruction, v: np.ndarray) -> int:
 
 
 def _m1_frame(bc: BasicConstruction) -> np.ndarray:
-    """The frame of op_norm1, from one seeded random Hermitian n in N.
+    """The frame of the compression, a D x r isometry onto one copy of each
+    block of M1, from one seeded random Hermitian n in N.
 
     The eigenspaces of right multiplication by n are the ranges of right
     multiplication by the spectral projections of n, which are minimal in

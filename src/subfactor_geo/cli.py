@@ -232,8 +232,11 @@ def cmd_log(cfg: RunConfig, q0_path: str, q1_path: str) -> int:
             q1 = load_matrix(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read projection file: {exc}") from exc
-    pt0 = orbit_point_from_witness(bc, orbit_section_theta(bc, q0))
-    pt1 = orbit_point_from_witness(bc, orbit_section_theta(bc, q1))
+    # the files hold D x D projections on L2(M); their witnesses are
+    # unitaries of M, which make the same points on the compression
+    small = bc.compressed
+    pt0 = orbit_point_from_witness(small, orbit_section_theta(bc, q0))
+    pt1 = orbit_point_from_witness(small, orbit_section_theta(bc, q1))
     try:
         res = orbit_log(pt0, pt1)
     except ConvergenceError as exc:
@@ -391,7 +394,9 @@ def _sweep_radius(bc: BasicConstruction, cfg: RunConfig, out: str) -> dict:
 
 
 def cmd_sweep(cfg: RunConfig, experiment: str) -> int:
-    bc = _construct(cfg)
+    # the sweeps write elements of M and numbers only, so they run on one
+    # copy of each block of M1
+    bc = _construct(cfg).compressed
     out = _out_dir(cfg)
     fns = {
         "minimality": _sweep_minimality,

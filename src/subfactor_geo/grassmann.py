@@ -126,7 +126,7 @@ def grassmann_exp_block(bc: BasicConstruction, x: np.ndarray, t: float) -> np.nd
     v = l_x @ p - p @ dagger(l_x)
     ev = spectral_function(t * v, "exp")
     dense = ev @ p @ dagger(ev)
-    gap = bc.op_norm1(q - dense)
+    gap = op_norm(q - dense)
     if gap > SPECTRAL_TOL:
         raise ConstructionError(f"block assembly differs from the exponential by {gap:.3e}")
     return q
@@ -185,7 +185,7 @@ def degenerate_geodesic_closed_form(
     etx = spectral_function(t * x, "exp")
     letx = bc.left(etx)
     dense = letx @ p @ dagger(letx)
-    gap = bc.op_norm1(q - dense)
+    gap = op_norm(q - dense)
     if gap > SPECTRAL_TOL:
         raise ConstructionError(
             f"closed form differs from the conjugation curve by {gap:.3e}"

@@ -358,9 +358,9 @@ def geodesic_endpoints(
 class DiscreteCurve:
     """Orbit-valued path sampled on a uniform grid over [0, 1].
 
-    Every sample must lie in M1 within MEMBERSHIP_TOL, so that op_norm1
-    reads the exact operator norm of samples and their differences, and
-    consecutive samples must be closer than 0.5 in operator norm.
+    Every sample must lie in M1 within MEMBERSHIP_TOL, as the samples of an
+    orbit curve do, and consecutive samples must be closer than 0.5 in
+    operator norm.
     """
 
     bc: BasicConstruction
@@ -592,11 +592,11 @@ def lift_with_defects(
 
 def lift_defects(curve: DiscreteCurve, lift: np.ndarray) -> tuple[float, float]:
     """(reconstruction, horizontality) defects of a candidate lift; the
-    reconstruction defect is an operator norm in M1, taken by op_norm1."""
+    reconstruction defect is an operator norm in M1."""
     bc = curve.bc
     qs = curve.samples
     llift = bc.left(lift)
-    recon = bc.op_norm1((llift @ qs[0]) @ dagger(llift) - qs).max()
+    recon = op_norm((llift @ qs[0]) @ dagger(llift) - qs).max()
     v = _diff4(lift, curve.dt) @ dagger(lift)
     e = _translated(bc.inc, lift @ _witness_at_start(curve), v)
     return float(recon), float(bc.inc.two_norm(e).max())
@@ -617,10 +617,10 @@ def curve_lengths(
 
     metric: 'two_norm' (trace-norm length), 'op_norm' (operator-norm
     length), or 'energy' (integrated squared trace-norm speed).  space
-    selects the trace: 'orbit' for extension-algebra-valued paths, whose
-    operator norms op_norm1 takes, 'lift' for ambient-algebra-valued paths.
-    order 4 swaps the central differences for wider stencils when
-    comparisons need the extra digits.
+    selects the trace of the 2-norms: 'orbit' for extension-algebra-valued
+    paths, 'lift' for ambient-algebra-valued paths; operator norms are the
+    same in both.  order is 2 for central differences or 4 for wider
+    stencils when comparisons need the extra digits.
     """
     if path.ndim != 3 or path.shape[0] < 2:
         raise DomainError("length functionals need at least two samples")
@@ -628,10 +628,12 @@ def curve_lengths(
         raise DomainError(f"unknown space {space!r}; use 'orbit' or 'lift'")
     if metric not in ("two_norm", "op_norm", "energy"):
         raise DomainError(f"unknown metric {metric!r}")
+    if order not in (2, 4):
+        raise DomainError(f"unknown order {order!r}; use 2 or 4")
     dt = 1.0 / (path.shape[0] - 1)
     vel = _diff2(path, dt) if order == 2 else _diff4(path, dt)
     if metric == "op_norm":
-        return _simpson(bc.op_norm1(vel) if space == "orbit" else op_norm(vel), dt)
+        return _simpson(op_norm(vel), dt)
     two = bc.two_norm1(vel) if space == "orbit" else bc.inc.two_norm(vel)
     return _simpson(two if metric == "two_norm" else two**2, dt)
 
@@ -747,17 +749,6 @@ class OrbitLogResult:
     backtracks: int  # step halvings, those of a stalled attempt included
 
 
-def _tau1_norms(a: np.ndarray) -> np.ndarray:
-    """tau1 2-norm of each slice of an (n, D, D) stack, computed as
-    ``two_norm1`` computes it for one matrix (one dot product each of the
-    flattened real and imaginary parts), so a slice's norm does not depend
-    on the stack it sits in."""
-    flat = a.reshape(len(a), 1, -1)
-    re, im = flat.real, flat.imag
-    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
-    return np.sqrt(sq[:, 0, 0]) / np.sqrt(a.shape[-1])
-
-
 def orbit_log(
     q0: OrbitPoint,
     q1: OrbitPoint | np.ndarray,
@@ -854,7 +845,7 @@ def orbit_log_batch(
     ez = np.broadcast_to(bc.inc.identity(), z.shape).copy()
     q = np.broadcast_to(q0.q, tq.shape).copy()
     witness = np.broadcast_to(q0.witness, z.shape).copy()
-    res = _tau1_norms(q - tq)
+    res = bc.two_norm1(q - tq)
     iterations = np.zeros(n, dtype=int)
     backtracks = np.zeros(n, dtype=int)
     active = np.array([k for k in range(n) if outcomes[k] is None], dtype=int)
@@ -887,7 +878,7 @@ def orbit_log_batch(
             ez_try = spectral_function(z_try, "exp")
             witness_try = ez_try @ q0.witness
             q_try = _carried_projection(bc, witness_try)
-            res_try = _tau1_norms(q_try - tq[k])
+            res_try = bc.two_norm1(q_try - tq[k])
             better = res_try < res[k]
             took = k[better]
             z[took], ez[took], q[took] = z_try[better], ez_try[better], q_try[better]
@@ -957,7 +948,7 @@ def shorten_to_polygonal(curve: DiscreteCurve, segment_bound: float) -> Polygona
     bound = min(segment_bound, LOG_RADIUS)
     while i < T - 1:
         # the next break is the last sample before the first at or past the bound
-        far = np.flatnonzero(~(bc.op_norm1(qs[i + 1 :] - qs[i]) < bound))
+        far = np.flatnonzero(~(op_norm(qs[i + 1 :] - qs[i]) < bound))
         best = i + (far[0] if far.size else T - 1 - i)
         if best == i:
             raise DomainError(
@@ -1060,7 +1051,7 @@ def minimality_experiment(
         pert_curve = curve_from_unitaries(bc, us, base=point)
         l2 = curve_lengths(bc, pert_curve.samples, "two_norm", order=4)
         linf = curve_lengths(bc, pert_curve.samples, "op_norm", order=4)
-        disp = bc.op_norm1(pert_curve.samples - point.q).max()
+        disp = op_norm(pert_curve.samples - point.q).max()
         within = linf <= probe_radius
         margin = l2 - l2_geo
         violation = within and margin < -LENGTH_TOL

@@ -82,7 +82,7 @@ def _random_m1_antihermitian(
     c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     y = np.tensordot(c, bc.m1_basis, axes=1)
     y = 0.5 * (y - dagger(y))
-    nrm = bc.op_norm1(y)
+    nrm = op_norm(y)
     return (scale / nrm) * y if nrm > 0 else y
 
 
@@ -170,7 +170,7 @@ def _suite_construction(bc: BasicConstruction, cfg: RunConfig) -> list[CheckReco
         worst = max(
             worst,
             op_norm(dagger(u) @ u - ident),
-            bc.op_norm1(bc.left(u) @ p - omega @ p),
+            op_norm(bc.left(u) @ p - omega @ p),
         )
     recs.append(
         record("unitary recovery from the extension", "u = (1/λ)E₁(ωp)", worst, 1e-8, n_rec)
@@ -273,13 +273,13 @@ def _suite_metric(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]:
     for _ in range(n42):
         z = random_horizontal(inc, rng)
         lz = bc.left(z)
-        worst_42 = max(worst_42, sqlam * op_norm(z) - bc.op_norm1(lz @ p - p @ lz))
+        worst_42 = max(worst_42, sqlam * op_norm(z) - op_norm(lz @ p - p @ lz))
         znorm = op_norm(z)
         zs = z * (rng.uniform(0.05, 0.95) * sqlam / znorm)
         zn = op_norm(zs)
         ez = spectral_function(zs, "exp")
         lez = bc.left(ez)
-        spread = bc.op_norm1(lez @ p @ dagger(lez) - p)
+        spread = op_norm(lez @ p @ dagger(lez) - p)
         worst_43 = max(worst_43, zn * (sqlam - zn) - spread)
     recs.append(
         record(
@@ -353,7 +353,7 @@ def _suite_metric(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]:
         worst_sec = max(
             worst_sec,
             op_norm(dagger(u) @ u - inc.identity()),
-            bc.op_norm1(lu @ p @ dagger(lu) - q1),
+            op_norm(lu @ p @ dagger(lu) - q1),
         )
     recs.append(
         record(
@@ -477,7 +477,7 @@ def _suite_lifts(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]:
             worst_eq,
             abs(l2_eq - l2_lift),
             drift,
-            bc.op_norm1(lv0 @ curve.samples[0] - curve.samples[0] @ lv0),
+            op_norm(lv0 @ curve.samples[0] - curve.samples[0] @ lv0),
         )
 
         # extension-algebra lift: right-translate by a p-commuting path
@@ -754,7 +754,7 @@ def _suite_grassmann(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]
         lx = bc.left(x)
         gen = lx @ p - p @ dagger(lx)
         ev = spectral_function(t * gen, "exp")
-        worst_block = max(worst_block, bc.op_norm1(qb - ev @ p @ dagger(ev)))
+        worst_block = max(worst_block, op_norm(qb - ev @ p @ dagger(ev)))
     recs.append(
         record(
             "block exponential agrees with dense conjugation",
@@ -792,7 +792,7 @@ def _suite_grassmann(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord]
         ew = spectral_function(gen, "exp")
         q2 = ew @ p @ dagger(ew)
         x = grassmann_section(p, q2)
-        worst_sec = max(worst_sec, bc.op_norm1(x - gen))
+        worst_sec = max(worst_sec, op_norm(x - gen))
     recs.append(
         record(
             "section logarithm recovers the codiagonal generator",
@@ -818,7 +818,7 @@ def _suite_degeneracy(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord
         gen = lx @ p - p @ dagger(lx)
         ev = exp_family(gen, t_grid)
         eu = exp_family(lx, t_grid)
-        return bc.op_norm1(ev @ p @ dagger(ev) - eu @ p @ dagger(eu)).max()
+        return op_norm(ev @ p @ dagger(ev) - eu @ p @ dagger(eu)).max()
 
     n_deg = max(6, cfg.trials // 10)
     worst_fwd = 0.0
@@ -831,7 +831,7 @@ def _suite_degeneracy(bc: BasicConstruction, cfg: RunConfig) -> list[CheckRecord
         worst_fwd = max(worst_fwd, curve_gap(x))
         for t, eu in zip(closed_ts.tolist(), exp_family(bc.left(x), closed_ts)):
             closed = degenerate_geodesic_closed_form(bc, x, t)
-            worst_closed = max(worst_closed, bc.op_norm1(closed - eu @ p @ dagger(eu)))
+            worst_closed = max(worst_closed, op_norm(closed - eu @ p @ dagger(eu)))
     recs.append(
         record(
             "degenerate directions: both exponentials trace one curve",

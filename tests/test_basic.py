@@ -16,8 +16,10 @@ from subfactor_geo.algebra import (
     AlgebraDescriptor,
 )
 from subfactor_geo import family_construction
+from subfactor_geo import basic
 from subfactor_geo.basic import (
     _gate_frame,
+    _m1_frame,
     build_basic_construction,
     expectation_E1,
     recover_unitary,
@@ -326,47 +328,25 @@ FRAME_WIDTHS = {
 }
 
 
-def test_m1_frame_is_built_on_first_use_only():
-    bc = build_basic_construction(make_tensor_inclusion(2, 2))
-    assert "m1_frame" not in vars(bc)
-    v = bc.m1_frame
-    assert v.shape == (16, 8)
-    assert bc.m1_frame is v
-
-
-def test_op_norm1_equals_op_norm_on_m1(frame_cases):
+def test_frame_compression_keeps_op_norm_on_m1(frame_cases):
     rng = np.random.default_rng(31)
     for name, bc in frame_cases.items():
-        v = bc.m1_frame
+        v = _m1_frame(bc)
         assert v.shape == (bc.dim_l2, FRAME_WIDTHS[name]), name
         c = rng.standard_normal((6, bc.dim_m1)) + 1j * rng.standard_normal((6, bc.dim_m1))
         xs = np.tensordot(c, bc.m1_basis, axes=1)
         herm = (xs + dagger(xs)) / 2.0
         for stack in (xs, herm):
             exact = op_norm(stack)
-            # the compression itself, also where r = D and op_norm1 is op_norm
+            # also where r = D and the frame is a unitary
             assert np.all(np.abs(op_norm(dagger(v) @ stack @ v) - exact) <= 1e-13 * exact), name
-            assert np.all(np.abs(bc.op_norm1(stack) - exact) <= 1e-13 * exact), name
-            for x, e in zip(stack, exact):
-                one = bc.op_norm1(x)
-                assert isinstance(one, float)
-                assert abs(one - e) <= 1e-13 * e, name
-
-
-def test_op_norm1_is_op_norm_when_the_frame_is_square(constructions):
-    rng = np.random.default_rng(32)
-    for name in ("tensor(1,2)", "tensor(1,3)", "group_flip(scalars)"):
-        bc = constructions[name]
-        assert bc.m1_frame.shape[1] == bc.dim_l2
-        x = np.tensordot(rng.standard_normal((3, bc.dim_m1)), bc.m1_basis, axes=1)
-        assert np.array_equal(bc.op_norm1(x), op_norm(x))
 
 
 def test_m1_frame_keeps_every_block_of_a_non_factor():
     # M1 of C+C in M2 is M2 + M2, one block per minimal projection of N;
     # one eigenvalue group of the right action holds one block only
     bc = diagonal_pair_construction()
-    v = bc.m1_frame
+    v = _m1_frame(bc)
     _gate_frame(bc, v)
     with pytest.raises(ConstructionError, match="rank 4, expected 8: a block of M1 is missing"):
         _gate_frame(bc, v[:, :2])
@@ -379,7 +359,7 @@ def test_m1_frame_keeps_every_block_of_a_non_factor():
 
 def test_m1_frame_gates_refuse_bad_frames(constructions):
     bc = constructions["tensor(2,2)"]
-    v = bc.m1_frame
+    v = _m1_frame(bc)
     with pytest.raises(ConstructionError, match="not an isometry"):
         _gate_frame(bc, 1.01 * v)
     q, _ = np.linalg.qr(np.random.default_rng(33).standard_normal((bc.dim_l2, 8)))
@@ -393,11 +373,10 @@ def test_m1_frame_gates_refuse_bad_frames(constructions):
 
 def test_compressed_is_built_on_first_use_only():
     bc = build_basic_construction(make_tensor_inclusion(2, 2))
-    assert "compressed" not in vars(bc) and "m1_frame" not in vars(bc)
+    assert "compressed" not in vars(bc)
     small = bc.compressed
     assert bc.compressed is small
     assert small.compressed is small
-    assert np.array_equal(small.m1_frame, np.eye(8))
 
 
 def test_compressed_width_is_one_copy_of_each_block(frame_cases):
@@ -420,7 +399,7 @@ def test_compression_commutes_with_the_operations_of_m1(frame_cases):
     for name in ("tensor(2,2)", "group_flip(m2)", "tensor(3,2)"):
         bc = frame_cases[name]
         small = bc.compressed
-        v = bc.m1_frame
+        v = _m1_frame(bc)
 
         def squeeze(a):
             return dagger(v) @ a @ v
@@ -435,20 +414,36 @@ def test_compression_commutes_with_the_operations_of_m1(frame_cases):
             assert abs(small.tau1(squeeze(a)) - bc.tau1(a)) <= 1e-13, name
         e1 = op_norm(squeeze(bc._e1_unchecked(x)) - small._e1_unchecked(squeeze(x)))
         assert e1.max() <= 1e-13, name
-        assert np.abs(small.op_norm1(squeeze(x)) - bc.op_norm1(x)).max() <= 1e-13, name
+        assert np.abs(op_norm(squeeze(x)) - op_norm(x)).max() <= 1e-13, name
         # the compressed arrays are the compressions of the construction's
         assert op_norm(small.jones_p - squeeze(bc.jones_p)) == 0.0, name
         assert np.array_equal(small.m1_basis, squeeze(bc.m1_basis)), name
         assert small.membership_defects(squeeze(x)).max() <= 1e-13, name
 
 
-def test_compressed_falls_back_when_the_markov_check_fails(constructions):
+def test_compressed_falls_back_when_the_markov_check_fails(constructions, monkeypatch):
     # a frame that keeps only part of one copy of M1 breaks tau1 = tr/r;
     # the construction then stays on L2(M)
     bc = constructions["tensor(2,2)"]
+    half = _m1_frame(bc)[:, :4]
+    monkeypatch.setattr(basic, "_m1_frame", lambda _: half)
     clone = dataclasses.replace(bc)
-    vars(clone)["m1_frame"] = bc.m1_frame[:, :4]
     assert clone.compressed is clone
+
+
+def test_two_norm1_slices_are_the_single_matrix_call(constructions):
+    rng = np.random.default_rng(43)
+    for name in ("tensor(2,2)", "group_flip(scalars)"):
+        for bc in (constructions[name], constructions[name].compressed):
+            d = bc.dim_l2
+            for n in (1, 2, 7, 257):
+                a = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+                stacked = bc.two_norm1(a)
+                assert stacked.shape == (n,)
+                for k in range(n):
+                    one = bc.two_norm1(a[k])
+                    assert isinstance(one, float)
+                    assert stacked[k] == one, (name, d, n, k)
 
 
 def test_suites_on_the_compression_keep_every_status(constructions):

@@ -15,6 +15,7 @@ from subfactor_geo import cli
 from subfactor_geo.cli import main
 from subfactor_geo.errors import DomainError, RadiusError
 from subfactor_geo.linalg import load_matrix, op_norm
+from subfactor_geo.orbit import orbit_log_batch
 
 FAST = ["--trials", "6", "--grid", "32", "--seed", "11"]
 
@@ -136,11 +137,14 @@ def test_geodesic_exports_artifacts(tmp_path, capsys):
     assert q_start.shape == (d, d)
 
 
-def test_geodesic_then_log_round_trip(tmp_path, capsys):
-    code, _, _ = run(capsys, "geodesic", "--out", str(tmp_path), *FAST)
+# tensor(2,2) is a family where the compression is real: the log and the
+# sweeps run on 8 x 8 matrices, the geodesic export on 16 x 16 ones
+@pytest.mark.parametrize("family", ["tensor(1,2)", "tensor(2,2)"])
+def test_geodesic_then_log_round_trip(tmp_path, capsys, family):
+    code, _, _ = run(capsys, "geodesic", "--out", str(tmp_path), *FAST, "--family", family)
     assert code == 0
     code, out, _ = run(
-        capsys, "log", "--out", str(tmp_path), *FAST,
+        capsys, "log", "--out", str(tmp_path), *FAST, "--family", family,
         str(tmp_path / "q_start.txt"), str(tmp_path / "q_end.txt"),
     )
     assert code == 0
@@ -198,9 +202,10 @@ def test_log_rejects_missing_file(tmp_path, capsys):
     assert "cannot read" in err
 
 
-def test_sweep_minimality(tmp_path, capsys):
+@pytest.mark.parametrize("family", ["tensor(1,2)", "tensor(2,2)"])
+def test_sweep_minimality(tmp_path, capsys, family):
     code, out, _ = run(
-        capsys, "sweep", "--out", str(tmp_path), *FAST, "minimality"
+        capsys, "sweep", "--out", str(tmp_path), *FAST, "--family", family, "minimality"
     )
     assert code == 0
     summary = json.loads((tmp_path / "minimality_summary.json").read_text())
@@ -257,6 +262,18 @@ def test_sweep_radius_probe(tmp_path, capsys, monkeypatch):
             for line in (tmp_path / "radius_probe.csv").read_text().strip().split("\n")[1:]
         ]
         assert [r[2:] for r in rows] == [["0", "9.999000000000e+99", counted, "0"]] * 24
+
+    # on tensor(2,2) the logarithms are taken on the compression, 8 of 16
+    widths = []
+
+    def recording_log_batch(q0, targets, *args, **kwargs):
+        widths.append(q0.bc.dim_l2)
+        return orbit_log_batch(q0, targets, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "orbit_log_batch", recording_log_batch)
+    code, _, _ = run(capsys, *argv[:-3], "--family", "tensor(2,2)", "radius_probe")
+    assert code == 0
+    assert widths and set(widths) == {8}
 
 
 def test_sweep_requires_seed(tmp_path, capsys):

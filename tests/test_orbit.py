@@ -1,5 +1,7 @@
 """Orbit geometry: tangent maps, geodesics, lifts, logs, and experiments."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -932,6 +934,23 @@ def test_curve_functionals_match_per_sample_reference(constructions):
     assert verdicts == [True, True, True, False, False]
 
 
+@pytest.mark.parametrize(
+    "n_samples, kwargs, text",
+    [
+        (1, {"metric": "two_norm"}, "length functionals need at least two samples"),
+        (5, {"metric": "sup"}, "unknown metric 'sup'"),
+        (5, {"metric": "two_norm", "space": "arena"}, "unknown space 'arena'"),
+        (5, {"metric": "two_norm", "order": 3}, "unknown order 3; use 2 or 4"),
+        (5, {"metric": "op_norm", "order": 6}, "unknown order 6; use 2 or 4"),
+    ],
+)
+def test_curve_lengths_refuses_unknown_arguments(constructions, n_samples, kwargs, text):
+    bc = constructions["tensor(1,2)"]
+    path = np.stack([bc.jones_p] * n_samples)
+    with pytest.raises(DomainError, match=re.escape(text)):
+        curve_lengths(bc, path, **kwargs)
+
+
 def test_curve_gap_check_is_strict(constructions):
     # a gap of exactly 0.5 is refused, the largest float below it accepted;
     # the samples are multiples of the identity of L2(M), which lie in M1
@@ -950,8 +969,9 @@ def test_curve_gap_check_is_strict(constructions):
 
 def test_curve_refuses_samples_outside_m1(constructions):
     # the arena matrix unit e00 of L2(M) is not in M1 on tensor(2,2), where
-    # op_norm1 would under-read it (0.5 against 1.0); the curve names the
-    # worst sample and its defect
+    # its compression to one copy of each block of M1 would under-read its
+    # operator norm (0.5 against 1.0); the curve names the worst sample and
+    # its defect
     bc = constructions["tensor(2,2)"]
     unit = np.zeros((bc.dim_l2, bc.dim_l2))
     unit[0, 0] = 1.0
@@ -1015,7 +1035,7 @@ def test_shorten_breaks_match_the_per_sample_reference(constructions, rng):
         breaks, i = [0], 0
         while i < len(qs) - 1:
             j = i + 1
-            while j < len(qs) and bc.op_norm1(qs[j] - qs[i]) < bound:
+            while j < len(qs) and op_norm(qs[j] - qs[i]) < bound:
                 j += 1
             breaks.append(j - 1)
             i = j - 1
