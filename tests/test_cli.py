@@ -139,21 +139,25 @@ def test_geodesic_exports_artifacts(tmp_path, capsys):
 
 # tensor(2,2) is a family where the compression is real: the log and the
 # sweeps run on 8 x 8 matrices, the geodesic export on 16 x 16 ones
-@pytest.mark.parametrize("family", ["tensor(1,2)", "tensor(2,2)"])
-def test_geodesic_then_log_round_trip(tmp_path, capsys, family):
-    code, _, _ = run(capsys, "geodesic", "--out", str(tmp_path), *FAST, "--family", family)
-    assert code == 0
-    code, out, _ = run(
-        capsys, "log", "--out", str(tmp_path), *FAST, "--family", family,
-        str(tmp_path / "q_start.txt"), str(tmp_path / "q_end.txt"),
-    )
-    assert code == 0
-    assert "recovered generator" in out
-    z_in = load_matrix((tmp_path / "z.txt").read_text())
-    z_out = load_matrix((tmp_path / "z_out.txt").read_text())
-    assert op_norm(z_in - z_out) < 1e-7
-    doc = json.loads((tmp_path / "log.json").read_text())
-    assert doc["residual"] <= 1e-8
+COMPRESSED_TOO = ("tensor(1,2)", "tensor(2,2)")
+
+
+def test_geodesic_then_log_round_trip(tmp_path, capsys):
+    for family in COMPRESSED_TOO:
+        out_dir = tmp_path / family
+        code, _, _ = run(capsys, "geodesic", "--out", str(out_dir), *FAST, "--family", family)
+        assert code == 0
+        code, out, _ = run(
+            capsys, "log", "--out", str(out_dir), *FAST, "--family", family,
+            str(out_dir / "q_start.txt"), str(out_dir / "q_end.txt"),
+        )
+        assert code == 0
+        assert "recovered generator" in out
+        z_in = load_matrix((out_dir / "z.txt").read_text())
+        z_out = load_matrix((out_dir / "z_out.txt").read_text())
+        assert op_norm(z_in - z_out) < 1e-7, family
+        doc = json.loads((out_dir / "log.json").read_text())
+        assert doc["residual"] <= 1e-8, family
 
 
 def test_log_closes_projection_files(tmp_path, capsys, monkeypatch):
@@ -202,17 +206,18 @@ def test_log_rejects_missing_file(tmp_path, capsys):
     assert "cannot read" in err
 
 
-@pytest.mark.parametrize("family", ["tensor(1,2)", "tensor(2,2)"])
-def test_sweep_minimality(tmp_path, capsys, family):
-    code, out, _ = run(
-        capsys, "sweep", "--out", str(tmp_path), *FAST, "--family", family, "minimality"
-    )
-    assert code == 0
-    summary = json.loads((tmp_path / "minimality_summary.json").read_text())
-    assert summary["status"] == "ok"
-    assert summary["violations"] == 0
-    lines = (tmp_path / "minimality.csv").read_text().strip().split("\n")
-    assert len(lines) == 1 + 6
+def test_sweep_minimality(tmp_path, capsys):
+    for family in COMPRESSED_TOO:
+        out_dir = tmp_path / family
+        code, out, _ = run(
+            capsys, "sweep", "--out", str(out_dir), *FAST, "--family", family, "minimality"
+        )
+        assert code == 0
+        summary = json.loads((out_dir / "minimality_summary.json").read_text())
+        assert summary["status"] == "ok"
+        assert summary["violations"] == 0, family
+        lines = (out_dir / "minimality.csv").read_text().strip().split("\n")
+        assert len(lines) == 1 + 6
 
 
 def test_sweep_zero_trials_writes_header_only(tmp_path, capsys):
