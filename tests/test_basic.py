@@ -15,8 +15,7 @@ from subfactor_geo.algebra import (
     random_unitary,
     AlgebraDescriptor,
 )
-from subfactor_geo import family_construction
-from subfactor_geo import basic
+from subfactor_geo import basic, family_construction
 from subfactor_geo.basic import (
     _gate_frame,
     _m1_frame,
