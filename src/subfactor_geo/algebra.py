@@ -36,7 +36,6 @@ __all__ = [
     "span_residuals",
     "closure_defects",
     "random_element",
-    "random_hermitian",
     "random_antihermitian",
     "random_unitary",
     "random_horizontal",
@@ -236,6 +235,13 @@ class Inclusion:
     def from_coords(self, c: np.ndarray) -> np.ndarray:
         return np.tensordot(c, self.amb_basis, axes=1)
 
+    @cached_property
+    def pp_report(self) -> PPReport:
+        """The feasibility probe at the declared lam (32 samples, seed 0),
+        run on the first read: by the factory that made the inclusion, or
+        by the build for one made otherwise (``dataclasses.replace``)."""
+        return pimsner_popa_validate(self, n_samples=32, lam=self.lam, seed=0)
+
     def validate(self) -> None:
         for name, stack, desc in (
             ("sub", self.sub_basis, self.sub),
@@ -249,6 +255,12 @@ class Inclusion:
                 raise DomainError(f"{name} basis must start with the identity")
         if self.sub_basis.shape[0] != self.embed_basis.shape[0]:
             raise DomainError("sub and embed bases must be aligned")
+        # N's blocks are read from ``sub`` (the compression's frame, the
+        # center of M1), so sub_basis must span the algebra it declares
+        if len(self.sub_basis) != self.sub.dim or span_residual(
+            self.sub.canonical_basis(), self.sub_basis, self.sub.weight_vector
+        ) > SPECTRAL_TOL:
+            raise DomainError("sub basis does not span the algebra its descriptor declares")
         if not 0.0 < self.lam <= 1.0:
             raise DomainError(f"index constant must lie in (0, 1], got {self.lam}")
         if np.abs(self.sub.trace(self.sub_basis) - self.amb.trace(self.embed_basis)).max() > 1e-11:
@@ -365,8 +377,7 @@ def make_tensor_inclusion(m: int, k: int) -> Inclusion:
         lam=1.0 / (k * k),
         family_tag=f"tensor({m},{k})",
     )
-    inc.validate()
-    return inc
+    return _validated(inc)
 
 
 def make_group_flip_inclusion(
@@ -433,8 +444,7 @@ def make_group_flip_inclusion(
         lam=0.5,
         family_tag=tag or f"group_flip(n={n})",
     )
-    inc.validate()
-    return inc
+    return _validated(inc)
 
 
 def make_custom_inclusion(
@@ -464,11 +474,18 @@ def make_custom_inclusion(
         lam=lam,
         family_tag=tag,
     )
+    return _validated(inc)
+
+
+def _validated(inc: Inclusion) -> Inclusion:
+    """inc, once it passes ``validate`` and the feasibility probe at its
+    declared lam.  Every factory ends here, so the probe runs when the
+    inclusion is made and each build reads the cached report."""
     inc.validate()
-    report = pimsner_popa_validate(inc, n_samples=32, lam=lam, seed=0)
+    report = inc.pp_report
     if not report.feasible:
         raise DomainError(
-            f"declared lambda {lam} is infeasible (worst margin {report.worst_margin:.3e})"
+            f"declared lambda {inc.lam} is infeasible (worst margin {report.worst_margin:.3e})"
         )
     return inc
 
@@ -481,11 +498,6 @@ def random_element(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
     """Gaussian element in the span of a trace-orthonormal basis."""
     c = (rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))) / np.sqrt(2)
     return np.tensordot(c, basis, axes=1)
-
-
-def random_hermitian(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
-    x = random_element(rng, basis)
-    return (x + dagger(x)) / 2.0
 
 
 def random_antihermitian(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ multiplicity D/r on L2(M), so tr(x) = (D/r) tr(V* x V) on M1 and tau1 is
 tr/r on the compression, where the Markov check confirms it.  The
 verification suites run there, all but the construction suite, which
 verifies the construction on L2(M); so do the CLI's log and sweeps.  What
-reads L2(M) itself -- the frame search (right multiplication by M, from
+reads L2(M) itself -- the frame (right multiplication by N, from
 left_cache), the center of M1 and verify_construction_properties -- is not
 run on the compression.
 """
@@ -47,7 +47,6 @@ from .algebra import (
     orthonormalize,
     pimsner_popa_validate,
     random_element,
-    random_hermitian,
     span_coords,
     span_project,
     span_residual,
@@ -56,7 +55,6 @@ from .algebra import (
 from .errors import ConstructionError, DomainError, MembershipError
 from .linalg import dagger, op_norm
 from .tolerances import (
-    EIGEN_GROUP_TOL,
     GRAM_DROP_TOL,
     MEMBERSHIP_TOL,
     SPECTRAL_TOL,
@@ -197,7 +195,7 @@ def build_basic_construction(inc: Inclusion) -> BasicConstruction:
     of the defining properties of the trace projection is violated on basis
     elements.
     """
-    pp = pimsner_popa_validate(inc, n_samples=32, lam=inc.lam, seed=0)
+    pp = inc.pp_report
     if not pp.feasible:
         raise ConstructionError(
             f"E(x*x) >= lam x*x fails at declared lam {inc.lam} "
@@ -300,38 +298,28 @@ def _m1_generators(left_cache: np.ndarray, p: np.ndarray) -> np.ndarray:
     return gens
 
 
-def _compressed_rank(bc: BasicConstruction, v: np.ndarray) -> int:
-    """Rank of the compressions V* m V of the basis of M1, as K vectors."""
-    c = (dagger(v) @ bc.m1_basis @ v).reshape(bc.dim_m1, -1)
-    s = np.linalg.svd(c, compute_uv=False)
-    return int((s > GRAM_DROP_TOL * max(1.0, s.max(initial=0.0))).sum())
-
-
 def _m1_frame(bc: BasicConstruction) -> np.ndarray:
     """The frame of the compression, a D x r isometry onto one copy of each
-    block of M1, from one seeded random Hermitian n in N.
+    block of M1, read from the blocks that the inclusion declares for N.
 
-    The eigenspaces of right multiplication by n are the ranges of right
-    multiplication by the spectral projections of n, which are minimal in
-    their blocks of N for a generic n.  The groups of equal eigenvalues are
-    taken in order, and a group is kept only if it raises the rank of the
-    compressed basis of M1; the search stops at rank K, after one group
-    when N is a factor.
+    For each block j of N, e_j is the image in M of its first diagonal
+    matrix unit, through the coordinates over ``sub_basis`` applied to
+    ``embed_basis``: a projection minimal in block j.  Right multiplication
+    by e_j is a projection whose range carries one copy of block j of M1,
+    and these ranges are orthogonal, since e_j e_k = 0 for j != k.  The
+    frame is the eigenvalue-1 eigenvectors of each, block by block.
     """
-    n = random_hermitian(np.random.default_rng(0), bc.inc.embed_basis)
-    # right multiplication by basis element j of M is left_cache[:, :, j].T
-    r_n = np.tensordot(bc.inc.coords(n), bc.left_cache, axes=([0], [2])).T
-    w, u = np.linalg.eigh((r_n + dagger(r_n)) / 2.0)
-    cuts = np.flatnonzero(np.diff(w) > EIGEN_GROUP_TOL * max(1.0, np.abs(w).max()))
-    v = u[:, :0]
-    rank = 0
-    for group in np.split(u, cuts + 1, axis=1):
-        wider = np.concatenate([v, group], axis=1)
-        wider_rank = _compressed_rank(bc, wider)
-        if wider_rank > rank:
-            v, rank = wider, wider_rank
-        if rank == bc.dim_m1:
-            break
+    inc = bc.inc
+    dims = inc.sub.block_dims
+    starts = np.cumsum((0,) + dims[:-1])
+    units = np.zeros((len(dims),) + inc.sub_basis.shape[1:], dtype=complex)
+    units[np.arange(len(dims)), starts, starts] = 1.0
+    e = np.tensordot(span_coords(inc.sub_basis, units, inc.sub.weight_vector), inc.embed_basis, 1)
+    # right multiplication by basis element k of M is left_cache[:, :, k].T
+    r_e = np.swapaxes(np.tensordot(inc.coords(e), bc.left_cache, axes=([1], [2])), -1, -2)
+    w, u = np.linalg.eigh((r_e + dagger(r_e)) / 2.0)
+    # each spectrum is {0, 1}; _gate_frame refuses anything else
+    v = np.concatenate([u_j[:, w_j > 0.5] for w_j, u_j in zip(w, u)], axis=1)
     _gate_frame(bc, v)
     return v
 
@@ -343,12 +331,15 @@ def _gate_frame(bc: BasicConstruction, v: np.ndarray) -> None:
     if isometry > SPECTRAL_TOL:
         raise ConstructionError(f"M1 frame is not an isometry (defect {isometry:.3e})")
     mv = bc.m1_basis @ v
-    leak = float(op_norm(mv - v @ (dagger(v) @ mv)).max(initial=0.0))
+    vmv = dagger(v) @ mv
+    leak = float(op_norm(mv - v @ vmv).max(initial=0.0))
     if leak > SPECTRAL_TOL:
         raise ConstructionError(
             f"M1 does not leave the frame's range invariant (defect {leak:.3e})"
         )
-    rank = _compressed_rank(bc, v)
+    # rank of the compressions V* m V of the basis of M1, as K vectors
+    s = np.linalg.svd(vmv.reshape(bc.dim_m1, -1), compute_uv=False)
+    rank = int((s > GRAM_DROP_TOL * max(1.0, s.max(initial=0.0))).sum())
     if rank != bc.dim_m1:
         raise ConstructionError(
             f"M1 compressed to the frame has rank {rank}, expected {bc.dim_m1}: "
@@ -524,7 +515,7 @@ def verify_construction_properties(
         prod_defect <= 1e-9
         and adj_defect <= 1e-9
         and trace_defect <= SPECTRAL_TOL
-        and (center_dim == predicted if inc.family_tag != "custom" else True)
+        and center_dim == predicted
     )
     records.append(
         PropertyRecord(

@@ -25,9 +25,6 @@ PATH_UNITARY_TOL = 1e-8
 SECTION_TOL = 1e-9
 # Trace-norm length difference the quadrature of a curve length is trusted to.
 LENGTH_TOL = 1e-6
-# Relative gap below which neighbouring eigenvalues of a Hermitian matrix
-# are taken as one eigenvalue when its eigenspaces are grouped.
-EIGEN_GROUP_TOL = 1e-8
 # Most negative eigenvalue of E(x*x) - lam * x*x that a Pimsner-Popa
 # feasibility probe may read and still count as satisfying the inequality.
 PP_MARGIN_TOL = 1e-10

@@ -16,7 +16,6 @@ from subfactor_geo.algebra import (
     pimsner_popa_validate,
     random_antihermitian,
     random_element,
-    random_hermitian,
     random_horizontal,
     random_unitary,
     span_coords,
@@ -181,7 +180,8 @@ def test_horizontal_projection_properties(bc, rng):
 
 def test_random_samplers(bc, rng):
     inc = bc.inc
-    h = random_hermitian(rng, inc.amb_basis)
+    x = random_element(rng, inc.amb_basis)
+    h = (x + dagger(x)) / 2.0
     assert op_norm(h - dagger(h)) < 1e-13
     a = random_antihermitian(rng, inc.amb_basis)
     assert op_norm(a + dagger(a)) < 1e-13
@@ -239,6 +239,27 @@ def test_custom_inclusion_validates_lambda():
         make_custom_inclusion(sub, amb, phi, lam=0.6)
 
 
+def test_feasibility_probe_runs_once_per_inclusion(monkeypatch):
+    # make_custom_inclusion and the build read the same cached report
+    from subfactor_geo import algebra
+    from subfactor_geo.basic import build_basic_construction
+
+    calls = []
+    probe = algebra.pimsner_popa_validate
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "pimsner_popa_validate", counted)
+    sub = AlgebraDescriptor((1,), (1.0,))
+    amb = AlgebraDescriptor((2,), (0.5,))
+    inc = make_custom_inclusion(sub, amb, lambda b: np.kron(b, np.eye(2, dtype=complex)), 0.25)
+    build_basic_construction(inc)
+    assert calls == [{"n_samples": 32, "lam": 0.25, "seed": 0}]
+    assert inc.pp_report.feasible and inc.pp_report.lam == 0.25
+
+
 def test_inclusion_validate_catches_broken_bases(inclusions):
     inc = inclusions["tensor(1,2)"]
     bad = dataclasses.replace(inc, amb_basis=2.0 * inc.amb_basis)
@@ -247,6 +268,16 @@ def test_inclusion_validate_catches_broken_bases(inclusions):
     bad_lam = dataclasses.replace(inc, lam=1.5)
     with pytest.raises(DomainError):
         bad_lam.validate()
+    # N = C declared as C + C, and an orthonormal pair outside C + C
+    two = AlgebraDescriptor((1, 1), (0.5, 0.5))
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    pair = np.stack([np.eye(2), flip])
+    for sub_basis, embed_basis in ((pair[:1], inc.embed_basis), (pair, pair)):
+        undeclared = dataclasses.replace(
+            inc, sub=two, sub_basis=sub_basis, embed_basis=embed_basis
+        )
+        with pytest.raises(DomainError, match="sub basis does not span"):
+            undeclared.validate()
 
 
 def test_validate_refuses_products_leaving_the_embedded_span(inclusions):

@@ -240,6 +240,15 @@ def diagonal_pair_construction():
     return build_basic_construction(make_custom_inclusion(sub, amb, lambda b: b, 0.5))
 
 
+def diagonal_m2_pair_construction():
+    """N = M2 + M2 inside M4 as its block diagonal, at lam = 1/2: a non-factor
+    subalgebra whose M1 = M4 + M4 (K = 32) has two copies of each block on
+    L2(M), so the compression is proper (r = 8 of D = 16)."""
+    sub = AlgebraDescriptor((2, 2), (0.25, 0.25))
+    amb = AlgebraDescriptor((4,), (0.25,))
+    return build_basic_construction(make_custom_inclusion(sub, amb, lambda b: b, 0.5))
+
+
 def test_property1_matches_full_commutator_reference(constructions):
     cases = dict(constructions)
     cases["diagonal C+C in M2"] = diagonal_pair_construction()
@@ -256,6 +265,22 @@ def test_property1_matches_full_commutator_reference(constructions):
         center_dims[name] = center_dim
     assert center_dims["diagonal C+C in M2"] == 2
     assert all(center_dims[name] == 1 for name in constructions)
+
+
+def test_property1_checks_the_center_of_custom_inclusions(monkeypatch):
+    # the center of M1 is the right action of the center of N for every
+    # inclusion, whatever its tag
+    cases = (diagonal_pair_construction(), diagonal_m2_pair_construction())
+    for bc in cases:
+        assert bc.inc.family_tag == "custom"
+        rec = verify_construction_properties(bc, n_samples=4, seed=1).records[0]
+        assert rec.passed
+        assert rec.detail["center_dim"] == rec.detail["predicted_center_dim"] == 2
+    monkeypatch.setattr(basic, "_center_dim", lambda bc: 1)
+    for bc in cases:
+        rec = verify_construction_properties(bc, n_samples=4, seed=1).records[0]
+        assert not rec.passed
+        assert rec.detail["center_dim"] == 1
 
 
 def test_property1_fails_loudly_on_a_truncated_basis(constructions):
@@ -312,6 +337,7 @@ def frame_cases(constructions):
     cases = dict(constructions)
     cases["tensor(3,2)"] = family_construction("tensor(3,2)")
     cases["diagonal C+C in M2"] = diagonal_pair_construction()
+    cases["diagonal M2+M2 in M4"] = diagonal_m2_pair_construction()
     return cases
 
 
@@ -324,6 +350,7 @@ FRAME_WIDTHS = {
     "group_flip(m2)": 4,
     "tensor(3,2)": 12,
     "diagonal C+C in M2": 4,
+    "diagonal M2+M2 in M4": 8,
 }
 
 
@@ -342,8 +369,8 @@ def test_frame_compression_keeps_op_norm_on_m1(frame_cases):
 
 
 def test_m1_frame_keeps_every_block_of_a_non_factor():
-    # M1 of C+C in M2 is M2 + M2, one block per minimal projection of N;
-    # one eigenvalue group of the right action holds one block only
+    # M1 of C+C in M2 is M2 + M2, one block per block of N; the range of
+    # right multiplication by one minimal projection of N holds one block only
     bc = diagonal_pair_construction()
     v = _m1_frame(bc)
     _gate_frame(bc, v)
@@ -354,6 +381,30 @@ def test_m1_frame_keeps_every_block_of_a_non_factor():
     blocks = [v[:, :2] @ dagger(v[:, :2]), v[:, 2:] @ dagger(v[:, 2:])]
     assert op_norm(dagger(v[:, :2]) @ blocks[1] @ v[:, :2]) < 1e-13
     assert abs(op_norm(blocks[1]) - 1.0) < 1e-13
+
+
+def test_m1_frame_columns_are_the_ranges_of_the_blocks_minimal_projections(frame_cases):
+    # block j's columns V_j span the range of right multiplication by the
+    # first diagonal matrix unit e_j of block j of N, and distinct blocks'
+    # columns are orthogonal
+    for name, units, width in (
+        ("diagonal C+C in M2", (0, 1), 2),
+        ("diagonal M2+M2 in M4", (0, 2), 4),
+    ):
+        bc = frame_cases[name]
+        inc = bc.inc
+        v = _m1_frame(bc)
+        blocks = [v[:, k * width:(k + 1) * width] for k in range(len(units))]
+        for i, vj in zip(units, blocks):
+            e = np.zeros_like(inc.identity())
+            e[i, i] = 1.0
+            # column s of right multiplication by e: the coordinates of b_s e
+            r_e = inc.coords(inc.amb_basis @ e).T
+            assert op_norm(r_e @ vj - vj) <= 1e-13, name
+        for j, vj in enumerate(blocks):
+            for k, vk in enumerate(blocks):
+                gram = dagger(vj) @ vk
+                assert op_norm(gram - (np.eye(width) if j == k else 0.0)) <= 1e-13, name
 
 
 def test_m1_frame_gates_refuse_bad_frames(constructions):
@@ -395,7 +446,7 @@ def test_compression_commutes_with_the_operations_of_m1(frame_cases):
     # and the operator norm: tau1 is tr/r on r x r because every block of M1
     # has multiplicity D/r on L2(M)
     rng = np.random.default_rng(41)
-    for name in ("tensor(2,2)", "group_flip(m2)", "tensor(3,2)"):
+    for name in ("tensor(2,2)", "group_flip(m2)", "tensor(3,2)", "diagonal M2+M2 in M4"):
         bc = frame_cases[name]
         small = bc.compressed
         v = _m1_frame(bc)
@@ -421,10 +472,11 @@ def test_compression_commutes_with_the_operations_of_m1(frame_cases):
 
 
 def test_compressed_falls_back_when_the_markov_check_fails(constructions, monkeypatch):
-    # a frame that keeps only part of one copy of M1 breaks tau1 = tr/r;
-    # the construction then stays on L2(M)
+    # a frame on a generic half of one copy of M1 breaks tau1 = tr/r; the
+    # construction then stays on L2(M)
     bc = constructions["tensor(2,2)"]
-    half = _m1_frame(bc)[:, :4]
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((8, 8)))
+    half = _m1_frame(bc) @ q[:, :4]
     monkeypatch.setattr(basic, "_m1_frame", lambda _: half)
     clone = dataclasses.replace(bc)
     assert clone.compressed is clone
@@ -449,7 +501,10 @@ def test_suites_on_the_compression_keep_every_status(constructions):
     from subfactor_geo.config import SUITE_NAMES, parse_config
     from subfactor_geo.suites import _SUITE_FUNCS
 
-    for name, bc in constructions.items():
+    cases = dict(constructions)
+    # a non-factor N whose compression is proper
+    cases["diagonal M2+M2 in M4"] = diagonal_m2_pair_construction()
+    for name, bc in cases.items():
         cfg = parse_config({"inclusion": {"family": name}, "seed": 9, "trials": 4, "grid": 32})
         for suite in (s for s in SUITE_NAMES if s != "construction"):
             on_l2 = _SUITE_FUNCS[suite](bc, cfg)
