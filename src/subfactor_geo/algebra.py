@@ -36,6 +36,7 @@ __all__ = [
     "span_residuals",
     "closure_defects",
     "random_element",
+    "seeded_elements",
     "random_antihermitian",
     "random_unitary",
     "random_horizontal",
@@ -237,9 +238,8 @@ class Inclusion:
 
     @cached_property
     def pp_report(self) -> PPReport:
-        """The feasibility probe at the declared lam (32 samples, seed 0),
-        run on the first read: by the factory that made the inclusion, or
-        by the build for one made otherwise (``dataclasses.replace``)."""
+        """The feasibility probe at the declared lam (32 samples, seed 0), run
+        by the factory, or by the build for an inclusion made otherwise."""
         return pimsner_popa_validate(self, n_samples=32, lam=self.lam, seed=0)
 
     def validate(self) -> None:
@@ -255,8 +255,7 @@ class Inclusion:
                 raise DomainError(f"{name} basis must start with the identity")
         if self.sub_basis.shape[0] != self.embed_basis.shape[0]:
             raise DomainError("sub and embed bases must be aligned")
-        # N's blocks are read from ``sub`` (the compression's frame, the
-        # center of M1), so sub_basis must span the algebra it declares
+        # the frame and property 1 read N's blocks from ``sub``
         if len(self.sub_basis) != self.sub.dim or span_residual(
             self.sub.canonical_basis(), self.sub_basis, self.sub.weight_vector
         ) > SPECTRAL_TOL:
@@ -329,10 +328,8 @@ def pimsner_popa_validate(
         lam = inc.lam
     if not lam > 0:
         raise DomainError(f"lambda must be positive, got {lam}")
-    rng = np.random.default_rng(seed)
     shape = inc.amb_basis.shape[1:]
-    xs = np.array([random_element(rng, inc.amb_basis) for _ in range(n_samples)])
-    xs = xs.reshape((n_samples,) + shape)
+    xs = seeded_elements(inc.amb_basis, n_samples, seed)
     _, vecs = np.linalg.eigh((xs + dagger(xs)) / 2.0)
     # projs[s, c] = v v* for the column v = vecs[s, :, c]
     cols = np.swapaxes(vecs, -1, -2)
@@ -479,8 +476,7 @@ def make_custom_inclusion(
 
 def _validated(inc: Inclusion) -> Inclusion:
     """inc, once it passes ``validate`` and the feasibility probe at its
-    declared lam.  Every factory ends here, so the probe runs when the
-    inclusion is made and each build reads the cached report."""
+    declared lam; every factory ends here, so builds read a cached report."""
     inc.validate()
     report = inc.pp_report
     if not report.feasible:
@@ -498,6 +494,13 @@ def random_element(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
     """Gaussian element in the span of a trace-orthonormal basis."""
     c = (rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))) / np.sqrt(2)
     return np.tensordot(c, basis, axes=1)
+
+
+def seeded_elements(basis: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """n Gaussian elements in the span of a basis from one generator seeded
+    with ``seed``: the samples of the feasibility probe and of property 6."""
+    rng = np.random.default_rng(seed)
+    return np.reshape([random_element(rng, basis) for _ in range(n)], (n,) + basis.shape[1:])
 
 
 def random_antihermitian(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:

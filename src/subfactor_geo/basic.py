@@ -46,7 +46,7 @@ from .algebra import (
     expectation_E,
     orthonormalize,
     pimsner_popa_validate,
-    random_element,
+    seeded_elements,
     span_coords,
     span_project,
     span_residual,
@@ -502,7 +502,6 @@ def verify_construction_properties(
     p = bc.jones_p
     d = bc.dim_l2
     lam = bc.lam
-    rng = np.random.default_rng(seed)
 
     records: list[PropertyRecord] = []
 
@@ -585,8 +584,7 @@ def verify_construction_properties(
     )
 
     # 6: norm bounds for the compression, basis plus samples
-    samples = [random_element(rng, inc.amb_basis) for _ in range(n_samples)]
-    probes = np.concatenate([inc.amb_basis, np.reshape(samples, (-1,) + inc.amb_basis.shape[1:])])
+    probes = np.concatenate([inc.amb_basis, seeded_elements(inc.amb_basis, n_samples, seed)])
     defect6 = _norm_bound_defect(bc, probes)
     records.append(
         PropertyRecord(
