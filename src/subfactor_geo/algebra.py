@@ -34,6 +34,7 @@ __all__ = [
     "span_project",
     "span_residual",
     "span_residuals",
+    "weighted_norms",
     "closure_defects",
     "random_element",
     "seeded_elements",
@@ -101,8 +102,7 @@ class AlgebraDescriptor:
 
     def two_norm(self, x: np.ndarray) -> float | np.ndarray:
         """Trace 2-norm; slice by slice, as an array, for stacks."""
-        val = np.einsum("...kd,...kd,d->...", x.conj(), x, self.weight_vector).real
-        norms = np.sqrt(np.maximum(val, 0.0))
+        norms = weighted_norms(x, self.weight_vector)
         return float(norms) if norms.ndim == 0 else norms
 
     def canonical_basis(self) -> np.ndarray:
@@ -173,13 +173,21 @@ def span_project(stack: np.ndarray, x: np.ndarray, weights, real: bool = False) 
     return (c @ stack.reshape(len(stack), -1)).reshape(x.shape)
 
 
+def weighted_norms(x: np.ndarray, weights) -> np.ndarray:
+    """The 2-norm of the inner product of ``orthonormalize``,
+    sqrt(sum_kd |x_kd|^2 w_d), of x (a 0-d array) or of each slice of a
+    stack; ``weights`` is a vector over the last axis or a scalar.  Every
+    trace 2-norm of an algebra and every span residual takes this formula."""
+    w = np.broadcast_to(np.asarray(weights, dtype=float), x.shape[-1:])
+    return np.sqrt(np.maximum(np.einsum("...kd,...kd,d->...", x.conj(), x, w).real, 0.0))
+
+
 def span_residuals(
     stack: np.ndarray, x: np.ndarray, weights, real: bool = False
 ) -> np.ndarray:
     """Weighted 2-norm distance of x, or of each slice of a stack, from the
     span of the stack."""
-    r = (x - span_project(stack, x, weights, real)) * np.sqrt(weights)
-    return np.linalg.norm(r, axis=(-2, -1))
+    return weighted_norms(x - span_project(stack, x, weights, real), weights)
 
 
 def span_residual(stack: np.ndarray, x: np.ndarray, weights, real: bool = False) -> float:

@@ -52,7 +52,7 @@ from .algebra import (
     span_residual,
     span_residuals,
 )
-from .errors import ConstructionError, DomainError, MembershipError
+from .errors import ConstructionError, DomainError, MembershipError, require_each, require_one
 from .linalg import dagger, op_norm
 from .tolerances import (
     GRAM_DROP_TOL,
@@ -99,9 +99,10 @@ class BasicConstruction:
     def tau1(self, a: np.ndarray) -> complex:
         return complex(np.trace(a)) / self.dim_l2
 
-    def inner1(self, a: np.ndarray, b: np.ndarray) -> complex:
-        """tau1(b* a)."""
-        return complex(np.vdot(b, a)) / self.dim_l2
+    def inner1(self, a: np.ndarray, b: np.ndarray) -> complex | np.ndarray:
+        """tau1(b* a); slice by slice, as an array, for (..., D, D) stacks."""
+        val = np.einsum("...ij,...ij->...", b.conj(), a) / self.dim_l2
+        return complex(val) if val.ndim == 0 else val
 
     def two_norm1(self, a: np.ndarray) -> float | np.ndarray:
         """tau1 2-norm; slice by slice, as an array, for (..., D, D) stacks.
@@ -156,36 +157,62 @@ def expectation_E1(bc: BasicConstruction, y: np.ndarray) -> np.ndarray:
 
 
 def reduce_R(bc: BasicConstruction, y: np.ndarray) -> np.ndarray:
-    """The unique m in M with left_rep(m) p = y p, computed as (1/lam) E1(y p)."""
-    defect = bc.membership_defect(y)
-    if defect > MEMBERSHIP_TOL:
-        raise MembershipError(
-            f"input is outside the extension algebra (defect {defect:.3e})", defect=defect
+    """The unique m in M with left_rep(m) p = y p, computed as (1/lam) E1(y p).
+
+    For an (n, D, D) stack, slice by slice; each slice's gates decide for
+    it, and a refusal names its trial."""
+    single = y.ndim == 2
+    ys = y[None] if single else y
+    p = bc.jones_p
+    defects = bc.membership_defects(ys)
+    ms = bc.inc.from_coords(bc._e1_coords(ys @ p) / bc.lam)
+    resid = op_norm(bc.left(ms) @ p - ys @ p)
+    refusals = [
+        MembershipError(
+            f"input is outside the extension algebra (defect {defect:.3e})", defect=float(defect)
         )
-    m = bc.inc.from_coords(bc._e1_coords(y @ bc.jones_p) / bc.lam)
-    resid = op_norm(bc.left(m) @ bc.jones_p - y @ bc.jones_p)
-    if resid > 1e-8:
-        raise ConstructionError(
-            f"reduction is inconsistent: left_rep(m) p differs from y p by {resid:.3e}"
+        if defect > MEMBERSHIP_TOL
+        else ConstructionError(
+            f"reduction is inconsistent: left_rep(m) p differs from y p by {r:.3e}"
         )
-    return m
+        if r > 1e-8
+        else None
+        for defect, r in zip(defects, resid)
+    ]
+    (require_one if single else require_each)(refusals)
+    return ms[0] if single else ms
 
 
 def recover_unitary(bc: BasicConstruction, omega: np.ndarray) -> np.ndarray:
     """Unitary u in M with u p = omega p, for omega in U_{M1} preserving the
     orbit of p.  Raises DomainError when no such unitary exists (the
-    recovered element fails to be unitary)."""
-    ud = op_norm(dagger(omega) @ omega - np.eye(bc.dim_l2))
-    if ud > SPECTRAL_TOL:
-        raise DomainError(f"omega is not unitary (defect {ud:.3e})")
-    u = reduce_R(bc, omega)
-    u_defect = op_norm(dagger(u) @ u - bc.inc.identity())
-    if u_defect > WITNESS_TOL:
-        raise DomainError(
-            f"omega does not preserve the orbit of p: recovered element has "
-            f"unitary defect {u_defect:.3e}"
-        )
-    return u
+    recovered element fails to be unitary).  For an (n, D, D) stack, slice
+    by slice; each slice's gates decide for it, and a refusal names its
+    trial."""
+    single = omega.ndim == 2
+    omegas = omega[None] if single else omega
+    require = require_one if single else require_each
+    ud = op_norm(dagger(omegas) @ omegas - np.eye(bc.dim_l2))
+    require(
+        [
+            None if d <= SPECTRAL_TOL else DomainError(f"omega is not unitary (defect {d:.3e})")
+            for d in ud
+        ]
+    )
+    us = reduce_R(bc, omegas)
+    u_defect = op_norm(dagger(us) @ us - bc.inc.identity())
+    require(
+        [
+            None
+            if d <= WITNESS_TOL
+            else DomainError(
+                f"omega does not preserve the orbit of p: recovered element has "
+                f"unitary defect {d:.3e}"
+            )
+            for d in u_defect
+        ]
+    )
+    return us[0] if single else us
 
 
 def build_basic_construction(inc: Inclusion) -> BasicConstruction:

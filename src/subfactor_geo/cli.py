@@ -345,23 +345,25 @@ def _sweep_radius(bc: BasicConstruction, cfg: RunConfig, out: str) -> dict:
     base = base_point(bc)
     n_shots = max(1, cfg.trials // 8)
     radii = np.linspace(0.05, 1.2, 24)
+    # every shot's direction, drawn radius by radius, then one stack of
+    # endpoints and one of logarithms over all of them
+    z0s = np.stack(
+        [random_horizontal_at(base, rng, op_scale=float(r)) for r in radii for _ in range(n_shots)]
+    )
+    q1s, outcomes = geodesic_endpoints(base, z0s)
+    kept = [k for k, refusal in enumerate(outcomes) if refusal is None]
+    for k, outcome in zip(kept, orbit_log_batch(base, q1s[kept])):
+        outcomes[k] = outcome
     rows = []
     largest = 0.0
-    for r in radii:
+    for i, r in enumerate(radii):
+        shots = slice(i * n_shots, (i + 1) * n_shots)
         ok = 0
         worst = 0.0
         # a shot past the solver's radius or out of iterations is an expected
         # miss; any other DomainError is a failed gate, counted in its column
         domain_errors = 0
-        # one stack per radius: the shots' endpoints, then their logarithms
-        z0s = np.stack(
-            [random_horizontal_at(base, rng, op_scale=float(r)) for _ in range(n_shots)]
-        )
-        q1s, outcomes = geodesic_endpoints(base, z0s)
-        kept = [k for k, refusal in enumerate(outcomes) if refusal is None]
-        for k, outcome in zip(kept, orbit_log_batch(base, q1s[kept])):
-            outcomes[k] = outcome
-        for z0, outcome in zip(z0s, outcomes):
+        for z0, outcome in zip(z0s[shots], outcomes[shots]):
             if isinstance(outcome, (RadiusError, ConvergenceError)):
                 err = float("inf")
             elif isinstance(outcome, DomainError):

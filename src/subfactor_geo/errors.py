@@ -3,7 +3,13 @@
 Every precondition failure raises a subclass of ``DomainError`` so callers
 can distinguish bad inputs (exit code 2 territory) from numerical failures
 (``ConvergenceError``/``RefinementError``, exit code 3 territory).
+
+A gate that decides for each slice of a stack collects one refusal (an
+exception, or None) per slice; ``require_one`` and ``require_each`` raise
+the first, the latter naming its trial.
 """
+
+from collections.abc import Sequence
 
 
 class DomainError(ValueError):
@@ -56,3 +62,19 @@ class RefinementError(RuntimeError):
 
 class ConfigError(ValueError):
     """A run configuration is malformed or incomplete."""
+
+
+def require_one(refusals: Sequence[Exception | None]) -> None:
+    """Raise the refusal of a stack of one, if any."""
+    (refusal,) = refusals
+    if refusal is not None:
+        raise refusal
+
+
+def require_each(refusals: Sequence[Exception | None], first: int = 0) -> None:
+    """Raise the first refusal of a stacked call, its message naming the
+    trial (first + its index in the stack)."""
+    for k, refusal in enumerate(refusals):
+        if refusal is not None:
+            refusal.args = (f"trial {first + k}: {refusal.args[0]}",) + refusal.args[1:]
+            raise refusal

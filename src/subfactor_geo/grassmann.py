@@ -23,9 +23,16 @@ from .algebra import (
     span_residual,
 )
 from .basic import BasicConstruction, reduce_R
-from .errors import ConstructionError, DomainError, RadiusError
+from .errors import ConstructionError, DomainError, RadiusError, require_each, require_one
 from .families import family_record
-from .linalg import dagger, herm_defect, op_norm, polar_antihermitian, spectral_function
+from .linalg import (
+    dagger,
+    herm_defect,
+    op_norm,
+    op_norm_within,
+    polar_antihermitian,
+    spectral_function,
+)
 from .tolerances import SPECTRAL_TOL
 
 __all__ = [
@@ -57,40 +64,58 @@ class DecomposeResult:
 def tangent_decompose(bc: BasicConstruction, v: np.ndarray) -> DecomposeResult:
     """Recover the parameter x from a Hermitian p-codiagonal v = xp + px*
     via the compression reduction of v(2p - 1), and split it into the
-    orbit-tangent (anti-Hermitian) and normal (Hermitian) components."""
+    orbit-tangent (anti-Hermitian) and normal (Hermitian) components.
+
+    For an (n, D, D) stack of v the fields are stacks; each slice's gates
+    decide for it (the operator-norm ones through op_norm_within, refused
+    with the exact defect), and a refusal names its trial."""
+    single = v.ndim == 2
+    vs = v[None] if single else v
+    require = require_one if single else require_each
     p = bc.jones_p
-    d = bc.dim_l2
-    if herm_defect(v) > SPECTRAL_TOL:
-        raise DomainError("tangent decomposition expects a Hermitian input")
-    codiag = max(
-        op_norm(p @ v @ p), op_norm((np.eye(d) - p) @ v @ (np.eye(d) - p))
+    comp = np.eye(bc.dim_l2) - p
+    corners = np.stack([p @ vs @ p, comp @ vs @ comp], axis=1)
+    hermitian = op_norm_within(vs - dagger(vs), SPECTRAL_TOL)
+    codiagonal = np.all(op_norm_within(corners, 1e-9), axis=1)
+    require(
+        [
+            None
+            if herm and codiag
+            else DomainError(
+                f"tangent decomposition expects a Hermitian input (defect {herm_defect(v_):.3e})"
+            )
+            if not herm
+            else DomainError(
+                f"input is not p-codiagonal (corner norm {op_norm(corner).max():.3e})"
+            )
+            for herm, codiag, v_, corner in zip(hermitian, codiagonal, vs, corners)
+        ]
     )
-    if codiag > 1e-9:
-        raise DomainError(f"input is not p-codiagonal (corner norm {codiag:.3e})")
-    x = reduce_R(bc, v @ (2.0 * p - np.eye(d)))
-    e = expectation_E(bc.inc, x)
-    if bc.inc.two_norm(e) > 1e-9:
-        raise ConstructionError(
-            f"recovered parameter has expectation norm {bc.inc.two_norm(e):.3e}"
-        )
+    x = reduce_R(bc, vs @ (2.0 * p - np.eye(bc.dim_l2)))
+    free = bc.inc.two_norm(expectation_E(bc.inc, x))
     lx = bc.left(x)
-    recon = bc.two_norm1(lx @ p + p @ dagger(lx) - v)
-    if recon > 1e-9:
-        raise ConstructionError(f"decomposition fails xp + px* = v by {recon:.3e}")
+    recon = bc.two_norm1(lx @ p + p @ dagger(lx) - vs)
+    require(
+        [
+            ConstructionError(f"recovered parameter has expectation norm {e:.3e}")
+            if e > 1e-9
+            else ConstructionError(f"decomposition fails xp + px* = v by {r:.3e}")
+            if r > 1e-9
+            else None
+            for e, r in zip(free, recon)
+        ]
+    )
     xa = 0.5 * (x - dagger(x))
     xh = 0.5 * (x + dagger(x))
     la = bc.left(xa)
     lh = bc.left(xh)
-    return DecomposeResult(
-        x=x,
-        orbit_part=xa,
-        normal_part=xh,
-        ambient_orbit=la @ p - p @ la,
-        ambient_normal=lh @ p + p @ lh,
-    )
+    fields = (x, xa, xh, la @ p - p @ la, lh @ p + p @ lh)
+    return DecomposeResult(*(f[0] if single else f for f in fields))
 
 
-def grassmann_exp_block(bc: BasicConstruction, x: np.ndarray, t: float) -> np.ndarray:
+def grassmann_exp_block(
+    bc: BasicConstruction, x: np.ndarray, t: float | np.ndarray
+) -> np.ndarray:
     """Geodesic of the projection manifold through p with codiagonal
     generator xp - px*, assembled blockwise from spectral functions of
     E(x*x) instead of a dense exponential.
@@ -98,38 +123,58 @@ def grassmann_exp_block(bc: BasicConstruction, x: np.ndarray, t: float) -> np.nd
     With s = sqrt(E(x*x)) and y = t x, the corner of the moved projection
     along p is cos^2(t s), the off-corners carry t sinc(2 t s), and the
     complementary corner is x t^2 sinc^2(t s) x*.
+
+    For an (n, m, m) stack of x with a vector of n times t, the (n, D, D)
+    stack of moved projections; each slice's gates decide for it, and a
+    refusal names its trial.
     """
     inc = bc.inc
-    if inc.two_norm(expectation_E(inc, x)) > SPECTRAL_TOL:
-        raise DomainError("block exponential expects an expectation-free parameter")
-    nx = op_norm(x)
-    if nx >= np.pi:
-        raise RadiusError(f"parameter op-norm {nx:.3f} reached pi; action degenerates")
-    e = expectation_E(inc, dagger(x) @ x)
+    single = x.ndim == 2
+    xs = x[None] if single else x
+    ts = np.reshape(t, (-1, 1, 1))
+    require = require_one if single else require_each
+    free = inc.two_norm(expectation_E(inc, xs))
+    nx = op_norm(xs)
+    require(
+        [
+            DomainError("block exponential expects an expectation-free parameter")
+            if e > SPECTRAL_TOL
+            else RadiusError(f"parameter op-norm {n:.3f} reached pi; action degenerates")
+            if n >= np.pi
+            else None
+            for e, n in zip(free, nx)
+        ]
+    )
+    e = expectation_E(inc, dagger(xs) @ xs)
     s = spectral_function(e, "sqrt")
-    cos_ts = spectral_function(t * s, "cos")
+    cos_ts = spectral_function(ts * s, "cos")
     cos2 = cos_ts @ cos_ts
-    sinc_2ts = spectral_function(2.0 * t * s, "sinc")
-    sinc_ts = spectral_function(t * s, "sinc")
+    sinc_2ts = spectral_function(2.0 * ts * s, "sinc")
+    sinc_ts = spectral_function(ts * s, "sinc")
     sinc2 = sinc_ts @ sinc_ts
     p = bc.jones_p
     l_cos2 = bc.left(cos2)
-    l_x_sinc = bc.left(x @ sinc_2ts)
-    l_x_sinc2 = bc.left(x @ sinc2)
-    l_x = bc.left(x)
+    l_x_sinc = bc.left(xs @ sinc_2ts)
+    l_x_sinc2 = bc.left(xs @ sinc2)
+    l_x = bc.left(xs)
     q = (
         l_cos2 @ p
-        + t * (l_x_sinc @ p + p @ dagger(l_x_sinc))
-        + t * t * (l_x_sinc2 @ p @ dagger(l_x))
+        + ts * (l_x_sinc @ p + p @ dagger(l_x_sinc))
+        + ts * ts * (l_x_sinc2 @ p @ dagger(l_x))
     )
     # the same curve through the generator exponential, as a consistency gate
     v = l_x @ p - p @ dagger(l_x)
-    ev = spectral_function(t * v, "exp")
-    dense = ev @ p @ dagger(ev)
-    gap = op_norm(q - dense)
-    if gap > SPECTRAL_TOL:
-        raise ConstructionError(f"block assembly differs from the exponential by {gap:.3e}")
-    return q
+    ev = spectral_function(ts * v, "exp")
+    gap = op_norm(q - ev @ p @ dagger(ev))
+    require(
+        [
+            None
+            if g <= SPECTRAL_TOL
+            else ConstructionError(f"block assembly differs from the exponential by {g:.3e}")
+            for g in gap
+        ]
+    )
+    return q[0] if single else q
 
 
 @dataclass(frozen=True)
@@ -156,22 +201,25 @@ def degeneracy_test(inc: Inclusion, x: np.ndarray) -> DegeneracyResult:
 
 
 def degenerate_geodesic_closed_form(
-    bc: BasicConstruction, x: np.ndarray, t: float
+    bc: BasicConstruction, x: np.ndarray, t: float | np.ndarray
 ) -> np.ndarray:
     """Closed form of a degenerate geodesic from the polar pieces x = u|x|:
     p cos^2(t|x|) + u p u* sin^2(t|x|) + (1/2)[u, p] sin(2t|x|).
 
-    Verified on the fly against the conjugation curve e^{tx} p e^{-tx}.
+    Verified on the fly against the conjugation curve e^{tx} p e^{-tx}.  A
+    vector of times gives the (len(t), D, D) stack of the curve's points,
+    each verified, from one polar split.
     """
     res = degeneracy_test(bc.inc, x)
     if not res.degenerate:
         raise DomainError(
             f"direction fails the degeneracy test (defect {res.defect:.3e})"
         )
+    ts = np.reshape(t, (-1, 1, 1))
     u, absx = polar_antihermitian(x)
-    cos_t = spectral_function(t * absx, "cos")
-    sin_t = spectral_function(t * absx, "sin")
-    sin_2t = spectral_function(2.0 * t * absx, "sin")
+    cos_t = spectral_function(ts * absx, "cos")
+    sin_t = spectral_function(ts * absx, "sin")
+    sin_2t = spectral_function(2.0 * ts * absx, "sin")
     p = bc.jones_p
     lu = bc.left(u)
     l_cos2 = bc.left(cos_t @ cos_t)
@@ -182,15 +230,14 @@ def degenerate_geodesic_closed_form(
         + lu @ p @ dagger(lu) @ l_sin2
         + 0.5 * (lu @ p - p @ lu) @ l_sin2t
     )
-    etx = spectral_function(t * x, "exp")
+    etx = spectral_function(ts * x, "exp")
     letx = bc.left(etx)
-    dense = letx @ p @ dagger(letx)
-    gap = op_norm(q - dense)
+    gap = op_norm(q - letx @ p @ dagger(letx)).max()
     if gap > SPECTRAL_TOL:
         raise ConstructionError(
             f"closed form differs from the conjugation curve by {gap:.3e}"
         )
-    return q
+    return q if np.ndim(t) else q[0]
 
 
 def _kernel_bases(inc: Inclusion) -> tuple[np.ndarray, np.ndarray]:

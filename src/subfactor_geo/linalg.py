@@ -71,15 +71,31 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2).conj()
 
 
-def op_norm(a: np.ndarray) -> float | np.ndarray:
+def op_norm(a: np.ndarray, hermitian: bool = False) -> float | np.ndarray:
     """Spectral norm (largest singular value) of a matrix, or of each slice
-    of a ``(..., m, n)`` stack."""
+    of a ``(..., m, n)`` stack.
+
+    With ``hermitian``, every slice must be square and Hermitian or
+    anti-Hermitian by construction (this is not checked); its norm is then
+    its largest |eigenvalue|, from ``eigvalsh`` of the slice, or of i times
+    the slice where ‖a + a*‖_F < ‖a‖_F, which holds for a nonzero
+    anti-Hermitian slice and for no Hermitian one."""
     a = np.asarray(a)
     if a.size == 0:
         norms = np.zeros(a.shape[:-2])
+    elif hermitian:
+        anti = _frobenius_sq(a + dagger(a)) < _frobenius_sq(a)
+        if np.any(anti):
+            a = np.where(anti[..., None, None], 1j * a, a)
+        w = np.linalg.eigvalsh(a)
+        norms = np.maximum(-w[..., 0], w[..., -1])
     else:
         norms = np.linalg.svd(a, compute_uv=False)[..., 0]
     return float(norms) if a.ndim == 2 else norms
+
+
+def _frobenius_sq(a: np.ndarray) -> np.ndarray:
+    return (a.real**2 + a.imag**2).sum(axis=(-2, -1))
 
 
 def op_norm_within(a: np.ndarray, tol: float) -> bool | np.ndarray:
@@ -265,31 +281,41 @@ def log_unitary_principal(u: np.ndarray) -> np.ndarray:
 def exp_family(z: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """e^{t z} for an anti-Hermitian matrix z at every time of the vector
     ts, as a ``(len(ts), n, n)`` stack from one eigh of the Hermitian
-    reduction (z - z*) / 2i."""
+    reduction (z - z*) / 2i.  For a ``(k, n, n)`` stack of generators the
+    result is ``(k, len(ts), n, n)``, from one batched eigh, each path
+    bitwise that of its generator alone; a stack's refusal names its first
+    slice that is not anti-Hermitian."""
     z = np.asarray(z, dtype=complex)
-    if not op_norm_within(z + dagger(z), SPECTRAL_TOL):
-        raise DomainError(f"input is not anti-Hermitian (defect {antiherm_defect(z):.3e})")
+    anti = op_norm_within(z + dagger(z), SPECTRAL_TOL)
+    if not np.all(anti):
+        k = _first_slice(np.logical_not(anti))
+        where = "input" if z.ndim == 2 else f"slice {k}"
+        raise DomainError(f"{where} is not anti-Hermitian (defect {antiherm_defect(z[k]):.3e})")
     h = (z - dagger(z)) / 2j
     w, v = np.linalg.eigh(h)
-    phases = np.exp(1j * np.outer(ts, w))
-    return np.einsum("ab,tb,cb->tac", v, phases, v.conj())
+    phases = np.exp(1j * w[..., None, :] * np.asarray(ts, dtype=float)[:, None])
+    return np.einsum("...ab,...tb,...cb->...tac", v, phases, v.conj())
 
 
 def polar_antihermitian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Polar split x = u |x| of an anti-Hermitian matrix.
+    """Polar split x = u |x| of an anti-Hermitian matrix, or of each slice
+    of a ``(..., n, n)`` stack.
 
     Returns (u, absx) with absx = sqrt(-x^2) PSD, u anti-Hermitian, partial
     isometry on the support of x and zero on its kernel, commuting with absx.
     """
     x = np.asarray(x, dtype=complex)
-    if not op_norm_within(x + dagger(x), SPECTRAL_TOL):
-        raise DomainError(f"input is not anti-Hermitian (defect {antiherm_defect(x):.3e})")
+    anti = op_norm_within(x + dagger(x), SPECTRAL_TOL)
+    if not np.all(anti):
+        k = _first_slice(np.logical_not(anti))
+        where = "input" if x.ndim == 2 else f"slice {k}"
+        raise DomainError(f"{where} is not anti-Hermitian (defect {antiherm_defect(x[k]):.3e})")
     w, v = np.linalg.eigh((x - dagger(x)) / 2.0j)
     absw = np.abs(w)
-    cutoff = SPECTRAL_TOL * max(1.0, absw.max(initial=0.0))
+    cutoff = SPECTRAL_TOL * np.maximum(1.0, absw.max(axis=-1, keepdims=True))
     signs = np.where(absw > cutoff, 1j * np.sign(w), 0.0)
-    u = (v * signs) @ dagger(v)
-    absx = (v * absw.astype(complex)) @ dagger(v)
+    u = (v * signs[..., None, :]) @ dagger(v)
+    absx = (v * absw.astype(complex)[..., None, :]) @ dagger(v)
     return u, absx
 
 

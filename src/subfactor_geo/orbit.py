@@ -33,6 +33,8 @@ from .errors import (
     MembershipError,
     RadiusError,
     RefinementError,
+    require_each,
+    require_one,
 )
 from .linalg import (
     antiherm_defect,
@@ -69,10 +71,15 @@ __all__ = [
     "delta_q",
     "kappa_q",
     "tangent_projection",
+    "tangent_projections",
+    "kappas",
+    "orbit_points",
+    "tangent_vectors",
     "geodesic_at",
     "geodesic_endpoints",
     "sample_geodesic",
     "geodesic_equation_residual",
+    "geodesic_with_residual",
     "curve_from_unitaries",
     "covariant_derivative",
     "horizontal_lift",
@@ -91,6 +98,7 @@ __all__ = [
     "PolygonalResult",
     "minimality_experiment",
     "MinimalityReport",
+    "trial_chunks",
     "CONVEXITY_RADIUS",
     "convexity_probe",
     "sample_convexity_triple",
@@ -202,28 +210,34 @@ def translated_expectation(point: OrbitPoint, x: np.ndarray) -> np.ndarray:
 
 
 def horizontal_defect_at(point: OrbitPoint, z: np.ndarray) -> float:
-    inc = point.bc.inc
-    return max(
-        antiherm_defect(z),
-        inc.two_norm(translated_expectation(point, z)),
-    )
+    return _horizontal_defect(point.bc.inc, point.witness, z)
 
 
-def _horizontal_within(point: OrbitPoint, zs: np.ndarray) -> np.ndarray:
-    """horizontal_defect_at(point, z) <= WITNESS_TOL for each slice z of an
-    (n, m, m) stack, the anti-Hermitian part decided through op_norm_within."""
+def _horizontal_defect(inc: Inclusion, witness: np.ndarray, z: np.ndarray) -> float:
+    return max(antiherm_defect(z), inc.two_norm(_translated(inc, witness, z)))
+
+
+def _horizontal_within(inc: Inclusion, witnesses: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """horizontal_defect_at <= WITNESS_TOL for each slice z of an (n, m, m)
+    stack, at the point of one witness or of the matching slice of an
+    (n, m, m) stack of witnesses; the anti-Hermitian part is decided through
+    op_norm_within."""
     return op_norm_within(zs + dagger(zs), WITNESS_TOL) & (
-        point.bc.inc.two_norm(translated_expectation(point, zs)) <= WITNESS_TOL
+        inc.two_norm(_translated(inc, witnesses, zs)) <= WITNESS_TOL
     )
 
 
-def _horizontal_refusals(point: OrbitPoint, zs: np.ndarray) -> list[DomainError | None]:
-    """Per slice z of an (n, m, m) stack: None if z is horizontal at the
-    point, else the DomainError naming its exact horizontal_defect_at."""
+def _horizontal_refusals(
+    inc: Inclusion, witnesses: np.ndarray, zs: np.ndarray
+) -> list[DomainError | None]:
+    """Per slice z of an (n, m, m) stack, at the points as in
+    _horizontal_within: None if z is horizontal there, else the DomainError
+    naming its exact horizontal_defect_at."""
     message = "direction is not horizontal at the point (defect {:.3e})"
+    within = _horizontal_within(inc, witnesses, zs)
     return [
-        None if within else DomainError(message.format(horizontal_defect_at(point, z)))
-        for within, z in zip(_horizontal_within(point, zs), zs)
+        None if ok else DomainError(message.format(_horizontal_defect(inc, w, z)))
+        for ok, w, z in zip(within, np.broadcast_to(witnesses, zs.shape), zs)
     ]
 
 
@@ -232,7 +246,7 @@ def _direction_refusals(point: OrbitPoint, zs: np.ndarray) -> list[DomainError |
     point along z, else the DomainError of the first gate z fails.  z must
     be horizontal at the point (refused as _horizontal_refusals refuses),
     then anti-Hermitian within SPECTRAL_TOL, the gate of the exponential."""
-    refusals = _horizontal_refusals(point, zs)
+    refusals = _horizontal_refusals(point.bc.inc, point.witness, zs)
     for k in np.flatnonzero(~op_norm_within(zs + dagger(zs), SPECTRAL_TOL)):
         refusals[k] = refusals[k] or DomainError(
             f"direction is not anti-Hermitian (defect {antiherm_defect(zs[k]):.3e})"
@@ -240,11 +254,42 @@ def _direction_refusals(point: OrbitPoint, zs: np.ndarray) -> list[DomainError |
     return refusals
 
 
-def _require(refusals: list[DomainError | None]) -> None:
-    """Raise the refusal of a stack of one, if any."""
-    (refusal,) = refusals
-    if refusal is not None:
-        raise refusal
+def trial_chunks(bc: BasicConstruction, n_trials: int, n_samples: int) -> list[range]:
+    """Runs of consecutive trials for the stacked calls of a loop whose
+    trials are curves of n_samples matrices each.
+
+    A run holds at most max(n_trials, n_samples) slices of the D x D
+    matrices of the uncompressed construction (D = dim M), counted in
+    entries, where each sample counts as one matrix of the larger of bc's
+    two sides (L2 and the arena of M).  So a stacked call never holds more
+    than a per-trial loop's largest stack on L2(M), and curves of small
+    inclusions, where that bound is one trial, still run one by one.
+    """
+    d = bc.inc.dim
+    side = max(bc.dim_l2, bc.inc.amb.ambient_dim)
+    per_run = max(1, (max(n_trials, n_samples) * d * d) // (n_samples * side * side))
+    return [range(i, min(i + per_run, n_trials)) for i in range(0, n_trials, per_run)]
+
+
+def orbit_points(bc: BasicConstruction, witnesses: np.ndarray) -> np.ndarray:
+    """The orbit points u p u* of an (n, m, m) stack of witnesses, each
+    passing the gates of an OrbitPoint; a refusal names its trial (its
+    index in the stack)."""
+    qs = _carried_projection(bc, witnesses)
+    require_each(_point_refusals(bc, qs, witnesses))
+    return qs
+
+
+def tangent_vectors(
+    bc: BasicConstruction, qs: np.ndarray, witnesses: np.ndarray, zs: np.ndarray
+) -> np.ndarray:
+    """delta_q for each slice: zq - qz for the horizontal directions zs at
+    the orbit points qs with their witnesses, all (n, ., .) stacks; a
+    direction that is not horizontal is refused as delta_q refuses it,
+    naming its trial."""
+    require_each(_horizontal_refusals(bc.inc, witnesses, zs))
+    lz = bc.left(zs)
+    return lz @ qs - qs @ lz
 
 
 def random_horizontal_at(
@@ -271,7 +316,7 @@ class TangentVector:
 
 def delta_q(point: OrbitPoint, z: np.ndarray) -> TangentVector:
     """Differential of the orbit map at the point: z -> zq - qz."""
-    _require(_horizontal_refusals(point, z[None]))
+    require_one(_horizontal_refusals(point.bc.inc, point.witness, z[None]))
     lz = point.bc.left(z)
     return TangentVector(point=point, z=z, ambient=lz @ point.q - point.q @ lz)
 
@@ -292,9 +337,43 @@ def _tangent_projection_matrix(
 def tangent_projection(point: OrbitPoint, x: np.ndarray) -> np.ndarray:
     """Trace-orthogonal projection of a Hermitian x onto the tangent space
     at the point: (1/2 lam) [E1(xq - qx), q]."""
-    if herm_defect(x) > WITNESS_TOL:
-        raise DomainError("tangent projection expects a Hermitian input")
-    return _tangent_projection_matrix(point.bc, point.q, x)
+    return tangent_projections(point.bc, point.q, x[None], require_one)[0]
+
+
+def tangent_projections(
+    bc: BasicConstruction, qs: np.ndarray, xs: np.ndarray, require=require_each
+) -> np.ndarray:
+    """tangent_projection of each slice of an (n, D, D) stack of inputs, at
+    one orbit point qs or at the matching slice of an (n, D, D) stack.
+
+    The gates decide per slice: x Hermitian within WITNESS_TOL (through
+    op_norm_within; the refusal names the exact defect), and xq - qx in M1
+    within MEMBERSHIP_TOL, the gate of E1.  A refusal names its trial.
+    """
+    comm = xs @ qs - qs @ xs
+    hermitian = op_norm_within(xs - dagger(xs), WITNESS_TOL)
+    member = bc.membership_defects(comm)
+    refusals: list[DomainError | None] = []
+    for k, (ok, defect) in enumerate(zip(hermitian, member)):
+        if not ok:
+            refusals.append(
+                DomainError(
+                    "tangent projection expects a Hermitian input "
+                    f"(defect {herm_defect(xs[k]):.3e})"
+                )
+            )
+        elif defect > MEMBERSHIP_TOL:
+            refusals.append(
+                MembershipError(
+                    f"input is outside the extension algebra (defect {defect:.3e})",
+                    defect=float(defect),
+                )
+            )
+        else:
+            refusals.append(None)
+    require(refusals)
+    e1 = bc._e1_unchecked(comm)
+    return (e1 @ qs - qs @ e1) / (2.0 * bc.lam)
 
 
 def _kappa(bc: BasicConstruction, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -310,11 +389,25 @@ def kappa_q(point: OrbitPoint, v: np.ndarray) -> np.ndarray:
     witness and holds at every orbit point: vq - qv = zq + qz - 2 qzq, and
     E1 is a left(M)-bimodule map with E1(q) = lam * 1, so E1(zq) = E1(qz) =
     lam z while E1(qzq) = lam E_q(z) = 0 for horizontal z."""
-    bc = point.bc
-    resid = bc.two_norm1(v - tangent_projection(point, v))
-    if resid > WITNESS_TOL:
-        raise DomainError(f"input is not tangent at the point (residual {resid:.3e})")
-    return _kappa(bc, point.q, v)
+    return kappas(point.bc, point.q, v[None], require_one)[0]
+
+
+def kappas(
+    bc: BasicConstruction, qs: np.ndarray, vs: np.ndarray, require=require_each
+) -> np.ndarray:
+    """kappa_q of each slice of an (n, D, D) stack of tangent vectors, at
+    the points as in tangent_projections, with kappa_q's gates per slice; a
+    refusal names its trial."""
+    resid = bc.two_norm1(vs - tangent_projections(bc, qs, vs, require))
+    require(
+        [
+            None
+            if r <= WITNESS_TOL
+            else DomainError(f"input is not tangent at the point (residual {r:.3e})")
+            for r in resid
+        ]
+    )
+    return _kappa(bc, qs, vs)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +417,7 @@ def kappa_q(point: OrbitPoint, v: np.ndarray) -> np.ndarray:
 def geodesic_at(point: OrbitPoint, z: np.ndarray, t: float) -> OrbitPoint:
     """The conjugation geodesic e^{tz} q e^{-tz} through the point; z must
     pass the gates of ``geodesic_endpoints``, with its refusal texts."""
-    _require(_direction_refusals(point, z[None]))
+    require_one(_direction_refusals(point, z[None]))
     u_t = spectral_function(t * z, "exp")
     return orbit_point_from_witness(point.bc, u_t @ point.witness)
 
@@ -370,21 +463,7 @@ class DiscreteCurve:
     def __post_init__(self) -> None:
         if self.samples.ndim != 3 or self.samples.shape[0] < 2:
             raise DomainError("a curve needs at least two samples")
-        defects = self.bc.membership_defects(self.samples)
-        worst = int(np.argmax(defects))
-        if defects[worst] > MEMBERSHIP_TOL:
-            raise MembershipError(
-                f"curve sample {worst} is outside the extension algebra "
-                f"(defect {defects[worst]:.3e})",
-                defect=float(defects[worst]),
-            )
-        gaps = np.diff(self.samples, axis=0)
-        # every gap < 0.5: the largest float below 0.5 makes the gate strict
-        if not np.all(op_norm_within(gaps, np.nextafter(0.5, 0.0))):
-            gap = op_norm(gaps).max()
-            raise DomainError(
-                f"curve is under-resolved: consecutive op-norm gap {gap:.3f} >= 0.5"
-            )
+        require_one(_curve_refusals(self.bc, self.samples[None]))
 
     @property
     def grid_n(self) -> int:
@@ -395,15 +474,49 @@ class DiscreteCurve:
         return 1.0 / self.grid_n
 
 
+def _curve_refusals(bc: BasicConstruction, samples: np.ndarray) -> list[DomainError | None]:
+    """The gates of a DiscreteCurve for each path of an (n, T, D, D) stack:
+    per path, the refusal of the first gate it fails, or None."""
+    defects = bc.membership_defects(samples)
+    # every gap < 0.5: the largest float below 0.5 makes the gate strict
+    gaps = np.diff(samples, axis=1)
+    close = np.all(op_norm_within(gaps, np.nextafter(0.5, 0.0)), axis=1)
+    refusals: list[DomainError | None] = []
+    for k, row in enumerate(defects):
+        worst = int(np.argmax(row))
+        if row[worst] > MEMBERSHIP_TOL:
+            refusals.append(
+                MembershipError(
+                    f"curve sample {worst} is outside the extension algebra "
+                    f"(defect {row[worst]:.3e})",
+                    defect=float(row[worst]),
+                )
+            )
+        elif not close[k]:
+            gap = op_norm(gaps[k]).max()
+            refusals.append(
+                DomainError(f"curve is under-resolved: consecutive op-norm gap {gap:.3f} >= 0.5")
+            )
+        else:
+            refusals.append(None)
+    return refusals
+
+
 def sample_geodesic(
     point: OrbitPoint, z: np.ndarray, grid_n: int, t0: float = 0.0, t1: float = 1.0
 ) -> DiscreteCurve:
-    _require(_direction_refusals(point, z[None]))
+    require_one(_direction_refusals(point, z[None]))
     if grid_n < 1:
         raise DomainError("grid must have at least one interval")
     ts = np.linspace(t0, t1, grid_n + 1)
     exps = exp_family(z, ts)
     return curve_from_unitaries(point.bc, exps, base=point)
+
+
+def _pushed_down(bc: BasicConstruction, us: np.ndarray, base: OrbitPoint) -> np.ndarray:
+    """u q0 u* for every unitary u of a stack, q0 the base point."""
+    lus = bc.left(us)
+    return (lus @ base.q) @ dagger(lus)
 
 
 def curve_from_unitaries(
@@ -412,36 +525,40 @@ def curve_from_unitaries(
     """Push a sampled unitary path u(t) down to the orbit: u(t) q0 u(t)*."""
     if base is None:
         base = base_point(bc)
-    lus = bc.left(us)
-    samples = (lus @ base.q) @ dagger(lus)
-    witnesses = us @ base.witness
-    return DiscreteCurve(bc=bc, samples=samples, witnesses=witnesses)
+    return DiscreteCurve(bc=bc, samples=_pushed_down(bc, us, base), witnesses=us @ base.witness)
 
 
 # ---------------------------------------------------------------------------
 # finite differences and quadrature on uniform grids
 
 
+# The stencils act along the time axis -3 of a (T, m, m) path, or of an
+# (n, T, m, m) stack of paths on one grid, elementwise, so each path of a
+# stack gets the bits it gets alone.
+
+
 def _diff2(f: np.ndarray, dt: float) -> np.ndarray:
     """Second-order first derivative: central interior, one-sided ends."""
+    f = np.swapaxes(f, 0, -3)
     d = np.empty_like(f)
     d[1:-1] = (f[2:] - f[:-2]) / (2.0 * dt)
     d[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dt)
     d[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dt)
-    return d
+    return np.swapaxes(d, 0, -3)
 
 
 def _diff4(f: np.ndarray, dt: float) -> np.ndarray:
     """Fourth-order first derivative on a uniform grid (>= 5 samples)."""
-    if f.shape[0] < 5:
+    if f.shape[-3] < 5:
         return _diff2(f, dt)
+    f = np.swapaxes(f, 0, -3)
     d = np.empty_like(f)
     d[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * dt)
     d[0] = (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12.0 * dt)
     d[1] = (-3 * f[0] - 10 * f[1] + 18 * f[2] - 6 * f[3] + f[4]) / (12.0 * dt)
     d[-2] = (3 * f[-1] + 10 * f[-2] - 18 * f[-3] + 6 * f[-4] - f[-5]) / (12.0 * dt)
     d[-1] = (25 * f[-1] - 48 * f[-2] + 36 * f[-3] - 16 * f[-4] + 3 * f[-5]) / (12.0 * dt)
-    return d
+    return np.swapaxes(d, 0, -3)
 
 
 def _diff4_second(f: np.ndarray, dt: float) -> np.ndarray:
@@ -451,31 +568,33 @@ def _diff4_second(f: np.ndarray, dt: float) -> np.ndarray:
     ) / (12.0 * dt * dt)
 
 
-def _simpson(values: np.ndarray, dt: float) -> float:
-    """Composite Simpson on a uniform grid; 3/8 tail for an odd interval
-    count, trapezoid when only one interval is available."""
-    n = values.shape[0] - 1
+def _simpson(values: np.ndarray, dt: float) -> float | np.ndarray:
+    """Composite Simpson on a uniform grid along the last axis; 3/8 tail
+    for an odd interval count, trapezoid when only one interval is
+    available.  A (T,) vector gives a float, an (n, T) array one value per
+    row, each bitwise the value of its row alone."""
+    n = values.shape[-1] - 1
     if n < 1:
         raise DomainError("quadrature needs at least two samples")
     if n == 1:
-        return float(0.5 * dt * (values[0] + values[1]))
+        total = 0.5 * dt * (values[..., 0] + values[..., 1])
+        return float(total) if values.ndim == 1 else total
     total = 0.0
     if n % 2 == 1:
-        if n >= 3:
-            tail = values[-4:]
-            total += 3.0 * dt / 8.0 * (tail[0] + 3 * tail[1] + 3 * tail[2] + tail[3])
-            values = values[: n - 3 + 1]
-            n -= 3
-        else:
-            return float(0.5 * dt * (values[0] + values[1]))
+        tail = values[..., -4:]
+        total += 3.0 * dt / 8.0 * (
+            tail[..., 0] + 3 * tail[..., 1] + 3 * tail[..., 2] + tail[..., 3]
+        )
+        values = values[..., : n - 3 + 1]
+        n -= 3
     if n >= 2:
         total += dt / 3.0 * (
-            values[0]
-            + values[-1]
-            + 4.0 * values[1:-1:2].sum()
-            + 2.0 * values[2:-2:2].sum()
+            values[..., 0]
+            + values[..., -1]
+            + 4.0 * values[..., 1:-1:2].sum(axis=-1)
+            + 2.0 * values[..., 2:-2:2].sum(axis=-1)
         )
-    return float(total)
+    return float(total) if values.ndim == 1 else total
 
 
 def geodesic_equation_residual(
@@ -484,11 +603,21 @@ def geodesic_equation_residual(
     """Worst tau1-norm of the tangent projection of the second derivative of
     the geodesic, computed with fourth-order stencils on a grid extended by
     two nodes on each side so every node of [0, 1] has a symmetric stencil."""
+    return geodesic_with_residual(point, z, grid_n)[1]
+
+
+def geodesic_with_residual(
+    point: OrbitPoint, z: np.ndarray, grid_n: int = 128
+) -> tuple[DiscreteCurve, float]:
+    """The geodesic along z on the grid_n intervals of [0, 1], with its
+    ``geodesic_equation_residual``, from one sampling of the extended grid;
+    the curve is that grid's nodes in [0, 1]."""
     h = 1.0 / grid_n
-    curve = sample_geodesic(point, z, grid_n + 4, t0=-2.0 * h, t1=1.0 + 2.0 * h)
-    acc = _diff4_second(curve.samples, h)
-    resid = _tangent_projection_matrix(point.bc, curve.samples[2:-2], acc, gate=False)
-    return float(point.bc.two_norm1(resid).max())
+    ext = sample_geodesic(point, z, grid_n + 4, t0=-2.0 * h, t1=1.0 + 2.0 * h)
+    acc = _diff4_second(ext.samples, h)
+    resid = _tangent_projection_matrix(point.bc, ext.samples[2:-2], acc, gate=False)
+    curve = DiscreteCurve(bc=point.bc, samples=ext.samples[2:-2], witnesses=ext.witnesses[2:-2])
+    return curve, float(point.bc.two_norm1(resid).max())
 
 
 def covariant_derivative(curve: DiscreteCurve, field: np.ndarray) -> np.ndarray:
@@ -596,7 +725,7 @@ def lift_defects(curve: DiscreteCurve, lift: np.ndarray) -> tuple[float, float]:
     bc = curve.bc
     qs = curve.samples
     llift = bc.left(lift)
-    recon = op_norm((llift @ qs[0]) @ dagger(llift) - qs).max()
+    recon = op_norm((llift @ qs[0]) @ dagger(llift) - qs, hermitian=True).max()
     v = _diff4(lift, curve.dt) @ dagger(lift)
     e = _translated(bc.inc, lift @ _witness_at_start(curve), v)
     return float(recon), float(bc.inc.two_norm(e).max())
@@ -609,33 +738,50 @@ def lift_defects(curve: DiscreteCurve, lift: np.ndarray) -> tuple[float, float]:
 def curve_lengths(
     bc: BasicConstruction,
     path: np.ndarray,
-    metric: str,
+    metric: str | tuple[str, ...],
     space: str = "orbit",
     order: int = 2,
-) -> float:
+    hermitian: bool = False,
+) -> float | np.ndarray | tuple:
     """Length or energy of a sampled path under the chosen metric.
 
     metric: 'two_norm' (trace-norm length), 'op_norm' (operator-norm
-    length), or 'energy' (integrated squared trace-norm speed).  space
-    selects the trace of the 2-norms: 'orbit' for extension-algebra-valued
-    paths, 'lift' for ambient-algebra-valued paths; operator norms are the
-    same in both.  order is 2 for central differences or 4 for wider
-    stencils when comparisons need the extra digits.
+    length), or 'energy' (integrated squared trace-norm speed); a tuple of
+    these names returns a tuple of the values, all from one velocity.
+    space selects the trace of the 2-norms: 'orbit' for extension-algebra-
+    valued paths, 'lift' for ambient-algebra-valued paths; operator norms
+    are the same in both.  order is 2 for central differences or 4 for
+    wider stencils when comparisons need the extra digits.  hermitian
+    declares every sample Hermitian, as an orbit curve's projections are,
+    so the velocity is, and its operator norms take op_norm's eigvalsh path.
+
+    path is a (T, m, m) path, giving floats, or an (n, T, m, m) stack of
+    paths on one grid, giving arrays of n values, each bitwise the value of
+    its path alone.
     """
-    if path.ndim != 3 or path.shape[0] < 2:
+    if path.ndim not in (3, 4) or path.shape[-3] < 2:
         raise DomainError("length functionals need at least two samples")
     if space not in ("orbit", "lift"):
         raise DomainError(f"unknown space {space!r}; use 'orbit' or 'lift'")
-    if metric not in ("two_norm", "op_norm", "energy"):
-        raise DomainError(f"unknown metric {metric!r}")
+    names = (metric,) if isinstance(metric, str) else tuple(metric)
+    for name in names:
+        if name not in ("two_norm", "op_norm", "energy"):
+            raise DomainError(f"unknown metric {name!r}")
     if order not in (2, 4):
         raise DomainError(f"unknown order {order!r}; use 2 or 4")
-    dt = 1.0 / (path.shape[0] - 1)
+    dt = 1.0 / (path.shape[-3] - 1)
     vel = _diff2(path, dt) if order == 2 else _diff4(path, dt)
-    if metric == "op_norm":
-        return _simpson(op_norm(vel), dt)
-    two = bc.two_norm1(vel) if space == "orbit" else bc.inc.two_norm(vel)
-    return _simpson(two if metric == "two_norm" else two**2, dt)
+    two = None
+    values = []
+    for name in names:
+        if name == "op_norm":
+            speeds = op_norm(vel, hermitian=hermitian)
+        else:
+            if two is None:
+                two = bc.two_norm1(vel) if space == "orbit" else bc.inc.two_norm(vel)
+            speeds = two if name == "two_norm" else two**2
+        values.append(_simpson(speeds, dt))
+    return values[0] if isinstance(metric, str) else tuple(values)
 
 
 @dataclass(frozen=True)
@@ -658,48 +804,62 @@ def first_variation(
     zero: np.ndarray,
     plus: np.ndarray,
     h: float,
-) -> FirstVariationResult:
+) -> FirstVariationResult | list[FirstVariationResult]:
     """Half the s-derivative of the energy of a family of unitary paths.
 
     The family is sampled at s in {-h, 0, +h}; each row is a path of
     ambient unitaries on a uniform t-grid.  Evaluates the boundary-minus-
     integral expression with x = u* du/dt and y = u* du/ds, and reports the
     centered finite difference (E(+h) - E(-h)) / (4h) alongside.
+
+    Takes three (T, m, m) paths and returns one result, or three
+    (n, T, m, m) stacks of n families on one grid and returns a list of n
+    results; a stack's refusal names its first failing family.
     """
     if minus.shape != zero.shape or plus.shape != zero.shape:
         raise DomainError("family slices must share one sampling grid")
+    single = zero.ndim == 3
+    if single:
+        minus, zero, plus = minus[None], zero[None], plus[None]
     inc = bc.inc
+    T = zero.shape[1]
     for path in (minus, zero, plus):
-        probes = path[:: max(1, path.shape[0] // 8)]
-        if not np.all(op_norm_within(dagger(probes) @ probes - inc.identity(), PATH_UNITARY_TOL)):
-            worst = unitary_defect(probes).max()
-            raise DomainError(f"family samples are not unitary (defect {worst:.3e})")
-    T = zero.shape[0]
+        probes = path[:, :: max(1, T // 8)]
+        unitary = np.all(
+            op_norm_within(dagger(probes) @ probes - inc.identity(), PATH_UNITARY_TOL), axis=1
+        )
+        if not np.all(unitary):
+            k = int(np.flatnonzero(~unitary)[0])
+            which = "" if single else f" of family {k}"
+            worst = unitary_defect(probes[k]).max()
+            raise DomainError(f"family samples{which} are not unitary (defect {worst:.3e})")
     dt = 1.0 / (T - 1)
-    udot = _diff4(zero, dt)
-    x0 = dagger(zero) @ udot
+    x0 = dagger(zero) @ _diff4(zero, dt)
     y0 = dagger(zero) @ ((plus - minus) / (2.0 * h))
     xdot = _diff4(x0, dt)
     # real trace inner product <a, b> = Re tau(a* b); the adjoint matters
     # for the sign since the logarithmic derivatives are anti-Hermitian
-    prod_boundary = inc.amb.inner(y0[[0, -1]], x0[[0, -1]]).real
-    boundary = float(prod_boundary[1] - prod_boundary[0])
+    prod_boundary = inc.amb.inner(y0[:, [0, -1]], x0[:, [0, -1]]).real
+    boundary = prod_boundary[:, 1] - prod_boundary[:, 0]
     integral = _simpson(inc.amb.inner(y0, xdot).real, dt)
     value = boundary - integral
     fd = (
         curve_lengths(bc, plus, "energy", space="lift", order=4)
         - curve_lengths(bc, minus, "energy", space="lift", order=4)
     ) / (4.0 * h)
-    defect = abs(value - fd)
     tol_used = max(1e-5, 10.0 * h * h)
-    return FirstVariationResult(
-        value=value,
-        fd_value=fd,
-        boundary_term=boundary,
-        integral_term=integral,
-        defect=defect,
-        tol=tol_used,
-    )
+    results = [
+        FirstVariationResult(
+            value=v,
+            fd_value=f,
+            boundary_term=b,
+            integral_term=i,
+            defect=abs(v - f),
+            tol=tol_used,
+        )
+        for v, f, b, i in zip(value.tolist(), fd.tolist(), boundary.tolist(), integral.tolist())
+    ]
+    return results[0] if single else results
 
 
 # ---------------------------------------------------------------------------
@@ -708,37 +868,64 @@ def first_variation(
 
 def grassmann_section(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Anti-Hermitian, p1-codiagonal x with e^x p1 e^{-x} = p2, from half the
-    principal logarithm of the product of the two associated symmetries."""
-    gap = op_norm(p1 - p2)
-    if gap >= 1.0:
-        raise RadiusError(f"projections are op-norm {gap:.3f} apart; need < 1")
-    d = p1.shape[0]
-    s = (2.0 * p2 - np.eye(d)) @ (2.0 * p1 - np.eye(d))
-    x = 0.5 * log_unitary_principal(s)
+    principal logarithm of the product of the two associated symmetries.
+
+    p2 may be an (n, D, D) stack, giving the stack of sections; each
+    slice's gates decide for it, and a refusal names its trial.  The gap
+    gate ‖p1 - p2‖ < 1 decides through op_norm_within and reports the exact
+    gap."""
+    single = p2.ndim == 2
+    p2s = p2[None] if single else p2
+    require = require_one if single else require_each
+    disp = p1 - p2s
+    near = op_norm_within(disp, np.nextafter(1.0, 0.0))
+    require(
+        [
+            None if ok else RadiusError(f"projections are op-norm {op_norm(d):.3f} apart; need < 1")
+            for ok, d in zip(near, disp)
+        ]
+    )
+    eye = np.eye(p1.shape[0])
+    x = 0.5 * log_unitary_principal((2.0 * p2s - eye) @ (2.0 * p1 - eye))
     ex = spectral_function(x, "exp")
-    recon = op_norm(ex @ p1 @ dagger(ex) - p2)
-    codiag = max(op_norm(p1 @ x @ p1), op_norm((np.eye(d) - p1) @ x @ (np.eye(d) - p1)))
-    if recon > SECTION_TOL or codiag > SECTION_TOL:
-        raise ConstructionError(
-            f"section postconditions fail: reconstruction {recon:.3e}, "
-            f"codiagonality {codiag:.3e}"
-        )
-    if op_norm(x) >= np.pi / 2:
-        raise ConstructionError(f"section norm {op_norm(x):.3f} reached pi/2")
-    return x
+    recon = op_norm(ex @ p1 @ dagger(ex) - p2s)
+    codiag = np.maximum(op_norm(p1 @ x @ p1), op_norm((eye - p1) @ x @ (eye - p1)))
+    nx = op_norm(x)
+    require(
+        [
+            ConstructionError(
+                f"section postconditions fail: reconstruction {r:.3e}, codiagonality {c:.3e}"
+            )
+            if r > SECTION_TOL or c > SECTION_TOL
+            else ConstructionError(f"section norm {n:.3f} reached pi/2")
+            if n >= np.pi / 2
+            else None
+            for r, c, n in zip(recon, codiag, nx)
+        ]
+    )
+    return x[0] if single else x
 
 
 def orbit_section_theta(bc: BasicConstruction, q: np.ndarray | OrbitPoint) -> np.ndarray:
     """Local cross section: a unitary u in M with u p u* = q, defined for
     ‖q − p‖ < 1.  u is recover_unitary of e^x, x = grassmann_section(p, q),
     the unitary of M1 that carries p to q; those two make the gap and
-    unitarity checks."""
+    unitarity checks.  q may be an (n, D, D) stack, giving the stack of
+    sections; a refusal names its trial."""
     qm = q.q if isinstance(q, OrbitPoint) else q
-    u = recover_unitary(bc, spectral_function(grassmann_section(bc.jones_p, qm), "exp"))
-    recon = op_norm(_carried_projection(bc, u) - qm)
-    if recon > WITNESS_TOL:
-        raise DomainError(f"section fails u p u* = q (defect {recon:.3e})")
-    return u
+    single = qm.ndim == 2
+    qs = qm[None] if single else qm
+    us = recover_unitary(
+        bc, spectral_function(grassmann_section(bc.jones_p, qs), "exp")
+    )
+    recon = op_norm(_carried_projection(bc, us) - qs)
+    (require_one if single else require_each)(
+        [
+            None if r <= WITNESS_TOL else DomainError(f"section fails u p u* = q (defect {r:.3e})")
+            for r in recon
+        ]
+    )
+    return us[0] if single else us
 
 
 @dataclass(frozen=True)
@@ -760,7 +947,7 @@ def orbit_log(
 
     There is one solver loop, and its entry and exit checks are made per
     target (see ``orbit_log_batch``); callers with many targets, such as
-    the radius probe with one stack per radius, call the batch directly.
+    the radius probe with one stack of all its shots, call the batch directly.
     """
     targets = [q1] if isinstance(q1, OrbitPoint) else np.asarray(q1)[None]
     (outcome,) = orbit_log_batch(q0, targets, tol, max_iter)
@@ -903,7 +1090,7 @@ def orbit_log_batch(
     done = np.array([k for k in range(n) if outcomes[k] is None], dtype=int)
     if done.size:
         refusals = _point_refusals(bc, q[done], witness[done])
-        horizontal = _horizontal_within(q0, z[done])
+        horizontal = _horizontal_within(bc.inc, q0.witness, z[done])
         for k, refusal, horiz in zip(done, refusals, horizontal):
             if refusal is not None:
                 outcomes[k] = refusal
@@ -1027,58 +1214,59 @@ def minimality_experiment(
     perturbed curve that is shorter in the trace-norm length by more than
     LENGTH_TOL, which the length functional is trusted to, while staying
     inside the probe radius.
+
+    Each trial draws its direction w from its own generator, seeded
+    seed + trial; the trials then run in the runs of ``trial_chunks``, each
+    run's paths, curve gates, lengths, displacements and first variations
+    as stacked calls.  A curve refused by its gates raises, naming its trial.
     """
     bc = point.bc
     ts = np.linspace(0.0, 1.0, grid_n + 1)
     bump = 16.0 * ts**2 * (1.0 - ts) ** 2
     geo_us = exp_family(z, ts)
     base_curve = curve_from_unitaries(bc, geo_us, base=point)
-    l2_geo = curve_lengths(bc, base_curve.samples, "two_norm", order=4)
-    linf_geo = curve_lengths(bc, base_curve.samples, "op_norm", order=4)
+    l2_geo, linf_geo = curve_lengths(
+        bc, base_curve.samples, ("two_norm", "op_norm"), order=4, hermitian=True
+    )
     h_fv = 1e-3
     trials: list[MinimalityTrial] = []
-    n_bad = 0
-    n_in = 0
-    for trial in range(n_trials):
-        rng = np.random.default_rng(seed + trial)
-        w = random_antihermitian(rng, bc.inc.amb_basis)
-        w = w / max(op_norm(w), 1e-12)
-
-        def family(s: float) -> np.ndarray:
-            return geo_us @ exp_family(w, s * bump)
-
-        us = family(perturbation_scale)
-        pert_curve = curve_from_unitaries(bc, us, base=point)
-        l2 = curve_lengths(bc, pert_curve.samples, "two_norm", order=4)
-        linf = curve_lengths(bc, pert_curve.samples, "op_norm", order=4)
-        disp = op_norm(pert_curve.samples - point.q).max()
-        within = linf <= probe_radius
-        margin = l2 - l2_geo
-        violation = within and margin < -LENGTH_TOL
-        fv = first_variation(bc, family(-h_fv), geo_us, family(h_fv), h_fv)
-        if violation:
-            n_bad += 1
-        if within:
-            n_in += 1
-        trials.append(
-            MinimalityTrial(
-                trial=trial,
-                l2=l2,
-                linf=linf,
-                max_displacement=disp,
-                within_radius=within,
-                l2_margin=margin,
-                violation=violation,
-                first_variation=fv.value,
-                fv_consistent=fv.consistent,
-            )
+    for run in trial_chunks(bc, n_trials, grid_n + 1):
+        ws = np.stack(
+            [random_antihermitian(np.random.default_rng(seed + t), bc.inc.amb_basis) for t in run]
         )
+        ws = ws / np.maximum(op_norm(ws), 1e-12)[:, None, None]
+        us, minus, plus = (
+            geo_us @ exp_family(ws, s * bump) for s in (perturbation_scale, -h_fv, h_fv)
+        )
+        samples = _pushed_down(bc, us, point)
+        require_each(_curve_refusals(bc, samples), run.start)
+        l2s, linfs = curve_lengths(
+            bc, samples, ("two_norm", "op_norm"), order=4, hermitian=True
+        )
+        disps = op_norm(samples - point.q, hermitian=True).max(axis=1)
+        fvs = first_variation(bc, minus, np.broadcast_to(geo_us, us.shape), plus, h_fv)
+        for trial, l2, linf, disp, fv in zip(run, l2s.tolist(), linfs.tolist(), disps, fvs):
+            within = linf <= probe_radius
+            margin = l2 - l2_geo
+            trials.append(
+                MinimalityTrial(
+                    trial=trial,
+                    l2=l2,
+                    linf=linf,
+                    max_displacement=float(disp),
+                    within_radius=within,
+                    l2_margin=margin,
+                    violation=within and margin < -LENGTH_TOL,
+                    first_variation=fv.value,
+                    fv_consistent=fv.consistent,
+                )
+            )
     return MinimalityReport(
         l2_geodesic=l2_geo,
         linf_geodesic=linf_geo,
         n_trials=n_trials,
-        n_within_radius=n_in,
-        n_violations=n_bad,
+        n_within_radius=sum(t.within_radius for t in trials),
+        n_violations=sum(t.violation for t in trials),
         trials=tuple(trials),
     )
 

@@ -399,6 +399,53 @@ def test_stacked_op_norm_is_bitwise_the_slice_loop(rng, n):
     assert op_norm(np.zeros((4, 0, 0))).shape == (4,)
 
 
+@pytest.mark.parametrize("n", [2, 8, 16])
+@pytest.mark.parametrize("kind", ["herm", "antiherm"])
+def test_hermitian_op_norm_matches_the_svd(rng, n, kind):
+    # the eigvalsh path of a Hermitian or anti-Hermitian stack: within
+    # 4e-15 of the SVD, relative, and each slice bitwise its single call
+    stack = random_stack(rng, (257, n, n), kind)
+    stack[0] = 0.0
+    stack[1] *= 1e-9
+    norms = op_norm(stack, hermitian=True)
+    svd = op_norm(stack)
+    assert norms.shape == (257,)
+    assert norms[0] == 0.0
+    assert np.all(np.abs(norms - svd) <= 4e-15 * svd)
+    assert all(norms[k] == op_norm(stack[k], hermitian=True) for k in range(len(stack)))
+    assert isinstance(op_norm(stack[2], hermitian=True), float)
+
+
+def test_hermitian_op_norm_decides_the_kind_per_slice(rng):
+    herm = random_stack(rng, (4, 6, 6), "herm")
+    anti = random_stack(rng, (4, 6, 6), "antiherm")
+    mixed = np.concatenate([herm, anti])
+    norms = op_norm(mixed, hermitian=True)
+    assert np.all(np.abs(norms - op_norm(mixed)) <= 4e-15 * op_norm(mixed))
+    assert np.array_equal(norms, np.concatenate([op_norm(herm, True), op_norm(anti, True)]))
+
+
+def test_stacked_exp_family_is_bitwise_the_slice_loop(rng):
+    zs = random_stack(rng, (3, 4, 4), "antiherm")
+    ts = np.linspace(0.0, 1.0, 17)
+    fams = exp_family(zs, ts)
+    assert fams.shape == (3, 17, 4, 4)
+    assert all(np.array_equal(fams[k], exp_family(zs[k], ts)) for k in range(3))
+    zs[1] += 1e-6 * np.eye(4)
+    with pytest.raises(DomainError, match=r"slice \(1,\) is not anti-Hermitian"):
+        exp_family(zs, ts)
+
+
+def test_stacked_polar_is_the_slice_loop(rng):
+    xs = random_stack(rng, (5, 4, 4), "antiherm")
+    us, absxs = polar_antihermitian(xs)
+    for x, u, absx in zip(xs, us, absxs):
+        u1, absx1 = polar_antihermitian(x)
+        assert op_norm(u - u1) < 1e-14 and op_norm(absx - absx1) < 1e-14
+    with pytest.raises(DomainError, match=r"slice \(2,\)"):
+        polar_antihermitian(np.concatenate([xs[:2], np.eye(4)[None]]))
+
+
 @pytest.mark.parametrize("n", [2, 4, 16])
 @pytest.mark.parametrize("f", ["exp", "cos", "sin", "sinc", "square", "sqrt"])
 @pytest.mark.parametrize("kind", ["herm", "antiherm"])

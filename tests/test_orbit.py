@@ -269,11 +269,12 @@ def test_lift_with_defects_returns_the_gates_defects(constructions, rng):
 def test_lift_stays_unitary_without_reunitarization(bc):
     # RK4 steps are not projected back onto the unitaries; on the lifts
     # suite's polynomial paths the drift stays far below the 1e-10 gate
-    from subfactor_geo.suites import _poly_unitary_path
+    from subfactor_geo.suites import _poly_generator
 
     rng = np.random.default_rng(12)
     ts = np.linspace(0.0, 1.0, 257)
-    curve = curve_from_unitaries(bc, _poly_unitary_path(bc.inc.amb_basis, rng, ts))
+    us = spectral_function(_poly_generator(bc.inc.amb_basis, rng, ts), "exp")
+    curve = curve_from_unitaries(bc, us)
     lift = horizontal_lift(curve)
     assert unitary_defect(lift).max() < 1e-13
 
@@ -986,12 +987,14 @@ def test_curve_refuses_samples_outside_m1(constructions):
 
 
 def _lift_test_curves(bc, n, grid_n=256, seed=5):
-    from subfactor_geo.suites import _poly_unitary_path
+    from subfactor_geo.suites import _poly_generator
 
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, 1.0, grid_n + 1)
     return [
-        curve_from_unitaries(bc, _poly_unitary_path(bc.inc.amb_basis, rng, ts))
+        curve_from_unitaries(
+            bc, spectral_function(_poly_generator(bc.inc.amb_basis, rng, ts), "exp")
+        )
         for _ in range(n)
     ]
 
