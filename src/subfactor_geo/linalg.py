@@ -7,11 +7,24 @@ diagonalization error, and exponentials of anti-Hermitian inputs are unitary
 to machine precision.
 
 ``dagger``, ``op_norm``, the three ``*_defect`` measures,
-``spectral_function`` and ``log_unitary_principal`` accept a single matrix or
-a stack of shape ``(..., n, n)`` and act slice by slice, with one batched
-LAPACK call per step and stack; each slice of a stacked result is bitwise
-equal to the result for that slice alone.  ``op_norm`` returns a float for a
-matrix and an array of shape ``(...)`` for a stack.
+``spectral_function``, ``log_unitary_principal``, ``exp_family`` (over its
+generators) and ``polar_antihermitian`` accept a single matrix or a stack of
+shape ``(..., n, n)`` and act slice by slice, with one batched LAPACK call
+per step and stack; each slice of a stacked result is bitwise equal to the
+result for that slice alone.  ``op_norm`` returns a float for a matrix and an
+array of shape ``(...)`` for a stack.
+
+``op_norm`` takes the largest singular value from the SVD.  For a stack
+whose slices are Hermitian or anti-Hermitian by construction, such as the
+velocities of an orbit curve, differences of projections or a lift's
+reconstruction residual, ``op_norm(a, hermitian=True)`` takes the largest
+|eigenvalue| from ``eigvalsh`` instead, of i times the slice where
+‖a + a*‖_F < ‖a‖_F (a nonzero anti-Hermitian slice; never a Hermitian one).
+Nothing checks the structure: ``eigvalsh`` reads one triangle, so a slice
+that is neither gets a wrong norm.  On (257, n, n) stacks with one BLAS
+thread the path took 2.5x less time than the SVD at n = 2, 1.7x at n = 8
+and 1.4x at n = 16, agreeing within 3.3e-15 relative; the default stays the
+SVD, so the builds' numbers do not move.
 
 ``log_unitary_principal`` diagonalizes a unitary U through a Cayley
 transform with a shifted pole, in numpy alone.  The pole e^{iφ} sits in the

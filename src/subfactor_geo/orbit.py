@@ -258,12 +258,12 @@ def trial_chunks(bc: BasicConstruction, n_trials: int, n_samples: int) -> list[r
     """Runs of consecutive trials for the stacked calls of a loop whose
     trials are curves of n_samples matrices each.
 
-    A run holds at most max(n_trials, n_samples) slices of the D x D
-    matrices of the uncompressed construction (D = dim M), counted in
-    entries, where each sample counts as one matrix of the larger of bc's
-    two sides (L2 and the arena of M).  So a stacked call never holds more
-    than a per-trial loop's largest stack on L2(M), and curves of small
-    inclusions, where that bound is one trial, still run one by one.
+    A run holds at most max(n_trials, n_samples) matrices of the D x D of
+    the uncompressed construction (D = dim M), counted in entries, where
+    each sample counts as one matrix of the larger of bc's two sides (L2
+    and the arena of M): no more than one curve on L2(M), or one matrix per
+    trial, would hold.  Where a single curve already fills the bound, as on
+    inclusions with r = D, the trials run one by one.
     """
     d = bc.inc.dim
     side = max(bc.dim_l2, bc.inc.amb.ambient_dim)
@@ -535,8 +535,6 @@ def curve_from_unitaries(
 # The stencils act along the time axis -3 of a (T, m, m) path, or of an
 # (n, T, m, m) stack of paths on one grid, elementwise, so each path of a
 # stack gets the bits it gets alone.
-
-
 def _diff2(f: np.ndarray, dt: float) -> np.ndarray:
     """Second-order first derivative: central interior, one-sided ends."""
     f = np.swapaxes(f, 0, -3)
@@ -603,7 +601,7 @@ def geodesic_equation_residual(
     """Worst tau1-norm of the tangent projection of the second derivative of
     the geodesic, computed with fourth-order stencils on a grid extended by
     two nodes on each side so every node of [0, 1] has a symmetric stencil."""
-    return geodesic_with_residual(point, z, grid_n)[1]
+    return _extended_geodesic(point, z, grid_n)[1]
 
 
 def geodesic_with_residual(
@@ -612,12 +610,18 @@ def geodesic_with_residual(
     """The geodesic along z on the grid_n intervals of [0, 1], with its
     ``geodesic_equation_residual``, from one sampling of the extended grid;
     the curve is that grid's nodes in [0, 1]."""
+    ext, residual = _extended_geodesic(point, z, grid_n)
+    return DiscreteCurve(point.bc, ext.samples[2:-2], ext.witnesses[2:-2]), residual
+
+
+def _extended_geodesic(
+    point: OrbitPoint, z: np.ndarray, grid_n: int
+) -> tuple[DiscreteCurve, float]:
     h = 1.0 / grid_n
     ext = sample_geodesic(point, z, grid_n + 4, t0=-2.0 * h, t1=1.0 + 2.0 * h)
     acc = _diff4_second(ext.samples, h)
     resid = _tangent_projection_matrix(point.bc, ext.samples[2:-2], acc, gate=False)
-    curve = DiscreteCurve(bc=point.bc, samples=ext.samples[2:-2], witnesses=ext.witnesses[2:-2])
-    return curve, float(point.bc.two_norm1(resid).max())
+    return ext, float(point.bc.two_norm1(resid).max())
 
 
 def covariant_derivative(curve: DiscreteCurve, field: np.ndarray) -> np.ndarray:
@@ -812,25 +816,26 @@ def first_variation(
     integral expression with x = u* du/dt and y = u* du/ds, and reports the
     centered finite difference (E(+h) - E(-h)) / (4h) alongside.
 
-    Takes three (T, m, m) paths and returns one result, or three
-    (n, T, m, m) stacks of n families on one grid and returns a list of n
-    results; a stack's refusal names its first failing family.
+    Takes three (T, m, m) paths and returns one result, or (n, T, m, m)
+    stacks of n families on one grid and returns a list of n results; the
+    unperturbed paths may then be one (T, m, m) path that every family
+    shares.  A stack's refusal names its first failing family.
     """
-    if minus.shape != zero.shape or plus.shape != zero.shape:
+    single = minus.ndim == 3
+    if minus.shape != plus.shape or zero.shape not in (minus.shape, minus.shape[-3:]):
         raise DomainError("family slices must share one sampling grid")
-    single = zero.ndim == 3
     if single:
-        minus, zero, plus = minus[None], zero[None], plus[None]
+        minus, plus = minus[None], plus[None]
     inc = bc.inc
-    T = zero.shape[1]
+    T = zero.shape[-3]
     for path in (minus, zero, plus):
-        probes = path[:, :: max(1, T // 8)]
+        probes = np.reshape(path, (-1,) + path.shape[-3:])[:, :: max(1, T // 8)]
         unitary = np.all(
             op_norm_within(dagger(probes) @ probes - inc.identity(), PATH_UNITARY_TOL), axis=1
         )
         if not np.all(unitary):
             k = int(np.flatnonzero(~unitary)[0])
-            which = "" if single else f" of family {k}"
+            which = "" if single or path.ndim == 3 else f" of family {k}"
             worst = unitary_defect(probes[k]).max()
             raise DomainError(f"family samples{which} are not unitary (defect {worst:.3e})")
     dt = 1.0 / (T - 1)
@@ -839,7 +844,8 @@ def first_variation(
     xdot = _diff4(x0, dt)
     # real trace inner product <a, b> = Re tau(a* b); the adjoint matters
     # for the sign since the logarithmic derivatives are anti-Hermitian
-    prod_boundary = inc.amb.inner(y0[:, [0, -1]], x0[:, [0, -1]]).real
+    ends = (Ellipsis, [0, -1], slice(None), slice(None))
+    prod_boundary = inc.amb.inner(y0[ends], x0[ends]).real
     boundary = prod_boundary[:, 1] - prod_boundary[:, 0]
     integral = _simpson(inc.amb.inner(y0, xdot).real, dt)
     value = boundary - integral
@@ -1244,7 +1250,7 @@ def minimality_experiment(
             bc, samples, ("two_norm", "op_norm"), order=4, hermitian=True
         )
         disps = op_norm(samples - point.q, hermitian=True).max(axis=1)
-        fvs = first_variation(bc, minus, np.broadcast_to(geo_us, us.shape), plus, h_fv)
+        fvs = first_variation(bc, minus, geo_us, plus, h_fv)
         for trial, l2, linf, disp, fv in zip(run, l2s.tolist(), linfs.tolist(), disps, fvs):
             within = linf <= probe_radius
             margin = l2 - l2_geo

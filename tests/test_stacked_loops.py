@@ -17,10 +17,14 @@ import subfactor_geo.cli as cli
 from legacy_loops import LEGACY_SUITES, radius_probe_rows
 from subfactor_geo.config import SUITE_NAMES, parse_config
 from subfactor_geo.errors import DomainError, require_each
+from subfactor_geo.linalg import exp_family
 from subfactor_geo.orbit import (
     base_point,
+    curve_lengths,
+    first_variation,
     minimality_experiment,
     random_horizontal_at,
+    sample_geodesic,
     trial_chunks,
 )
 from subfactor_geo.report import write_csv_rows
@@ -116,6 +120,48 @@ def test_no_stacked_call_exceeds_the_entry_bound(constructions, family, monkeypa
         sizes.clear()
         _SUITE_FUNCS[suite](bc, cfg)
         assert max(sizes) <= max(cfg.trials, samples) * d * d, suite
+
+
+def test_stacked_curve_lengths_are_bitwise_each_path_alone(constructions):
+    bc = constructions["tensor(2,2)"].compressed
+    base = base_point(bc)
+    rng = np.random.default_rng(4)
+    paths = np.stack(
+        [
+            sample_geodesic(base, random_horizontal_at(base, rng, op_scale=0.3), 64).samples
+            for _ in range(3)
+        ]
+    )
+    metrics = ("two_norm", "op_norm", "energy")
+    for order in (2, 4):
+        stacked = curve_lengths(bc, paths, metrics, order=order, hermitian=True)
+        for name, values in zip(metrics, stacked):
+            for path, value in zip(paths, values):
+                assert value == curve_lengths(bc, path, name, order=order, hermitian=True)
+                assert abs(value - curve_lengths(bc, path, name, order=order)) <= 4e-15 * value
+
+
+def test_stacked_first_variation_is_each_family_alone(constructions):
+    bc = constructions["group_flip(m2)"].compressed
+    rng = np.random.default_rng(6)
+    ts = np.linspace(0.0, 1.0, 65)
+    bump = 16.0 * ts * ts * (1.0 - ts) ** 2
+    zero = exp_family(random_horizontal_at(base_point(bc), rng, op_scale=0.3), ts)
+    ws = np.stack([random_horizontal_at(base_point(bc), rng, op_scale=1.0) for _ in range(3)])
+    minus, plus = (zero @ exp_family(ws, s * bump) for s in (-1e-3, 1e-3))
+    results = first_variation(bc, minus, zero, plus, 1e-3)
+    assert len(results) == 3
+    for k, res in enumerate(results):
+        alone = first_variation(bc, minus[k], zero, plus[k], 1e-3)
+        assert abs(res.value - alone.value) <= 1e-12
+        assert abs(res.fd_value - alone.fd_value) <= 1e-12
+    assert first_variation(bc, minus, np.stack([zero] * 3), plus, 1e-3)[2].value == results[2].value
+    bad = plus.copy()
+    bad[1] = bad[1] * 1.01
+    with pytest.raises(DomainError, match="^family samples of family 1 are not unitary"):
+        first_variation(bc, minus, zero, bad, 1e-3)
+    with pytest.raises(DomainError, match="share one sampling grid"):
+        first_variation(bc, minus, zero[:-1], plus, 1e-3)
 
 
 def test_require_each_names_the_trial():
