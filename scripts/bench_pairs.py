@@ -17,13 +17,13 @@ the lower median of the part's times in that run, summarised the same way
 under ``parts``; this shows which part a change of ``run_s`` comes from.
 After a workload's pairs, it runs ``perfbench/run.py --trace 1`` once in each
 checkout at the first seed and keeps, under ``traced``, each side's exit
-code, the ``correct`` field of its result line and its ``check failed:``
-lines: a traced run also checks every part against ``expected.json`` and
-runs the count self-check, which untraced pairs do not show.  The script
-exits 1 when the change's traced run of any workload fails.  ``--seeds``
-must name at least two
-seeds, since the quartiles need two runs a side; fewer is refused before
-any run.  The output is rewritten after every workload, so an interrupted
+code, the ``correct`` field of its result line, its ``check failed:``
+lines and the per-layer values of its result line (``layers``): a traced
+run also checks every part against ``expected.json`` and runs the count
+self-check, which untraced pairs do not show.  The script exits 1 when the
+change's traced run of any workload fails.  ``--seeds`` must name at least
+two seeds, since the quartiles need two runs a side; fewer is refused
+before any run.  The output is rewritten after every workload, so an interrupted
 run keeps the workloads already finished.
 """
 from __future__ import annotations
@@ -58,23 +58,25 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> tuple[dic
 
 def run_traced(checkout: str, workload: str, seed: int, seconds: int) -> dict:
     """One traced benchmark run: its exit code, the ``correct`` field of its
-    result line (None when it printed none) and its ``check failed:`` lines."""
+    result line (None when it printed none), its ``check failed:`` lines and
+    the per-layer values of its result line."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "1",
     ]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     try:
-        correct = json.loads(out.stdout.strip().splitlines()[-1])["correct"]
-    except (IndexError, ValueError, KeyError):
-        correct = None
+        result = json.loads(out.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        result = {}
     return {
         "seed": seed,
         "exit": out.returncode,
-        "correct": correct,
+        "correct": result.get("correct"),
         "check_failed": [
             line for line in out.stderr.splitlines() if line.startswith("check failed:")
         ],
+        "layers": {k: v["value"] for k, v in result.get("metrics", {}).items()},
     }
 
 
