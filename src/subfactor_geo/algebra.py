@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .linalg import dagger, op_norm
+from .linalg import dagger, op_norm, spectral_function
 from .tolerances import GRAM_DROP_TOL, PP_MARGIN_TOL, SPECTRAL_TOL
 
 __all__ = [
@@ -521,8 +521,6 @@ def random_unitary(
 ) -> np.ndarray:
     """exp of a scaled Gaussian anti-Hermitian element: a unitary that stays
     in the spanned algebra."""
-    from .linalg import spectral_function
-
     a = random_antihermitian(rng, basis)
     nrm = op_norm(a)
     if nrm > 0:

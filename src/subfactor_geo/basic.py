@@ -123,6 +123,15 @@ class BasicConstruction:
         """tau1 2-norm distance of y, or of each slice of a stack, from M1."""
         return span_residuals(self.m1_basis, y, 1.0 / self.dim_l2)
 
+    def membership_refusals(self, ys: np.ndarray) -> list[MembershipError | None]:
+        """The gate of E1 per slice of an (n, D, D) stack: None for a slice in
+        M1 within MEMBERSHIP_TOL, else a MembershipError naming its defect."""
+        message = "input is outside the extension algebra (defect {:.3e})"
+        return [
+            MembershipError(message.format(d), defect=float(d)) if d > MEMBERSHIP_TOL else None
+            for d in self.membership_defects(ys)
+        ]
+
     @cached_property
     def compressed(self) -> BasicConstruction:
         """This construction on one copy of each block of M1 (see the module
@@ -146,13 +155,11 @@ def expectation_E1(bc: BasicConstruction, y: np.ndarray) -> np.ndarray:
     """tau1-orthogonal projection of y in M1 onto left_rep(M), slice by
     slice for a stack.
 
-    Satisfies E1(p) = lam * 1 and the M-bimodule property.
+    Satisfies E1(p) = lam * 1 and the M-bimodule property.  A stack's
+    refusal names its trial.
     """
-    defect = bc.membership_defect(y)
-    if defect > MEMBERSHIP_TOL:
-        raise MembershipError(
-            f"input is outside the extension algebra (defect {defect:.3e})", defect=defect
-        )
+    ys = y.reshape((-1,) + y.shape[-2:])
+    (require_one if y.ndim == 2 else require_each)(bc.membership_refusals(ys))
     return bc._e1_unchecked(y)
 
 
@@ -164,20 +171,13 @@ def reduce_R(bc: BasicConstruction, y: np.ndarray) -> np.ndarray:
     single = y.ndim == 2
     ys = y[None] if single else y
     p = bc.jones_p
-    defects = bc.membership_defects(ys)
+    outside = bc.membership_refusals(ys)
     ms = bc.inc.from_coords(bc._e1_coords(ys @ p) / bc.lam)
     resid = op_norm(bc.left(ms) @ p - ys @ p)
+    message = "reduction is inconsistent: left_rep(m) p differs from y p by {:.3e}"
     refusals = [
-        MembershipError(
-            f"input is outside the extension algebra (defect {defect:.3e})", defect=float(defect)
-        )
-        if defect > MEMBERSHIP_TOL
-        else ConstructionError(
-            f"reduction is inconsistent: left_rep(m) p differs from y p by {r:.3e}"
-        )
-        if r > 1e-8
-        else None
-        for defect, r in zip(defects, resid)
+        refusal or (ConstructionError(message.format(r)) if r > 1e-8 else None)
+        for refusal, r in zip(outside, resid)
     ]
     (require_one if single else require_each)(refusals)
     return ms[0] if single else ms

@@ -19,6 +19,7 @@ from .algebra import (
     expectation_E,
     orthonormalize,
     random_antihermitian,
+    random_horizontal,
     span_project,
     span_residual,
 )
@@ -360,8 +361,6 @@ def sample_degenerate_direction(
     back to a subalgebra direction (a zero-speed degenerate direction,
     since it commutes with the trace projection).
     """
-    from .algebra import random_horizontal
-
     family = family_record(inc.family_tag)
     if family is not None and family.tensor_mk is not None:
         m, k = family.tensor_mk

@@ -44,8 +44,10 @@ and a stack of different generators goes through ``spectral_function``.
 
 ``op_norm_within(a, tol)`` decides ``op_norm(a) <= tol`` per slice.  It is
 the tolerance gate of ``spectral_function``, ``log_unitary_principal``,
-``exp_family`` and ``polar_antihermitian`` (and of the curve gap check in
-``orbit``), and it decides first by the Frobenius bounds
+``exp_family`` and ``polar_antihermitian``, of the orbit-point,
+horizontality, tangent-projection, curve-gap, lift- and path-unitarity,
+section-gap and logarithm-entry gates of ``orbit``, and of the gates of
+``grassmann.tangent_decompose``.  It decides first by the Frobenius bounds
 ``‖a‖_F / √r ≤ ‖a‖ ≤ ‖a‖_F`` (r the smaller side of a), each with a
 relative margin of 1e-12 against roundoff; the singular values are computed
 only for the slices that neither bound settles, so every decision equals the

@@ -9,7 +9,8 @@ one-parameter conjugation curves.  This module provides the tangent
 calculus, the metric projection, geodesics and their defining equation,
 horizontal lifts of discrete curves, length and energy functionals, the
 first variation of energy, a local logarithm, curve shortening, and the
-minimality / convexity experiment drivers.
+minimality / convexity experiment drivers.  The tangent projection, kappa_q
+and all that read them take E1 of a commutator with q from one kernel.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .algebra import (
     random_horizontal,
     random_unitary,
 )
-from .basic import BasicConstruction, expectation_E1, recover_unitary
+from .basic import BasicConstruction, recover_unitary
 from .errors import (
     ConstructionError,
     ConvergenceError,
@@ -60,7 +61,6 @@ from .tolerances import (
 
 __all__ = [
     "OrbitPoint",
-    "TangentVector",
     "DiscreteCurve",
     "base_point",
     "orbit_point_from_witness",
@@ -281,13 +281,17 @@ def orbit_points(bc: BasicConstruction, witnesses: np.ndarray) -> np.ndarray:
 
 
 def tangent_vectors(
-    bc: BasicConstruction, qs: np.ndarray, witnesses: np.ndarray, zs: np.ndarray
+    bc: BasicConstruction,
+    qs: np.ndarray,
+    witnesses: np.ndarray,
+    zs: np.ndarray,
+    require=require_each,
 ) -> np.ndarray:
     """delta_q for each slice: zq - qz for the horizontal directions zs at
     the orbit points qs with their witnesses, all (n, ., .) stacks; a
     direction that is not horizontal is refused as delta_q refuses it,
     naming its trial."""
-    require_each(_horizontal_refusals(bc.inc, witnesses, zs))
+    require(_horizontal_refusals(bc.inc, witnesses, zs))
     lz = bc.left(zs)
     return lz @ qs - qs @ lz
 
@@ -300,38 +304,50 @@ def random_horizontal_at(
     return u @ z @ dagger(u)
 
 
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    """Horizontal direction z at a point with its ambient commutator."""
-
-    point: OrbitPoint
-    z: np.ndarray        # ambient element of M, anti-Hermitian, E_q(z) = 0
-    ambient: np.ndarray  # (D, D): left(z) q - q left(z)
-
-    @property
-    def speed(self) -> float:
-        """tau1 2-norm of the ambient vector."""
-        return self.point.bc.two_norm1(self.ambient)
+def delta_q(point: OrbitPoint, z: np.ndarray) -> np.ndarray:
+    """Differential of the orbit map at the point: the tangent vector
+    zq - qz of a horizontal direction z, as a (D, D) array."""
+    return tangent_vectors(point.bc, point.q[None], point.witness[None], z[None], require_one)[0]
 
 
-def delta_q(point: OrbitPoint, z: np.ndarray) -> TangentVector:
-    """Differential of the orbit map at the point: z -> zq - qz."""
-    require_one(_horizontal_refusals(point.bc.inc, point.witness, z[None]))
-    lz = point.bc.left(z)
-    return TangentVector(point=point, z=z, ambient=lz @ point.q - point.q @ lz)
+def _e1_commutator(
+    bc: BasicConstruction, qs: np.ndarray, xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The commutators xq - qx of an (n, D, D) stack xs, at one q or at the
+    matching slices of a stack qs, and the coordinates of their E1 over the
+    left images of the M basis; nothing is gated."""
+    comm = xs @ qs - qs @ xs
+    return comm, bc._e1_coords(comm)
 
 
-def _tangent_projection_matrix(
-    bc: BasicConstruction, q: np.ndarray, x: np.ndarray, gate: bool = True
+def _projected(bc: BasicConstruction, qs: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """(1/2 lam) [E1(xq - qx), q] from the coordinates of E1(xq - qx)."""
+    left = bc.left_cache
+    e1 = (coords @ left.reshape(len(left), -1)).reshape(coords.shape[:-1] + left.shape[1:])
+    return (e1 @ qs - qs @ e1) / (2.0 * bc.lam)
+
+
+def _pulled_back(bc: BasicConstruction, coords: np.ndarray) -> np.ndarray:
+    """The anti-Hermitian part of (1/2 lam) E1(vq - qv), pulled back to M,
+    from the coordinates of E1(vq - qv)."""
+    z = bc.inc.from_coords(coords / (2.0 * bc.lam))
+    return 0.5 * (z - dagger(z))
+
+
+def _gated_e1_commutator(
+    bc: BasicConstruction, qs: np.ndarray, xs: np.ndarray, require
 ) -> np.ndarray:
-    """(1/2 lam) [E1(xq - qx), q]; q and x may be matching (T, D, D) stacks."""
-    comm = x @ q - q @ x
-    if gate:
-        e1 = expectation_E1(bc, comm)
-    else:
-        e1 = bc._e1_unchecked(comm)
-    bracket = (e1 @ q - q @ e1) / (2.0 * bc.lam)
-    return bracket
+    """The coordinates of _e1_commutator, once xs passed tangent_projections' gates."""
+    comm, coords = _e1_commutator(bc, qs, xs)
+    message = "tangent projection expects a Hermitian input (defect {:.3e})"
+    hermitian = op_norm_within(xs - dagger(xs), WITNESS_TOL)
+    require(
+        [
+            outside if ok else DomainError(message.format(herm_defect(x)))
+            for ok, x, outside in zip(hermitian, xs, bc.membership_refusals(comm))
+        ]
+    )
+    return coords
 
 
 def tangent_projection(point: OrbitPoint, x: np.ndarray) -> np.ndarray:
@@ -350,37 +366,7 @@ def tangent_projections(
     op_norm_within; the refusal names the exact defect), and xq - qx in M1
     within MEMBERSHIP_TOL, the gate of E1.  A refusal names its trial.
     """
-    comm = xs @ qs - qs @ xs
-    hermitian = op_norm_within(xs - dagger(xs), WITNESS_TOL)
-    member = bc.membership_defects(comm)
-    refusals: list[DomainError | None] = []
-    for k, (ok, defect) in enumerate(zip(hermitian, member)):
-        if not ok:
-            refusals.append(
-                DomainError(
-                    "tangent projection expects a Hermitian input "
-                    f"(defect {herm_defect(xs[k]):.3e})"
-                )
-            )
-        elif defect > MEMBERSHIP_TOL:
-            refusals.append(
-                MembershipError(
-                    f"input is outside the extension algebra (defect {defect:.3e})",
-                    defect=float(defect),
-                )
-            )
-        else:
-            refusals.append(None)
-    require(refusals)
-    e1 = bc._e1_unchecked(comm)
-    return (e1 @ qs - qs @ e1) / (2.0 * bc.lam)
-
-
-def _kappa(bc: BasicConstruction, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The anti-Hermitian part of (1/2 lam) E1(vq - qv), pulled back to M;
-    q and v may be matching (n, D, D) stacks."""
-    z = bc.inc.from_coords(bc._e1_coords(v @ q - q @ v) / (2.0 * bc.lam))
-    return 0.5 * (z - dagger(z))
+    return _projected(bc, qs, _gated_e1_commutator(bc, qs, xs, require))
 
 
 def kappa_q(point: OrbitPoint, v: np.ndarray) -> np.ndarray:
@@ -397,8 +383,9 @@ def kappas(
 ) -> np.ndarray:
     """kappa_q of each slice of an (n, D, D) stack of tangent vectors, at
     the points as in tangent_projections, with kappa_q's gates per slice; a
-    refusal names its trial."""
-    resid = bc.two_norm1(vs - tangent_projections(bc, qs, vs, require))
+    refusal names its trial.  The tangency gate and kappa read one E1."""
+    coords = _gated_e1_commutator(bc, qs, vs, require)
+    resid = bc.two_norm1(vs - _projected(bc, qs, coords))
     require(
         [
             None
@@ -407,7 +394,7 @@ def kappas(
             for r in resid
         ]
     )
-    return _kappa(bc, qs, vs)
+    return _pulled_back(bc, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +444,8 @@ class DiscreteCurve:
     """
 
     bc: BasicConstruction
-    samples: np.ndarray                 # (T, D, D)
-    witnesses: np.ndarray | None = None  # (T, n, n) ambient unitaries, optional
+    samples: np.ndarray                # (T, D, D)
+    witness: np.ndarray | None = None  # ambient unitary carrying p to samples[0], optional
 
     def __post_init__(self) -> None:
         if self.samples.ndim != 3 or self.samples.shape[0] < 2:
@@ -505,12 +492,17 @@ def _curve_refusals(bc: BasicConstruction, samples: np.ndarray) -> list[DomainEr
 def sample_geodesic(
     point: OrbitPoint, z: np.ndarray, grid_n: int, t0: float = 0.0, t1: float = 1.0
 ) -> DiscreteCurve:
+    return curve_from_unitaries(point.bc, _geodesic_unitaries(point, z, grid_n, t0, t1), base=point)
+
+
+def _geodesic_unitaries(
+    point: OrbitPoint, z: np.ndarray, grid_n: int, t0: float, t1: float
+) -> np.ndarray:
+    """e^{tz} on grid_n intervals of [t0, t1] for a z passing geodesic_at's gates."""
     require_one(_direction_refusals(point, z[None]))
     if grid_n < 1:
         raise DomainError("grid must have at least one interval")
-    ts = np.linspace(t0, t1, grid_n + 1)
-    exps = exp_family(z, ts)
-    return curve_from_unitaries(point.bc, exps, base=point)
+    return exp_family(z, np.linspace(t0, t1, grid_n + 1))
 
 
 def _pushed_down(bc: BasicConstruction, us: np.ndarray, base: OrbitPoint) -> np.ndarray:
@@ -525,7 +517,7 @@ def curve_from_unitaries(
     """Push a sampled unitary path u(t) down to the orbit: u(t) q0 u(t)*."""
     if base is None:
         base = base_point(bc)
-    return DiscreteCurve(bc=bc, samples=_pushed_down(bc, us, base), witnesses=us @ base.witness)
+    return DiscreteCurve(bc=bc, samples=_pushed_down(bc, us, base), witness=us[0] @ base.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +593,7 @@ def geodesic_equation_residual(
     """Worst tau1-norm of the tangent projection of the second derivative of
     the geodesic, computed with fourth-order stencils on a grid extended by
     two nodes on each side so every node of [0, 1] has a symmetric stencil."""
-    return _extended_geodesic(point, z, grid_n)[1]
+    return _extended_geodesic(point, z, grid_n)[2]
 
 
 def geodesic_with_residual(
@@ -610,26 +602,31 @@ def geodesic_with_residual(
     """The geodesic along z on the grid_n intervals of [0, 1], with its
     ``geodesic_equation_residual``, from one sampling of the extended grid;
     the curve is that grid's nodes in [0, 1]."""
-    ext, residual = _extended_geodesic(point, z, grid_n)
-    return DiscreteCurve(point.bc, ext.samples[2:-2], ext.witnesses[2:-2]), residual
+    ext, start, residual = _extended_geodesic(point, z, grid_n)
+    return DiscreteCurve(point.bc, ext.samples[2:-2], start), residual
 
 
 def _extended_geodesic(
     point: OrbitPoint, z: np.ndarray, grid_n: int
-) -> tuple[DiscreteCurve, float]:
+) -> tuple[DiscreteCurve, np.ndarray, float]:
+    """The geodesic on the grid extended by two nodes on each side, the
+    witness of its node at t = 0, and the geodesic equation residual."""
     h = 1.0 / grid_n
-    ext = sample_geodesic(point, z, grid_n + 4, t0=-2.0 * h, t1=1.0 + 2.0 * h)
-    acc = _diff4_second(ext.samples, h)
-    resid = _tangent_projection_matrix(point.bc, ext.samples[2:-2], acc, gate=False)
-    return ext, float(point.bc.two_norm1(resid).max())
+    us = _geodesic_unitaries(point, z, grid_n + 4, -2.0 * h, 1.0 + 2.0 * h)
+    ext = curve_from_unitaries(point.bc, us, base=point)
+    qs = ext.samples[2:-2]
+    _, coords = _e1_commutator(point.bc, qs, _diff4_second(ext.samples, h))
+    resid = point.bc.two_norm1(_projected(point.bc, qs, coords))
+    return ext, us[2] @ point.witness, float(resid.max())
 
 
 def covariant_derivative(curve: DiscreteCurve, field: np.ndarray) -> np.ndarray:
     """DX/dt along the curve: differentiate the field on the grid, then
-    project onto the tangent space at each node."""
+    project onto the tangent space at each node, with the gates of
+    tangent_projection; a refusal names its node as its trial."""
     if field.shape != curve.samples.shape:
         raise DomainError("field is not sampled on the curve's grid")
-    return _tangent_projection_matrix(curve.bc, curve.samples, _diff2(field, curve.dt))
+    return tangent_projections(curve.bc, curve.samples, _diff2(field, curve.dt))
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +634,8 @@ def covariant_derivative(curve: DiscreteCurve, field: np.ndarray) -> np.ndarray:
 
 
 def _witness_at_start(curve: DiscreteCurve) -> np.ndarray:
-    if curve.witnesses is not None:
-        return curve.witnesses[0]
+    if curve.witness is not None:
+        return curve.witness
     return orbit_section_theta(curve.bc, curve.samples[0])
 
 
@@ -676,7 +673,10 @@ def lift_with_defects(
     T = curves[0].samples.shape[0]
     dt = curves[0].dt
     gen = np.stack(
-        [_kappa(curve.bc, curve.samples, _diff4(curve.samples, dt)) for curve in curves]
+        [
+            _pulled_back(c.bc, _e1_commutator(c.bc, c.samples, _diff4(c.samples, dt))[1])
+            for c in curves
+        ]
     )
     # cubic midpoint interpolation of the generator
     mids = np.empty((len(gen), T - 1) + gen.shape[2:], dtype=complex)
@@ -1056,8 +1056,8 @@ def orbit_log_batch(
         if not active.size:
             break
         a = active
-        v = _tangent_projection_matrix(bc, q[a], tq[a] - q[a], gate=False)
-        w_at_cur = _kappa(bc, q[a], v)
+        v = _projected(bc, q[a], _e1_commutator(bc, q[a], tq[a] - q[a])[1])
+        w_at_cur = _pulled_back(bc, _e1_commutator(bc, q[a], v)[1])
         w0 = dagger(ez[a]) @ w_at_cur @ ez[a]
         w0 = 0.5 * (w0 - dagger(w0))
         w0 = w0 - translated_expectation(q0, w0)

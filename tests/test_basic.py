@@ -153,9 +153,16 @@ def test_e1_rejects_outside_elements(constructions, rng):
     y = rng.standard_normal((bc.dim_l2, bc.dim_l2)) + 1j * rng.standard_normal(
         (bc.dim_l2, bc.dim_l2)
     )
-    if bc.membership_defect(y) > 1e-6:
-        with pytest.raises(MembershipError):
-            expectation_E1(bc, y)
+    defect = bc.membership_defect(y)
+    assert defect > 1e-6
+    # E1 and the reduction refuse with one text; a stack names its trial
+    for refuse in (expectation_E1, reduce_R):
+        with pytest.raises(MembershipError) as refused:
+            refuse(bc, y)
+        assert str(refused.value) == f"input is outside the extension algebra (defect {defect:.3e})"
+        assert abs(refused.value.defect - defect) <= 1e-12 * defect
+    with pytest.raises(MembershipError, match=r"^trial 1: input is outside the extension algebra"):
+        expectation_E1(bc, np.stack([bc.jones_p, y]))
 
 
 def test_reduce_r_left_inverse(bc, rng):

@@ -42,6 +42,7 @@ from subfactor_geo.orbit import (
     geodesic_at,
     geodesic_endpoints,
     geodesic_equation_residual,
+    geodesic_with_residual,
     grassmann_section,
     horizontal_defect_at,
     horizontal_lift,
@@ -59,6 +60,7 @@ from subfactor_geo.orbit import (
     sample_geodesic,
     shorten_to_polygonal,
     tangent_projection,
+    tangent_vectors,
     translated_expectation,
 )
 
@@ -117,7 +119,7 @@ def test_delta_isometry_constant(bc, rng):
         pt = random_orbit_point(bc, rng)
         z = random_horizontal_at(pt, rng, op_scale=0.5)
         v = delta_q(pt, z)
-        assert abs(v.speed - c * bc.inc.two_norm(z)) < 1e-10
+        assert abs(bc.two_norm1(v) - c * bc.inc.two_norm(z)) < 1e-10
 
 
 def test_delta_rejects_non_horizontal(bc, rng):
@@ -133,12 +135,39 @@ def test_delta_rejects_non_horizontal(bc, rng):
             assert str(other.value) == str(refused.value)
 
 
+def test_delta_is_tangent_vectors_on_a_stack_of_one(bc, rng):
+    for pt in (base_point(bc), random_orbit_point(bc, rng)):
+        z = random_horizontal_at(pt, rng, op_scale=0.5)
+        stacked = tangent_vectors(bc, pt.q[None], pt.witness[None], z[None])[0]
+        assert np.array_equal(delta_q(pt, z), stacked)
+
+
+def test_kappa_and_projection_read_one_e1_pass(constructions, rng, monkeypatch):
+    # kappas forms vq - qv once and takes the coordinates of its E1 once,
+    # for the tangency residual and for kappa alike; _e1_unchecked, a second
+    # E1, is not called
+    bc = constructions["tensor(2,2)"]
+    pt = random_orbit_point(bc, rng)
+    v = delta_q(pt, random_horizontal_at(pt, rng, op_scale=0.4))
+    expected = kappa_q(pt, v)
+    projected = tangent_projection(pt, v)
+    calls = []
+    cls = type(bc)
+    e1_coords = cls._e1_coords
+    monkeypatch.setattr(cls, "_e1_coords", lambda self, y: calls.append(y) or e1_coords(self, y))
+    monkeypatch.setattr(cls, "_e1_unchecked", None)
+    assert np.array_equal(kappa_q(pt, v), expected)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], (v @ pt.q - pt.q @ v)[None])
+    assert np.array_equal(tangent_projection(pt, v), projected)
+    assert len(calls) == 2
+
+
 def test_kappa_inverts_delta(bc, rng):
     for _ in range(8):
         pt = random_orbit_point(bc, rng)
         z = random_horizontal_at(pt, rng, op_scale=0.4)
-        v = delta_q(pt, z)
-        z_rec = kappa_q(pt, v.ambient)
+        z_rec = kappa_q(pt, delta_q(pt, z))
         assert bc.inc.two_norm(z_rec - z) < 1e-9
 
 
@@ -149,7 +178,7 @@ def test_kappa_matches_closed_form_at_base(bc, rng):
     for pt in [base_point(bc)] + [random_orbit_point(bc, rng) for _ in range(7)]:
         u, lu = pt.witness, bc.left(pt.witness)
         z = random_horizontal_at(pt, rng, op_scale=0.4)
-        v = delta_q(pt, z).ambient
+        v = delta_q(pt, z)
         z_route = u @ reduce_R(bc, dagger(lu) @ v @ lu) @ dagger(u)
         assert bc.inc.two_norm(kappa_q(pt, v) - z_route) < 1e-9
         assert bc.inc.two_norm(z_route - z) < 1e-9
@@ -177,7 +206,7 @@ def test_tangent_projection_properties(bc, rng):
         assert abs(lhs - rhs) < 1e-10
     # fixes genuine tangent vectors
     z = random_horizontal_at(pt, rng, op_scale=0.5)
-    v = delta_q(pt, z).ambient
+    v = delta_q(pt, z)
     assert bc.two_norm1(tangent_projection(pt, v) - v) < 1e-10
 
 
@@ -217,6 +246,29 @@ def test_covariant_derivative_of_geodesic_velocity(bc, rng):
     field = np.stack([lz @ q - q @ lz for q in curve.samples])
     acc = covariant_derivative(curve, field)
     assert max(bc.two_norm1(a) for a in acc) < 1e-4
+
+
+def test_covariant_derivative_refuses_a_non_hermitian_derivative(constructions, rng):
+    bc = constructions["tensor(2,2)"]
+    pt = base_point(bc)
+    curve = sample_geodesic(pt, random_horizontal_at(pt, rng, op_scale=0.4), 32)
+    lz = bc.left(random_horizontal_at(pt, rng, op_scale=0.4))
+    field = lz @ curve.samples - curve.samples @ lz
+    # i q at node 10 is in M1 but not Hermitian; the central differences of
+    # nodes 9 and 11 read it, so node 9 is the first refused
+    field[10] = field[10] + 1j * curve.samples[10]
+    with pytest.raises(DomainError, match=r"^trial 9: tangent projection expects a Hermitian"):
+        covariant_derivative(curve, field)
+
+
+def test_curves_carry_the_witness_of_their_first_sample(constructions, rng):
+    bc = constructions["tensor(2,2)"]
+    pt = random_orbit_point(bc, rng)
+    z = random_horizontal_at(pt, rng, op_scale=0.4)
+    curve, _ = geodesic_with_residual(pt, z, grid_n=16)
+    for c in (curve, sample_geodesic(pt, z, 16, t0=0.3)):
+        lw = bc.left(c.witness)
+        assert op_norm(lw @ bc.jones_p @ dagger(lw) - c.samples[0]) < 1e-12
 
 
 def test_discrete_curve_rejects_underresolved(constructions):
@@ -874,7 +926,7 @@ def test_curve_functionals_match_per_sample_reference(constructions):
     horiz_ref = 0.0
     for i in range(len(qs)):
         v = gdot[i] @ dagger(lift[i])
-        wi = lift[i] @ curve.witnesses[0]
+        wi = lift[i] @ curve.witness
         e = wi @ expectation_E(inc, dagger(wi) @ v @ wi) @ dagger(wi)
         horiz_ref = max(horiz_ref, inc.two_norm(e))
     recon, horiz = lift_defects(curve, lift)
