@@ -52,11 +52,19 @@ from .algebra import (
     span_residual,
     span_residuals,
 )
-from .errors import ConstructionError, DomainError, MembershipError, require_each, require_one
-from .linalg import dagger, op_norm
+from .errors import (
+    ConstructionError,
+    Gate,
+    MembershipError,
+    refusals,
+    require_each,
+    require_one,
+)
+from .linalg import dagger, norm_gate, op_norm
 from .tolerances import (
     GRAM_DROP_TOL,
     MEMBERSHIP_TOL,
+    REDUCTION_TOL,
     SPECTRAL_TOL,
     WITNESS_TOL,
 )
@@ -123,14 +131,14 @@ class BasicConstruction:
         """tau1 2-norm distance of y, or of each slice of a stack, from M1."""
         return span_residuals(self.m1_basis, y, 1.0 / self.dim_l2)
 
-    def membership_refusals(self, ys: np.ndarray) -> list[MembershipError | None]:
-        """The gate of E1 per slice of an (n, D, D) stack: None for a slice in
-        M1 within MEMBERSHIP_TOL, else a MembershipError naming its defect."""
-        message = "input is outside the extension algebra (defect {:.3e})"
-        return [
-            MembershipError(message.format(d), defect=float(d)) if d > MEMBERSHIP_TOL else None
-            for d in self.membership_defects(ys)
-        ]
+    def membership_gate(self, ys: np.ndarray, what: str = "input") -> Gate:
+        """The gate of E1 for an (n, D, D) stack: a slice in M1 within
+        MEMBERSHIP_TOL, else a MembershipError naming what and its defect."""
+        defects = self.membership_defects(ys)
+        message = f"{what} is outside the extension algebra (defect {{:.3e}})"
+        return defects <= MEMBERSHIP_TOL, lambda k: MembershipError(
+            message.format(defects[k]), defect=float(defects[k])
+        )
 
     @cached_property
     def compressed(self) -> BasicConstruction:
@@ -159,7 +167,7 @@ def expectation_E1(bc: BasicConstruction, y: np.ndarray) -> np.ndarray:
     refusal names its trial.
     """
     ys = y.reshape((-1,) + y.shape[-2:])
-    (require_one if y.ndim == 2 else require_each)(bc.membership_refusals(ys))
+    (require_one if y.ndim == 2 else require_each)(refusals(len(ys), bc.membership_gate(ys)))
     return bc._e1_unchecked(y)
 
 
@@ -171,15 +179,15 @@ def reduce_R(bc: BasicConstruction, y: np.ndarray) -> np.ndarray:
     single = y.ndim == 2
     ys = y[None] if single else y
     p = bc.jones_p
-    outside = bc.membership_refusals(ys)
+    outside = bc.membership_gate(ys)
     ms = bc.inc.from_coords(bc._e1_coords(ys @ p) / bc.lam)
-    resid = op_norm(bc.left(ms) @ p - ys @ p)
-    message = "reduction is inconsistent: left_rep(m) p differs from y p by {:.3e}"
-    refusals = [
-        refusal or (ConstructionError(message.format(r)) if r > 1e-8 else None)
-        for refusal, r in zip(outside, resid)
-    ]
-    (require_one if single else require_each)(refusals)
+    consistent = norm_gate(
+        bc.left(ms) @ p - ys @ p,
+        REDUCTION_TOL,
+        "reduction is inconsistent: left_rep(m) p differs from y p by {:.3e}",
+        ConstructionError,
+    )
+    (require_one if single else require_each)(refusals(len(ys), outside, consistent))
     return ms[0] if single else ms
 
 
@@ -192,26 +200,16 @@ def recover_unitary(bc: BasicConstruction, omega: np.ndarray) -> np.ndarray:
     single = omega.ndim == 2
     omegas = omega[None] if single else omega
     require = require_one if single else require_each
-    ud = op_norm(dagger(omegas) @ omegas - np.eye(bc.dim_l2))
-    require(
-        [
-            None if d <= SPECTRAL_TOL else DomainError(f"omega is not unitary (defect {d:.3e})")
-            for d in ud
-        ]
-    )
+    gram = dagger(omegas) @ omegas - np.eye(bc.dim_l2)
+    unitary = norm_gate(gram, SPECTRAL_TOL, "omega is not unitary (defect {:.3e})")
+    require(refusals(len(omegas), unitary))
     us = reduce_R(bc, omegas)
-    u_defect = op_norm(dagger(us) @ us - bc.inc.identity())
-    require(
-        [
-            None
-            if d <= WITNESS_TOL
-            else DomainError(
-                f"omega does not preserve the orbit of p: recovered element has "
-                f"unitary defect {d:.3e}"
-            )
-            for d in u_defect
-        ]
+    preserving = norm_gate(
+        dagger(us) @ us - bc.inc.identity(),
+        WITNESS_TOL,
+        "omega does not preserve the orbit of p: recovered element has unitary defect {:.3e}",
     )
+    require(refusals(len(us), preserving))
     return us[0] if single else us
 
 

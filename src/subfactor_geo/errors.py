@@ -4,12 +4,21 @@ Every precondition failure raises a subclass of ``DomainError`` so callers
 can distinguish bad inputs (exit code 2 territory) from numerical failures
 (``ConvergenceError``/``RefinementError``, exit code 3 territory).
 
-A gate that decides for each slice of a stack collects one refusal (an
-exception, or None) per slice; ``require_one`` and ``require_each`` raise
-the first, the latter naming its trial.
+A gate over a stack of n slices is a pair ``(ok, refuse)``: ``ok`` holds
+one bool per slice, and ``refuse(k)`` builds the exception of a failing
+slice k, computing its exact defect only then.  ``bound_gate`` makes the
+pair for defects that are already computed, ``linalg.norm_gate`` for an
+operator-norm bound.  ``refusals`` gives, per slice, the refusal of the
+first gate that slice fails, or None; ``require_one`` and ``require_each``
+raise the first refusal, the latter naming its trial (``trial k: ...``).
+Every refusal reports the size of its defect.
 """
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+
+import numpy as np
+
+Gate = tuple[np.ndarray, Callable[[int], Exception]]
 
 
 class DomainError(ValueError):
@@ -78,3 +87,18 @@ def require_each(refusals: Sequence[Exception | None], first: int = 0) -> None:
         if refusal is not None:
             refusal.args = (f"trial {first + k}: {refusal.args[0]}",) + refusal.args[1:]
             raise refusal
+
+
+def refusals(n: int, *gates: Gate) -> list[Exception | None]:
+    """Per slice of a stack of n: the refusal of the first gate (ok, refuse)
+    whose ok is False there, or None; refuse runs for failing slices only."""
+    return [next((refuse(k) for ok, refuse in gates if not ok[k]), None) for k in range(n)]
+
+
+def bound_gate(
+    defects: np.ndarray, tol: float, message: str, error: type[Exception] = DomainError
+) -> Gate:
+    """The gate defect <= tol over an array of computed defects, one per
+    slice; a refusal is error(message.format(defect))."""
+    defects = np.asarray(defects)
+    return defects <= tol, lambda k: error(message.format(defects[k]))

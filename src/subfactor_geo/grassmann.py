@@ -24,17 +24,24 @@ from .algebra import (
     span_residual,
 )
 from .basic import BasicConstruction, reduce_R
-from .errors import ConstructionError, DomainError, RadiusError, require_each, require_one
+from .errors import (
+    ConstructionError,
+    DomainError,
+    RadiusError,
+    bound_gate,
+    refusals,
+    require_each,
+    require_one,
+)
 from .families import family_record
 from .linalg import (
     dagger,
-    herm_defect,
+    norm_gate,
     op_norm,
-    op_norm_within,
     polar_antihermitian,
     spectral_function,
 )
-from .tolerances import SPECTRAL_TOL
+from .tolerances import DECOMPOSE_TOL, SPECTRAL_TOL
 
 __all__ = [
     "tangent_decompose",
@@ -68,44 +75,37 @@ def tangent_decompose(bc: BasicConstruction, v: np.ndarray) -> DecomposeResult:
     orbit-tangent (anti-Hermitian) and normal (Hermitian) components.
 
     For an (n, D, D) stack of v the fields are stacks; each slice's gates
-    decide for it (the operator-norm ones through op_norm_within, refused
-    with the exact defect), and a refusal names its trial."""
+    decide for it (the operator-norm ones through norm_gate), and a refusal
+    names its trial."""
     single = v.ndim == 2
     vs = v[None] if single else v
     require = require_one if single else require_each
     p = bc.jones_p
     comp = np.eye(bc.dim_l2) - p
     corners = np.stack([p @ vs @ p, comp @ vs @ comp], axis=1)
-    hermitian = op_norm_within(vs - dagger(vs), SPECTRAL_TOL)
-    codiagonal = np.all(op_norm_within(corners, 1e-9), axis=1)
+    message = "tangent decomposition expects a Hermitian input (defect {:.3e})"
     require(
-        [
-            None
-            if herm and codiag
-            else DomainError(
-                f"tangent decomposition expects a Hermitian input (defect {herm_defect(v_):.3e})"
-            )
-            if not herm
-            else DomainError(
-                f"input is not p-codiagonal (corner norm {op_norm(corner).max():.3e})"
-            )
-            for herm, codiag, v_, corner in zip(hermitian, codiagonal, vs, corners)
-        ]
+        refusals(
+            len(vs),
+            norm_gate(vs - dagger(vs), SPECTRAL_TOL, message),
+            norm_gate(corners, DECOMPOSE_TOL, "input is not p-codiagonal (corner norm {:.3e})"),
+        )
     )
     x = reduce_R(bc, vs @ (2.0 * p - np.eye(bc.dim_l2)))
-    free = bc.inc.two_norm(expectation_E(bc.inc, x))
-    lx = bc.left(x)
-    recon = bc.two_norm1(lx @ p + p @ dagger(lx) - vs)
-    require(
-        [
-            ConstructionError(f"recovered parameter has expectation norm {e:.3e}")
-            if e > 1e-9
-            else ConstructionError(f"decomposition fails xp + px* = v by {r:.3e}")
-            if r > 1e-9
-            else None
-            for e, r in zip(free, recon)
-        ]
+    free = bound_gate(
+        bc.inc.two_norm(expectation_E(bc.inc, x)),
+        DECOMPOSE_TOL,
+        "recovered parameter has expectation norm {:.3e}",
+        ConstructionError,
     )
+    lx = bc.left(x)
+    recon = bound_gate(
+        bc.two_norm1(lx @ p + p @ dagger(lx) - vs),
+        DECOMPOSE_TOL,
+        "decomposition fails xp + px* = v by {:.3e}",
+        ConstructionError,
+    )
+    require(refusals(len(vs), free, recon))
     xa = 0.5 * (x - dagger(x))
     xh = 0.5 * (x + dagger(x))
     la = bc.left(xa)
@@ -134,18 +134,14 @@ def grassmann_exp_block(
     xs = x[None] if single else x
     ts = np.reshape(t, (-1, 1, 1))
     require = require_one if single else require_each
-    free = inc.two_norm(expectation_E(inc, xs))
-    nx = op_norm(xs)
-    require(
-        [
-            DomainError("block exponential expects an expectation-free parameter")
-            if e > SPECTRAL_TOL
-            else RadiusError(f"parameter op-norm {n:.3f} reached pi; action degenerates")
-            if n >= np.pi
-            else None
-            for e, n in zip(free, nx)
-        ]
+    free = bound_gate(
+        inc.two_norm(expectation_E(inc, xs)),
+        SPECTRAL_TOL,
+        "block exponential expects an expectation-free parameter (expectation norm {:.3e})",
     )
+    # op-norm below pi: the largest float below pi makes the gate strict
+    message = "parameter op-norm {:.3f} reached pi; action degenerates"
+    require(refusals(len(xs), free, norm_gate(xs, np.nextafter(np.pi, 0.0), message, RadiusError)))
     e = expectation_E(inc, dagger(xs) @ xs)
     s = spectral_function(e, "sqrt")
     cos_ts = spectral_function(ts * s, "cos")
@@ -166,15 +162,9 @@ def grassmann_exp_block(
     # the same curve through the generator exponential, as a consistency gate
     v = l_x @ p - p @ dagger(l_x)
     ev = spectral_function(ts * v, "exp")
-    gap = op_norm(q - ev @ p @ dagger(ev))
-    require(
-        [
-            None
-            if g <= SPECTRAL_TOL
-            else ConstructionError(f"block assembly differs from the exponential by {g:.3e}")
-            for g in gap
-        ]
-    )
+    message = "block assembly differs from the exponential by {:.3e}"
+    gap = q - ev @ p @ dagger(ev)
+    require(refusals(len(xs), norm_gate(gap, SPECTRAL_TOL, message, ConstructionError)))
     return q[0] if single else q
 
 

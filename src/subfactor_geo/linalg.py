@@ -44,10 +44,11 @@ and a stack of different generators goes through ``spectral_function``.
 
 ``op_norm_within(a, tol)`` decides ``op_norm(a) <= tol`` per slice.  It is
 the tolerance gate of ``spectral_function``, ``log_unitary_principal``,
-``exp_family`` and ``polar_antihermitian``, of the orbit-point,
-horizontality, tangent-projection, curve-gap, lift- and path-unitarity,
-section-gap and logarithm-entry gates of ``orbit``, and of the gates of
-``grassmann.tangent_decompose``.  It decides first by the Frobenius bounds
+``exp_family`` and ``polar_antihermitian``, and of ``norm_gate``, which
+makes an ``(ok, refuse)`` gate of it (see ``errors``) for a stack of
+matrices or of paths: every operator-norm gate of ``orbit``, ``basic`` and
+``grassmann`` is one, and the horizontality gate of ``orbit`` decides its
+anti-Hermitian part through it.  It decides first by the Frobenius bounds
 ``‖a‖_F / √r ≤ ‖a‖ ≤ ‖a‖_F`` (r the smaller side of a), each with a
 relative margin of 1e-12 against roundoff; the singular values are computed
 only for the slices that neither bound settles, so every decision equals the
@@ -57,13 +58,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BranchCutError, DomainError
+from .errors import BranchCutError, DomainError, Gate
 from .tolerances import ANGLE_GUARD, SPECTRAL_TOL
 
 __all__ = [
     "dagger",
     "op_norm",
     "op_norm_within",
+    "norm_gate",
     "herm_defect",
     "antiherm_defect",
     "unitary_defect",
@@ -126,6 +128,18 @@ def op_norm_within(a: np.ndarray, tol: float) -> bool | np.ndarray:
             return op_norm(a) <= tol
         within[open_] = op_norm(a[open_]) <= tol
     return bool(within) if a.ndim == 2 else within
+
+
+def norm_gate(
+    a: np.ndarray, tol: float, message: str, error: type[Exception] = DomainError
+) -> Gate:
+    """The gate op_norm <= tol for each slice a[k] of a stack, over every
+    trailing matrix of the slice (one matrix, or a path of them), decided
+    through op_norm_within; a refusal is error(message.format(d)), d the
+    exact largest op_norm of the slice."""
+    within = op_norm_within(a, tol)
+    within = np.all(within, axis=tuple(range(1, within.ndim)))
+    return within, lambda k: error(message.format(np.max(op_norm(a[k]))))
 
 
 def herm_defect(a: np.ndarray) -> float | np.ndarray:
@@ -293,6 +307,16 @@ def log_unitary_principal(u: np.ndarray) -> np.ndarray:
     return (x - dagger(x)) / 2.0
 
 
+def _require_antihermitian(z: np.ndarray) -> None:
+    """The input gate of exp_family and polar_antihermitian: z, or every
+    slice of a stack, anti-Hermitian within SPECTRAL_TOL."""
+    anti = op_norm_within(z + dagger(z), SPECTRAL_TOL)
+    if not np.all(anti):
+        k = _first_slice(np.logical_not(anti))
+        where = "input" if z.ndim == 2 else f"slice {k}"
+        raise DomainError(f"{where} is not anti-Hermitian (defect {antiherm_defect(z[k]):.3e})")
+
+
 def exp_family(z: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """e^{t z} for an anti-Hermitian matrix z at every time of the vector
     ts, as a ``(len(ts), n, n)`` stack from one eigh of the Hermitian
@@ -301,11 +325,7 @@ def exp_family(z: np.ndarray, ts: np.ndarray) -> np.ndarray:
     bitwise that of its generator alone; a stack's refusal names its first
     slice that is not anti-Hermitian."""
     z = np.asarray(z, dtype=complex)
-    anti = op_norm_within(z + dagger(z), SPECTRAL_TOL)
-    if not np.all(anti):
-        k = _first_slice(np.logical_not(anti))
-        where = "input" if z.ndim == 2 else f"slice {k}"
-        raise DomainError(f"{where} is not anti-Hermitian (defect {antiherm_defect(z[k]):.3e})")
+    _require_antihermitian(z)
     h = (z - dagger(z)) / 2j
     w, v = np.linalg.eigh(h)
     phases = np.exp(1j * w[..., None, :] * np.asarray(ts, dtype=float)[:, None])
@@ -320,11 +340,7 @@ def polar_antihermitian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     isometry on the support of x and zero on its kernel, commuting with absx.
     """
     x = np.asarray(x, dtype=complex)
-    anti = op_norm_within(x + dagger(x), SPECTRAL_TOL)
-    if not np.all(anti):
-        k = _first_slice(np.logical_not(anti))
-        where = "input" if x.ndim == 2 else f"slice {k}"
-        raise DomainError(f"{where} is not anti-Hermitian (defect {antiherm_defect(x[k]):.3e})")
+    _require_antihermitian(x)
     w, v = np.linalg.eigh((x - dagger(x)) / 2.0j)
     absw = np.abs(w)
     cutoff = SPECTRAL_TOL * np.maximum(1.0, absw.max(axis=-1, keepdims=True))

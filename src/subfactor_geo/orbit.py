@@ -11,6 +11,13 @@ horizontal lifts of discrete curves, length and energy functionals, the
 first variation of energy, a local logarithm, curve shortening, and the
 minimality / convexity experiment drivers.  The tangent projection, kappa_q
 and all that read them take E1 of a commutator with q from one kernel.
+
+Every precondition is a per-slice gate, a pair ``(ok, refuse)`` built by
+``errors.bound_gate`` or ``linalg.norm_gate`` (see ``errors``), and every
+check takes, per slice, the refusal of the first gate the slice fails
+(``errors.refusals``): a single call raises its refusal as it is, a stack
+the first failing slice's as ``trial k: ...``.  Each refusal reports its
+defect.
 """
 from __future__ import annotations
 
@@ -31,9 +38,12 @@ from .errors import (
     ConstructionError,
     ConvergenceError,
     DomainError,
+    Gate,
     MembershipError,
     RadiusError,
     RefinementError,
+    bound_gate,
+    refusals,
     require_each,
     require_one,
 )
@@ -41,12 +51,11 @@ from .linalg import (
     antiherm_defect,
     dagger,
     exp_family,
-    herm_defect,
     log_unitary_principal,
+    norm_gate,
     op_norm,
     op_norm_within,
     spectral_function,
-    unitary_defect,
 )
 from .tolerances import (
     CONVEXITY_TOL,
@@ -126,57 +135,65 @@ class OrbitPoint:
     witness: np.ndarray  # ambient unitary u in M with u p u* = q
 
     def __post_init__(self) -> None:
-        (refusal,) = _point_refusals(self.bc, self.q[None], self.witness[None])
-        if refusal is not None:
-            raise refusal
+        require_one(_point_refusals(self.bc, self.q[None], self.witness[None]))
 
     @property
     def lam(self) -> float:
         return self.bc.lam
 
 
-def _point_refusals(
-    bc: BasicConstruction, qs: np.ndarray, witnesses: np.ndarray
-) -> list[DomainError | None]:
-    """The gates of an orbit point, for each slice of an (n, D, D) stack of
-    projections with its (n, m, m) stack of witnesses: per slice, the
-    DomainError of the first gate it fails, or None.
+def _point_gates(bc: BasicConstruction, qs: np.ndarray, witnesses: np.ndarray) -> list[Gate]:
+    """The gates of an orbit point, for an (n, D, D) stack of projections
+    with its (n, m, m) stack of witnesses, each refusing with a DomainError.
 
-    The gates, in order: q is a projection and tau1(q) = lam within
-    SPECTRAL_TOL, E1(q) = lam * 1 within SPECTRAL_TOL, the witness u is
-    unitary and u p u* = q within WITNESS_TOL.  The operator-norm gates
-    decide through op_norm_within, so each decision equals the exact test.
-    """
+    The gates, in order: q is a projection (q^2 = q and q* = q, the defect
+    the larger of the two) and tau1(q) = lam within SPECTRAL_TOL, E1(q) =
+    lam * 1 within SPECTRAL_TOL, and the witness gates."""
     lam = bc.lam
     traces = np.trace(qs, axis1=-2, axis2=-1) / bc.dim_l2
-    gates = (
-        (
-            op_norm_within(qs @ qs - qs, SPECTRAL_TOL)
-            & op_norm_within(qs - dagger(qs), SPECTRAL_TOL),
-            lambda k: "orbit point is not a projection",
+    return [
+        norm_gate(
+            np.stack([qs @ qs - qs, qs - dagger(qs)], axis=1),
+            SPECTRAL_TOL,
+            "orbit point is not a projection (defect {:.3e})",
         ),
         (
             np.abs(traces - lam) <= SPECTRAL_TOL,
-            lambda k: f"orbit point has trace {bc.tau1(qs[k]):.6f}, expected {lam:.6f}",
+            lambda k: DomainError(
+                f"orbit point has trace {bc.tau1(qs[k]):.6f}, expected {lam:.6f}"
+            ),
         ),
-        (
-            op_norm_within(bc._e1_unchecked(qs) - lam * np.eye(bc.dim_l2), SPECTRAL_TOL),
-            lambda k: "orbit point fails E1(q) = lam * 1",
+        norm_gate(
+            bc._e1_unchecked(qs) - lam * np.eye(bc.dim_l2),
+            SPECTRAL_TOL,
+            "orbit point fails E1(q) = lam * 1 (defect {:.3e})",
         ),
-        (
-            op_norm_within(dagger(witnesses) @ witnesses - bc.inc.identity(), WITNESS_TOL),
-            lambda k: "witness is not unitary",
+        *_witness_gates(bc, witnesses, qs),
+    ]
+
+
+def _witness_gates(bc: BasicConstruction, witnesses: np.ndarray, qs: np.ndarray) -> list[Gate]:
+    """The gates of the witnesses u of an (n, m, m) stack for the matching
+    projections q: u unitary and u p u* = q, both within WITNESS_TOL."""
+    return [
+        norm_gate(
+            dagger(witnesses) @ witnesses - bc.inc.identity(),
+            WITNESS_TOL,
+            "witness is not unitary (defect {:.3e})",
         ),
-        (
-            op_norm_within(_carried_projection(bc, witnesses) - qs, WITNESS_TOL),
-            lambda k: "witness does not carry p to the stored projection",
+        norm_gate(
+            _carried_projection(bc, witnesses) - qs,
+            WITNESS_TOL,
+            "witness does not carry p to the stored projection (defect {:.3e})",
         ),
-    )
-    refusals: list[DomainError | None] = []
-    for k in range(len(qs)):
-        failed = next((message for passed, message in gates if not passed[k]), None)
-        refusals.append(None if failed is None else DomainError(failed(k)))
-    return refusals
+    ]
+
+
+def _point_refusals(
+    bc: BasicConstruction, qs: np.ndarray, witnesses: np.ndarray
+) -> list[Exception | None]:
+    """Per slice, the refusal of the first orbit-point gate it fails, or None."""
+    return refusals(len(qs), *_point_gates(bc, qs, witnesses))
 
 
 def base_point(bc: BasicConstruction) -> OrbitPoint:
@@ -217,41 +234,33 @@ def _horizontal_defect(inc: Inclusion, witness: np.ndarray, z: np.ndarray) -> fl
     return max(antiherm_defect(z), inc.two_norm(_translated(inc, witness, z)))
 
 
-def _horizontal_within(inc: Inclusion, witnesses: np.ndarray, zs: np.ndarray) -> np.ndarray:
+def _horizontal_gate(
+    inc: Inclusion,
+    witnesses: np.ndarray,
+    zs: np.ndarray,
+    message: str = "direction is not horizontal at the point (defect {:.3e})",
+) -> Gate:
     """horizontal_defect_at <= WITNESS_TOL for each slice z of an (n, m, m)
     stack, at the point of one witness or of the matching slice of an
     (n, m, m) stack of witnesses; the anti-Hermitian part is decided through
-    op_norm_within."""
-    return op_norm_within(zs + dagger(zs), WITNESS_TOL) & (
+    op_norm_within, and a refusal names the exact horizontal_defect_at."""
+    ok = op_norm_within(zs + dagger(zs), WITNESS_TOL) & (
         inc.two_norm(_translated(inc, witnesses, zs)) <= WITNESS_TOL
     )
+    ws = np.broadcast_to(witnesses, zs.shape)
+    return ok, lambda k: DomainError(message.format(_horizontal_defect(inc, ws[k], zs[k])))
 
 
-def _horizontal_refusals(
-    inc: Inclusion, witnesses: np.ndarray, zs: np.ndarray
-) -> list[DomainError | None]:
-    """Per slice z of an (n, m, m) stack, at the points as in
-    _horizontal_within: None if z is horizontal there, else the DomainError
-    naming its exact horizontal_defect_at."""
-    message = "direction is not horizontal at the point (defect {:.3e})"
-    within = _horizontal_within(inc, witnesses, zs)
-    return [
-        None if ok else DomainError(message.format(_horizontal_defect(inc, w, z)))
-        for ok, w, z in zip(within, np.broadcast_to(witnesses, zs.shape), zs)
-    ]
-
-
-def _direction_refusals(point: OrbitPoint, zs: np.ndarray) -> list[DomainError | None]:
+def _direction_refusals(point: OrbitPoint, zs: np.ndarray) -> list[Exception | None]:
     """Per slice z of an (n, m, m) stack: None if a geodesic can leave the
-    point along z, else the DomainError of the first gate z fails.  z must
-    be horizontal at the point (refused as _horizontal_refusals refuses),
-    then anti-Hermitian within SPECTRAL_TOL, the gate of the exponential."""
-    refusals = _horizontal_refusals(point.bc.inc, point.witness, zs)
-    for k in np.flatnonzero(~op_norm_within(zs + dagger(zs), SPECTRAL_TOL)):
-        refusals[k] = refusals[k] or DomainError(
-            f"direction is not anti-Hermitian (defect {antiherm_defect(zs[k]):.3e})"
-        )
-    return refusals
+    point along z, else the DomainError of the first gate z fails: z
+    horizontal at the point, then anti-Hermitian within SPECTRAL_TOL, the
+    gate of the exponential."""
+    return refusals(
+        len(zs),
+        _horizontal_gate(point.bc.inc, point.witness, zs),
+        norm_gate(zs + dagger(zs), SPECTRAL_TOL, "direction is not anti-Hermitian (defect {:.3e})"),
+    )
 
 
 def trial_chunks(bc: BasicConstruction, n_trials: int, n_samples: int) -> list[range]:
@@ -291,7 +300,7 @@ def tangent_vectors(
     the orbit points qs with their witnesses, all (n, ., .) stacks; a
     direction that is not horizontal is refused as delta_q refuses it,
     naming its trial."""
-    require(_horizontal_refusals(bc.inc, witnesses, zs))
+    require(refusals(len(zs), _horizontal_gate(bc.inc, witnesses, zs)))
     lz = bc.left(zs)
     return lz @ qs - qs @ lz
 
@@ -340,13 +349,8 @@ def _gated_e1_commutator(
     """The coordinates of _e1_commutator, once xs passed tangent_projections' gates."""
     comm, coords = _e1_commutator(bc, qs, xs)
     message = "tangent projection expects a Hermitian input (defect {:.3e})"
-    hermitian = op_norm_within(xs - dagger(xs), WITNESS_TOL)
-    require(
-        [
-            outside if ok else DomainError(message.format(herm_defect(x)))
-            for ok, x, outside in zip(hermitian, xs, bc.membership_refusals(comm))
-        ]
-    )
+    hermitian = norm_gate(xs - dagger(xs), WITNESS_TOL, message)
+    require(refusals(len(xs), hermitian, bc.membership_gate(comm)))
     return coords
 
 
@@ -386,14 +390,8 @@ def kappas(
     refusal names its trial.  The tangency gate and kappa read one E1."""
     coords = _gated_e1_commutator(bc, qs, vs, require)
     resid = bc.two_norm1(vs - _projected(bc, qs, coords))
-    require(
-        [
-            None
-            if r <= WITNESS_TOL
-            else DomainError(f"input is not tangent at the point (residual {r:.3e})")
-            for r in resid
-        ]
-    )
+    message = "input is not tangent at the point (residual {:.3e})"
+    require(refusals(len(vs), bound_gate(resid, WITNESS_TOL, message)))
     return _pulled_back(bc, coords)
 
 
@@ -423,15 +421,15 @@ def geodesic_endpoints(
     for its direction is left zero.
     """
     bc = point.bc
-    refusals = _direction_refusals(point, zs)
+    refused = _direction_refusals(point, zs)
     qs = np.zeros((len(zs),) + point.q.shape, dtype=complex)
-    keep = np.flatnonzero([refusal is None for refusal in refusals])
+    keep = np.flatnonzero([refusal is None for refusal in refused])
     if keep.size:
         witnesses = spectral_function(zs[keep], "exp") @ point.witness
         qs[keep] = _carried_projection(bc, witnesses)
         for k, refusal in zip(keep, _point_refusals(bc, qs[keep], witnesses)):
-            refusals[k] = refusal
-    return qs, refusals
+            refused[k] = refusal
+    return qs, refused
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,7 +438,8 @@ class DiscreteCurve:
 
     Every sample must lie in M1 within MEMBERSHIP_TOL, as the samples of an
     orbit curve do, and consecutive samples must be closer than 0.5 in
-    operator norm.
+    operator norm.  A witness, when given, must pass the witness gates of
+    an orbit point for samples[0].
     """
 
     bc: BasicConstruction
@@ -450,7 +449,10 @@ class DiscreteCurve:
     def __post_init__(self) -> None:
         if self.samples.ndim != 3 or self.samples.shape[0] < 2:
             raise DomainError("a curve needs at least two samples")
-        require_one(_curve_refusals(self.bc, self.samples[None]))
+        gates = _curve_gates(self.bc, self.samples[None])
+        if self.witness is not None:
+            gates += _witness_gates(self.bc, self.witness[None], self.samples[:1])
+        require_one(refusals(1, *gates))
 
     @property
     def grid_n(self) -> int:
@@ -461,32 +463,26 @@ class DiscreteCurve:
         return 1.0 / self.grid_n
 
 
-def _curve_refusals(bc: BasicConstruction, samples: np.ndarray) -> list[DomainError | None]:
-    """The gates of a DiscreteCurve for each path of an (n, T, D, D) stack:
-    per path, the refusal of the first gate it fails, or None."""
+def _curve_gates(bc: BasicConstruction, samples: np.ndarray) -> list[Gate]:
+    """The sample gates of a DiscreteCurve for each path of an (n, T, D, D)
+    stack: every sample in M1, then every consecutive gap below 0.5."""
     defects = bc.membership_defects(samples)
+    worst = np.argmax(defects, axis=1)
+
+    def outside(k: int) -> MembershipError:
+        d = defects[k, worst[k]]
+        message = f"curve sample {worst[k]} is outside the extension algebra (defect {d:.3e})"
+        return MembershipError(message, defect=float(d))
+
     # every gap < 0.5: the largest float below 0.5 makes the gate strict
-    gaps = np.diff(samples, axis=1)
-    close = np.all(op_norm_within(gaps, np.nextafter(0.5, 0.0)), axis=1)
-    refusals: list[DomainError | None] = []
-    for k, row in enumerate(defects):
-        worst = int(np.argmax(row))
-        if row[worst] > MEMBERSHIP_TOL:
-            refusals.append(
-                MembershipError(
-                    f"curve sample {worst} is outside the extension algebra "
-                    f"(defect {row[worst]:.3e})",
-                    defect=float(row[worst]),
-                )
-            )
-        elif not close[k]:
-            gap = op_norm(gaps[k]).max()
-            refusals.append(
-                DomainError(f"curve is under-resolved: consecutive op-norm gap {gap:.3f} >= 0.5")
-            )
-        else:
-            refusals.append(None)
-    return refusals
+    return [
+        (defects.max(axis=1) <= MEMBERSHIP_TOL, outside),
+        norm_gate(
+            np.diff(samples, axis=1),
+            np.nextafter(0.5, 0.0),
+            "curve is under-resolved: consecutive op-norm gap {:.3f} >= 0.5",
+        ),
+    ]
 
 
 def sample_geodesic(
@@ -657,11 +653,12 @@ def lift_with_defects(
     and horizontality of G' G* within LIFT_TOL; failure raises a refinement
     error suggesting a finer grid.
 
-    Takes one curve and returns one triple, or a sequence of curves on one
-    grid and returns a list of triples, each bitwise equal to the triple of
+    Takes one curve and returns one triple, or a sequence holding curves on
+    one grid and returns a list of triples, each bitwise equal to the triple of
     its curve alone: the generators are computed curve by curve, and one
     RK4 loop steps the (n, m, m) stack of all lifts at once.  Each curve is
-    then gated on its own, and a refusal names the first failing curve.
+    then gated on its own, and a refusal names its trial (its index in
+    the sequence).
     """
     single = isinstance(curves, DiscreteCurve)
     if single:
@@ -701,25 +698,19 @@ def lift_with_defects(
         g = g + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         lifts[:, i + 1] = g
 
-    results = []
-    for k, (curve, lift) in enumerate(zip(curves, lifts)):
-        which = "" if single else f" of curve {k}"
-        recon, horiz = lift_defects(curve, lift)
-        if recon > LIFT_TOL:
-            raise RefinementError(
-                f"lift{which} reconstruction defect {recon:.3e} exceeds {LIFT_TOL:.1e}; "
-                f"re-sample the curve on a finer grid"
-            )
-        if not np.all(op_norm_within(dagger(lift) @ lift - ident, SPECTRAL_TOL)):
-            raise RefinementError(
-                f"lift{which} unitarity defect {unitary_defect(lift).max():.3e}"
-            )
-        if horiz > LIFT_TOL:
-            raise RefinementError(
-                f"lift{which} horizontality defect {horiz:.3e} exceeds {LIFT_TOL:.1e}; "
-                f"re-sample the curve on a finer grid"
-            )
-        results.append((lift, recon, horiz))
+    defects = [lift_defects(curve, lift) for curve, lift in zip(curves, lifts)]
+    recon, horiz = np.array(defects).T
+    refine = " defect {:.3e} exceeds " + f"{LIFT_TOL:.1e}; re-sample the curve on a finer grid"
+    gram = dagger(lifts) @ lifts - ident
+    (require_one if single else require_each)(
+        refusals(
+            len(curves),
+            bound_gate(recon, LIFT_TOL, "lift reconstruction" + refine, RefinementError),
+            norm_gate(gram, SPECTRAL_TOL, "lift unitarity defect {:.3e}", RefinementError),
+            bound_gate(horiz, LIFT_TOL, "lift horizontality" + refine, RefinementError),
+        )
+    )
+    results = [(lift, r, h) for lift, (r, h) in zip(lifts, defects)]
     return results[0] if single else results
 
 
@@ -819,7 +810,8 @@ def first_variation(
     Takes three (T, m, m) paths and returns one result, or (n, T, m, m)
     stacks of n families on one grid and returns a list of n results; the
     unperturbed paths may then be one (T, m, m) path that every family
-    shares.  A stack's refusal names its first failing family.
+    shares.  A stack's refusal names its trial, the first failing family
+    (a failing shared path fails every family, and names trial 0).
     """
     single = minus.ndim == 3
     if minus.shape != plus.shape or zero.shape not in (minus.shape, minus.shape[-3:]):
@@ -827,17 +819,18 @@ def first_variation(
     if single:
         minus, plus = minus[None], plus[None]
     inc = bc.inc
-    T = zero.shape[-3]
+    n, T = len(minus), zero.shape[-3]
+    gates = []
     for path in (minus, zero, plus):
         probes = np.reshape(path, (-1,) + path.shape[-3:])[:, :: max(1, T // 8)]
-        unitary = np.all(
-            op_norm_within(dagger(probes) @ probes - inc.identity(), PATH_UNITARY_TOL), axis=1
+        ok, refuse = norm_gate(
+            dagger(probes) @ probes - inc.identity(),
+            PATH_UNITARY_TOL,
+            "family samples are not unitary (defect {:.3e})",
         )
-        if not np.all(unitary):
-            k = int(np.flatnonzero(~unitary)[0])
-            which = "" if single or path.ndim == 3 else f" of family {k}"
-            worst = unitary_defect(probes[k]).max()
-            raise DomainError(f"family samples{which} are not unitary (defect {worst:.3e})")
+        # a shared unperturbed path decides for every family
+        gates.append((np.broadcast_to(ok, n), refuse if len(ok) == n else lambda k, r=refuse: r(0)))
+    (require_one if single else require_each)(refusals(n, *gates))
     dt = 1.0 / (T - 1)
     x0 = dagger(zero) @ _diff4(zero, dt)
     y0 = dagger(zero) @ ((plus - minus) / (2.0 * h))
@@ -878,37 +871,29 @@ def grassmann_section(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
 
     p2 may be an (n, D, D) stack, giving the stack of sections; each
     slice's gates decide for it, and a refusal names its trial.  The gap
-    gate ‖p1 - p2‖ < 1 decides through op_norm_within and reports the exact
+    gate ‖p1 - p2‖ < 1 decides through norm_gate and reports the exact
     gap."""
     single = p2.ndim == 2
     p2s = p2[None] if single else p2
     require = require_one if single else require_each
-    disp = p1 - p2s
-    near = op_norm_within(disp, np.nextafter(1.0, 0.0))
-    require(
-        [
-            None if ok else RadiusError(f"projections are op-norm {op_norm(d):.3f} apart; need < 1")
-            for ok, d in zip(near, disp)
-        ]
-    )
+    message = "projections are op-norm {:.3f} apart; need < 1"
+    require(refusals(len(p2s), norm_gate(p1 - p2s, np.nextafter(1.0, 0.0), message, RadiusError)))
     eye = np.eye(p1.shape[0])
     x = 0.5 * log_unitary_principal((2.0 * p2s - eye) @ (2.0 * p1 - eye))
     ex = spectral_function(x, "exp")
     recon = op_norm(ex @ p1 @ dagger(ex) - p2s)
     codiag = np.maximum(op_norm(p1 @ x @ p1), op_norm((eye - p1) @ x @ (eye - p1)))
-    nx = op_norm(x)
-    require(
-        [
-            ConstructionError(
-                f"section postconditions fail: reconstruction {r:.3e}, codiagonality {c:.3e}"
-            )
-            if r > SECTION_TOL or c > SECTION_TOL
-            else ConstructionError(f"section norm {n:.3f} reached pi/2")
-            if n >= np.pi / 2
-            else None
-            for r, c, n in zip(recon, codiag, nx)
-        ]
+    post = (
+        (recon <= SECTION_TOL) & (codiag <= SECTION_TOL),
+        lambda k: ConstructionError(
+            f"section postconditions fail: reconstruction {recon[k]:.3e}, "
+            f"codiagonality {codiag[k]:.3e}"
+        ),
     )
+    # norm below pi/2: the largest float below pi/2 makes the gate strict
+    message = "section norm {:.3f} reached pi/2"
+    below = norm_gate(x, np.nextafter(np.pi / 2, 0.0), message, ConstructionError)
+    require(refusals(len(x), post, below))
     return x[0] if single else x
 
 
@@ -917,21 +902,16 @@ def orbit_section_theta(bc: BasicConstruction, q: np.ndarray | OrbitPoint) -> np
     ‖q − p‖ < 1.  u is recover_unitary of e^x, x = grassmann_section(p, q),
     the unitary of M1 that carries p to q; those two make the gap and
     unitarity checks.  q may be an (n, D, D) stack, giving the stack of
-    sections; a refusal names its trial."""
+    sections; a refusal names its trial, and a single call's refusals name
+    none."""
     qm = q.q if isinstance(q, OrbitPoint) else q
     single = qm.ndim == 2
-    qs = qm[None] if single else qm
-    us = recover_unitary(
-        bc, spectral_function(grassmann_section(bc.jones_p, qs), "exp")
-    )
-    recon = op_norm(_carried_projection(bc, us) - qs)
-    (require_one if single else require_each)(
-        [
-            None if r <= WITNESS_TOL else DomainError(f"section fails u p u* = q (defect {r:.3e})")
-            for r in recon
-        ]
-    )
-    return us[0] if single else us
+    u = recover_unitary(bc, spectral_function(grassmann_section(bc.jones_p, qm), "exp"))
+    qs, us = (qm[None], u[None]) if single else (qm, u)
+    message = "section fails u p u* = q (defect {:.3e})"
+    recon = norm_gate(_carried_projection(bc, us) - qs, WITNESS_TOL, message)
+    (require_one if single else require_each)(refusals(len(qs), recon))
+    return u
 
 
 @dataclass(frozen=True)
@@ -1010,29 +990,17 @@ def orbit_log_batch(
         return []
     arrays = isinstance(targets, np.ndarray)
     tq = targets if arrays else np.stack([t.q for t in targets])
-    outcomes: list[OrbitLogResult | Exception | None] = [None] * n
     # the entry checks, in the order orbit_log makes them
-    disp = q0.q - tq
-    near = op_norm_within(disp, LOG_RADIUS)
+    message = "endpoints are op-norm {:.3f} apart; the local inverse is only attempted below "
+    gates = [norm_gate(q0.q - tq, LOG_RADIUS, message + f"{LOG_RADIUS}", RadiusError)]
     if arrays:
-        hermitian = op_norm_within(tq - dagger(tq), WITNESS_TOL)
-        member = bc.membership_defects(tq)
-    else:
-        hermitian, member = np.ones(n, dtype=bool), np.zeros(n)
-    for k in range(n):
-        if not near[k]:
-            outcomes[k] = RadiusError(
-                f"endpoints are op-norm {op_norm(disp[k]):.3f} apart; the local "
-                f"inverse is only attempted below {LOG_RADIUS}"
-            )
-        elif not hermitian[k]:
-            outcomes[k] = DomainError("logarithm target is not Hermitian")
-        elif member[k] > MEMBERSHIP_TOL:
-            outcomes[k] = MembershipError(
-                f"logarithm target is outside the extension algebra "
-                f"(defect {member[k]:.3e})",
-                defect=float(member[k]),
-            )
+        message = "logarithm target is not Hermitian (defect {:.3e})"
+        gates += [
+            norm_gate(tq - dagger(tq), WITNESS_TOL, message),
+            bc.membership_gate(tq, what="logarithm target"),
+        ]
+    outcomes: list[OrbitLogResult | Exception | None] = refusals(n, *gates)
+    del gates  # the gates hold (n, D, D) stacks that the loop does not need
 
     z = np.zeros((n,) + q0.witness.shape, dtype=complex)
     ez = np.broadcast_to(bc.inc.identity(), z.shape).copy()
@@ -1095,20 +1063,19 @@ def orbit_log_batch(
     # the exit checks
     done = np.array([k for k in range(n) if outcomes[k] is None], dtype=int)
     if done.size:
-        refusals = _point_refusals(bc, q[done], witness[done])
-        horizontal = _horizontal_within(bc.inc, q0.witness, z[done])
-        for k, refusal, horiz in zip(done, refusals, horizontal):
-            if refusal is not None:
-                outcomes[k] = refusal
-            elif not horiz:
-                outcomes[k] = DomainError("logarithm is not horizontal at the start point")
-            else:
-                outcomes[k] = OrbitLogResult(
-                    z=z[k],
-                    residual=res[k],
-                    iterations=int(iterations[k]),
-                    backtracks=int(backtracks[k]),
-                )
+        message = "logarithm is not horizontal at the start point (defect {:.3e})"
+        exits = refusals(
+            len(done),
+            *_point_gates(bc, q[done], witness[done]),
+            _horizontal_gate(bc.inc, q0.witness, z[done], message),
+        )
+        for k, refusal in zip(done, exits):
+            outcomes[k] = refusal or OrbitLogResult(
+                z=z[k],
+                residual=res[k],
+                iterations=int(iterations[k]),
+                backtracks=int(backtracks[k]),
+            )
     return outcomes
 
 
@@ -1245,7 +1212,7 @@ def minimality_experiment(
             geo_us @ exp_family(ws, s * bump) for s in (perturbation_scale, -h_fv, h_fv)
         )
         samples = _pushed_down(bc, us, point)
-        require_each(_curve_refusals(bc, samples), run.start)
+        require_each(refusals(len(samples), *_curve_gates(bc, samples)), run.start)
         l2s, linfs = curve_lengths(
             bc, samples, ("two_norm", "op_norm"), order=4, hermitian=True
         )
@@ -1297,25 +1264,30 @@ def convexity_probe(
     Takes three matrices and returns one report, or three ``(n, D, D)``
     stacks of triples and returns a list of n reports, each equal to the
     report of its triple alone.  The three unitaries of each triple must be
-    pairwise closer than ``CONVEXITY_RADIUS`` in operator norm; a stack's
-    ``RadiusError`` names its first failing slice.  The first logarithm is
-    one stacked call.  Each triple's geodesic comes from its own
-    ``exp_family`` call, and the logarithms of all n·(grid_n + 1) path
-    products run as min(n, grid_n + 1) stacked calls of about
-    max(n, grid_n + 1) slices each, which bounds the working set.
+    pairwise closer than ``CONVEXITY_RADIUS`` in operator norm; a
+    ``RadiusError`` reports the largest of the three gaps, and a stack's
+    names its trial.  The first logarithm is one stacked call.  Each
+    triple's geodesic comes from its own ``exp_family`` call, and the
+    logarithms of all n·(grid_n + 1) path products run as min(n, grid_n + 1)
+    stacked calls of about max(n, grid_n + 1) slices each, which bounds the
+    working set.
     """
     single = np.ndim(u0) == 2
     if single:
         u0, u1, u2 = u0[None], u1[None], u2[None]
-    gaps = op_norm(np.stack([u0 - u1, u0 - u2, u1 - u2], axis=1))
-    wide = gaps >= CONVEXITY_RADIUS
-    if np.any(wide):
-        k, j = np.argwhere(wide)[0]
-        which = "" if single else f" of slice {k}"
-        raise RadiusError(
-            f"unitaries{which} are op-norm {gaps[k, j]:.4f} apart; the convexity "
-            f"window requires < {CONVEXITY_RADIUS:.4f}"
+    # pairwise gaps below the radius: the largest float below it makes the gate strict
+    message = "unitaries are op-norm {:.4f} apart; the convexity window requires < "
+    (require_one if single else require_each)(
+        refusals(
+            len(u0),
+            norm_gate(
+                np.stack([u0 - u1, u0 - u2, u1 - u2], axis=1),
+                np.nextafter(CONVEXITY_RADIUS, 0.0),
+                message + f"{CONVEXITY_RADIUS:.4f}",
+                RadiusError,
+            ),
         )
+    )
     ts = np.linspace(0.0, 1.0, grid_n + 1)
     ws = log_unitary_principal(dagger(u1) @ u2)
     prods = np.concatenate(

@@ -22,19 +22,14 @@ ANCHOR_VOCABULARY: frozenset[str] = frozenset(
         "[M:N] = λ⁻¹",
         "E: M → N",
         "M_ah = N_ah ⊕ H",
-        "P_H = I − E",
         "E(x*x) ≥ λ x*x",
-        "‖x‖₂ = τ(x*x)^{1/2}",
         "E₁(p) = λ",
         "R(x) = (1/λ)E₁(xp)",
         "u = (1/λ)E₁(ωp)",
-        "up = ωp",
         "{p}′ ∩ M = N",
-        "O(p) = {upu* : u ∈ U_M}",
         "(T O(p))_q = {xq − qx : x ∈ M_ah}",
         "δ_q(x) = d(ℓ_q)₁(x) = xq − qx",
         "κ_q(zq − qz) = z",
-        "κ_q(v) = Ad_u ∘ κ ∘ Ad_{u*}(v)",
         "Π_q(x) = (1/2λ)[E₁(xq − qx), q]",
         "α(t) = e^{tz}q e^{−tz}",
         "DX/dt = Π_γ(Ẋ)",
@@ -53,14 +48,11 @@ ANCHOR_VOCABULARY: frozenset[str] = frozenset(
         "(T P(M₁))_p = {xp + px* : x ∈ N^⊥}",
         "v = wp − pw = R(w)p + pR(w)*",
         "cos²(√(E(|x|²)))p",
-        "sinc(2√(E(|x|²)))px*",
         "‖x‖ < π",
         "x* = −x and x² ∈ N",
         "γ_x(t) = p cos²(t|x|) + upu* sin²(t|x|) + ½[u, p]sin(2t|x|)",
         "(N^⊥)² ⊂ N",
         "x = u|x|",
-        "sinc(z) = sin(z)z⁻¹",
-        "{u ∈ U_M : ‖u−1‖ < 2}",
     }
 )
 

@@ -32,3 +32,8 @@ PP_MARGIN_TOL = 1e-10
 # norm are treated as linearly dependent; relative to the largest singular
 # value, the same cutoff counts the rank of a stack of directions.
 GRAM_DROP_TOL = 1e-9
+# Consistency defect allowed for the reduction left_rep(m) p = y p.
+REDUCTION_TOL = 1e-8
+# Codiagonality, expectation and reconstruction defect allowed for the
+# tangent decomposition v = xp + px*.
+DECOMPOSE_TOL = 1e-9

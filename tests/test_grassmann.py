@@ -80,6 +80,17 @@ def test_block_exponential_domain_gates(bc, rng):
         grassmann_exp_block(bc, x + 0.5 * bc.inc.identity(), 1.0)
 
 
+def test_block_exponential_reports_the_expectation_it_refuses(constructions, rng):
+    bc = constructions["tensor(2,2)"]
+    x = expectation_free(bc, rng, op_scale=1.0) + 0.5 * bc.inc.identity()
+    norm = bc.inc.two_norm(expectation_E(bc.inc, x))
+    with pytest.raises(DomainError) as exc:
+        grassmann_exp_block(bc, x, 1.0)
+    assert str(exc.value) == (
+        f"block exponential expects an expectation-free parameter (expectation norm {norm:.3e})"
+    )
+
+
 def test_tangent_decompose_round_trip(bc, rng):
     for _ in range(6):
         x = expectation_free(bc, rng, op_scale=0.8)

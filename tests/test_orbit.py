@@ -637,6 +637,41 @@ def test_point_gate_refuses_per_slice_as_orbit_point_does(constructions, rng):
     assert len({str(r) for r in refusals[1:]}) == 4
 
 
+def test_a_curve_is_refused_with_a_witness_that_is_not_its_own(constructions, rng):
+    bc = constructions["tensor(2,2)"]
+    pt = base_point(bc)
+    curve = sample_geodesic(pt, random_horizontal_at(pt, rng, op_scale=0.3), 64)
+    DiscreteCurve(bc, curve.samples, curve.witness)
+    with pytest.raises(
+        DomainError, match=r"^witness does not carry p to the stored projection \(defect "
+    ):
+        DiscreteCurve(bc, curve.samples, random_unitary(rng, bc.inc.amb_basis))
+    with pytest.raises(DomainError, match=r"^witness is not unitary \(defect "):
+        DiscreteCurve(bc, curve.samples, 1.1 * curve.witness)
+
+
+def test_orbit_point_and_log_refusals_report_their_defect(constructions, rng):
+    bc = constructions["tensor(2,2)"]
+    d, lam = bc.dim_l2, bc.lam
+    with pytest.raises(DomainError, match=r"^orbit point is not a projection \(defect 2\.500e-01\)"):
+        OrbitPoint(bc=bc, q=0.5 * np.eye(d), witness=bc.inc.identity())
+    # a coordinate projection of trace lam that E1 does not send to lam * 1
+    q = np.diag((np.arange(d) < lam * d).astype(complex))
+    defect = op_norm(bc._e1_unchecked(q) - lam * np.eye(d))
+    with pytest.raises(DomainError, match=r"^orbit point fails E1\(q\) = lam \* 1 \(defect ") as exc:
+        OrbitPoint(bc=bc, q=q, witness=bc.inc.identity())
+    assert f"(defect {defect:.3e})" in str(exc.value)
+    pt = base_point(bc)
+    q1 = geodesic_at(pt, random_horizontal_at(pt, rng, op_scale=0.2), 1.0).q
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    bad = q1 + 1e-3 * (a - dagger(a))
+    with pytest.raises(DomainError) as exc:
+        orbit_log(pt, bad)
+    assert str(exc.value) == (
+        f"logarithm target is not Hermitian (defect {op_norm(bad - dagger(bad)):.3e})"
+    )
+
+
 def test_geodesic_endpoints_match_geodesic_at(constructions):
     bc = constructions["tensor(2,2)"]
     rng = np.random.default_rng(47)
@@ -859,7 +894,7 @@ def test_convexity_probe_is_bitwise_the_per_point_loop(constructions, family):
     u0s, u1s, u2s = (s.copy() for s in sample_convexity_triple(inc, rng, 5))
     a = random_antihermitian(rng, inc.amb_basis)
     u2s[3] = u0s[3] @ spectral_function(1.4 * a / op_norm(a), "exp")
-    with pytest.raises(RadiusError, match=r"unitaries of slice 3 are op-norm"):
+    with pytest.raises(RadiusError, match=r"^trial 3: unitaries are op-norm"):
         convexity_probe(bc, u0s, u1s, u2s, grid_n=32)
 
 
@@ -1072,7 +1107,7 @@ def test_stacked_lift_refusal_names_its_curve(constructions):
     still = DiscreteCurve(bc=bc, samples=np.stack([bc.jones_p] * 9))
     with pytest.raises(RefinementError, match="^lift reconstruction defect"):
         lift_with_defects(moving)
-    with pytest.raises(RefinementError, match="^lift of curve 1 reconstruction defect"):
+    with pytest.raises(RefinementError, match="^trial 1: lift reconstruction defect"):
         lift_with_defects([still, moving, still])
     with pytest.raises(DomainError, match="stacked lifts need curves on one grid"):
         lift_with_defects([still, _lift_test_curves(bc, 1, grid_n=16)[0]])

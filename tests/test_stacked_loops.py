@@ -16,14 +16,25 @@ import pytest
 import subfactor_geo.cli as cli
 from legacy_loops import LEGACY_SUITES, radius_probe_rows
 from subfactor_geo.config import SUITE_NAMES, parse_config
-from subfactor_geo.errors import DomainError, require_each
-from subfactor_geo.linalg import exp_family
+from subfactor_geo.algebra import random_antihermitian, random_horizontal, random_unitary
+from subfactor_geo.basic import recover_unitary, reduce_R
+from subfactor_geo.errors import DomainError, RadiusError, bound_gate, refusals, require_each
+from subfactor_geo.grassmann import grassmann_exp_block, tangent_decompose
+from subfactor_geo.linalg import dagger, exp_family, norm_gate, op_norm, spectral_function
 from subfactor_geo.orbit import (
+    DiscreteCurve,
     base_point,
+    convexity_probe,
+    curve_from_unitaries,
     curve_lengths,
     first_variation,
+    grassmann_section,
+    lift_with_defects,
     minimality_experiment,
+    orbit_section_theta,
     random_horizontal_at,
+    random_orbit_point,
+    sample_convexity_triple,
     sample_geodesic,
     trial_chunks,
 )
@@ -158,7 +169,7 @@ def test_stacked_first_variation_is_each_family_alone(constructions):
     assert first_variation(bc, minus, np.stack([zero] * 3), plus, 1e-3)[2].value == results[2].value
     bad = plus.copy()
     bad[1] = bad[1] * 1.01
-    with pytest.raises(DomainError, match="^family samples of family 1 are not unitary"):
+    with pytest.raises(DomainError, match="^trial 1: family samples are not unitary"):
         first_variation(bc, minus, zero, bad, 1e-3)
     with pytest.raises(DomainError, match="share one sampling grid"):
         first_variation(bc, minus, zero[:-1], plus, 1e-3)
@@ -168,3 +179,126 @@ def test_require_each_names_the_trial():
     with pytest.raises(DomainError, match="^trial 3: bad gate$"):
         require_each([None, None, DomainError("bad gate")], first=1)
     require_each([None, None])
+
+
+def test_refusals_take_the_first_failing_gate_of_each_slice():
+    built = []
+
+    def gate(ok, name):
+        def refuse(k):
+            built.append((name, k))
+            return DomainError(f"{name} {k}")
+
+        return np.array(ok, dtype=bool), refuse
+
+    out = refusals(
+        4, gate([True, False, False, True], "a"), gate([False, True, False, True], "b")
+    )
+    assert [None if r is None else str(r) for r in out] == ["b 0", "a 1", "a 2", None]
+    # refuse runs for the failing slices only, once each, for the first gate
+    assert built == [("b", 0), ("a", 1), ("a", 2)]
+    assert refusals(0, gate([], "a")) == []
+    assert refusals(0, norm_gate(np.zeros((0, 2, 2)), 1.0, "{}")) == []
+
+
+def test_bound_gate_refuses_with_its_defect_and_type():
+    ok, refuse = bound_gate(np.array([0.5, 2.0, 1.0]), 1.0, "defect {:.1f}", RadiusError)
+    assert ok.tolist() == [True, False, True]
+    assert type(refuse(1)) is RadiusError
+    assert str(refuse(1)) == "defect 2.0"
+    assert type(bound_gate([3.0], 1.0, "{}")[1](0)) is DomainError
+
+
+def test_norm_gate_decides_per_path_and_reports_the_exact_norm():
+    # (n, T, m, m): a path passes only when every matrix on it does
+    paths = np.zeros((3, 4, 2, 2), dtype=complex)
+    paths[1, 2] = np.diag([0.0, 3.0])
+    # Frobenius norm sqrt(2) > 1.2, operator norm 1 <= 1.2: decided exactly
+    paths[2] = np.eye(2)
+    ok, refuse = norm_gate(paths, 1.2, "norm {:.2f}")
+    assert ok.tolist() == [True, False, True]
+    assert type(refuse(1)) is DomainError
+    assert str(refuse(1)) == "norm 3.00"
+    ok, refuse = norm_gate(paths[:, 2], 1.0, "norm {:.2f}", RadiusError)
+    assert ok.tolist() == [True, False, True]
+    assert type(refuse(1)) is RadiusError
+
+
+def _dual_mode_case(name, constructions):
+    """(call, good, bad): call(*args) for one slice's arguments or for the
+    stacks of them; bad fails a gate that good passes."""
+    rng = np.random.default_rng(23)
+    bc = constructions["tensor(2,2)"]
+    inc, p = bc.inc, bc.jones_p
+    if name == "reduce_R":
+        y = rng.standard_normal((bc.dim_l2,) * 2) + 1j * rng.standard_normal((bc.dim_l2,) * 2)
+        return (lambda a: reduce_R(bc, a)), (p,), (y,)
+    if name == "recover_unitary":
+        omega = bc.left(random_unitary(rng, inc.amb_basis, 0.6))
+        return (lambda a: recover_unitary(bc, a)), (omega,), (1.1 * omega,)
+    if name == "tangent_decompose":
+        lx = bc.left(random_horizontal(inc, rng, op_scale=0.3))
+        v = lx @ p + p @ dagger(lx)
+        return (lambda a: tangent_decompose(bc, a)), (v,), (1j * v,)
+    if name == "grassmann_exp_block":
+        x = random_horizontal(inc, rng, op_scale=0.3)
+        call = lambda a, t: grassmann_exp_block(bc, a, t)  # noqa: E731
+        return call, (x, 0.5), (4.0 * x / op_norm(x), 0.5)
+    if name in ("grassmann_section", "orbit_section_theta"):
+        q = random_orbit_point(bc, rng, scale=0.2).q
+        far = np.eye(bc.dim_l2) - p
+        if name == "grassmann_section":
+            return (lambda a: grassmann_section(p, a)), (q,), (far,)
+        return (lambda a: orbit_section_theta(bc, a)), (q,), (far,)
+    if name == "lift_with_defects":
+        from subfactor_geo.suites import _poly_generator
+
+        small = constructions["tensor(1,2)"]
+        ts = np.linspace(0.0, 1.0, 9)
+        us = spectral_function(_poly_generator(small.inc.amb_basis, rng, ts), "exp")
+        still = DiscreteCurve(bc=small, samples=np.stack([small.jones_p] * 9))
+        return (lambda a: lift_with_defects(a)), (still,), (curve_from_unitaries(small, us),)
+    if name == "first_variation":
+        ts = np.linspace(0.0, 1.0, 65)
+        bump = 16.0 * ts * ts * (1.0 - ts) ** 2
+        zero = exp_family(random_horizontal_at(base_point(bc), rng, op_scale=0.3), ts)
+        w = random_horizontal_at(base_point(bc), rng, op_scale=1.0)
+        minus, plus = (zero @ exp_family(w, s * bump) for s in (-1e-3, 1e-3))
+        call = lambda *a: first_variation(bc, *a, 1e-3)  # noqa: E731
+        return call, (minus, zero, plus), (minus, zero, 1.01 * plus)
+    assert name == "convexity_probe"
+    u0, u1, u2 = sample_convexity_triple(inc, rng)
+    a = random_antihermitian(rng, inc.amb_basis)
+    wide = u0 @ spectral_function(1.4 * a / op_norm(a), "exp")
+    call = lambda *u: convexity_probe(bc, *u, grid_n=8)  # noqa: E731
+    return call, (u0, u1, u2), (u0, u1, wide)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "reduce_R",
+        "recover_unitary",
+        "tangent_decompose",
+        "grassmann_exp_block",
+        "grassmann_section",
+        "orbit_section_theta",
+        "lift_with_defects",
+        "first_variation",
+        "convexity_probe",
+    ],
+)
+def test_a_stack_refuses_its_failing_slice_as_the_single_call_does(constructions, name):
+    call, good, bad = _dual_mode_case(name, constructions)
+    call(*good)
+    with pytest.raises(Exception) as single:
+        call(*bad)
+    slices = [good, good, bad, good]
+    stacks = [
+        list(parts) if isinstance(parts[0], DiscreteCurve) else np.stack(parts)
+        for parts in zip(*slices)
+    ]
+    with pytest.raises(type(single.value)) as stacked:
+        call(*stacks)
+    assert type(stacked.value) is type(single.value)
+    assert str(stacked.value) == f"trial 2: {single.value}"
