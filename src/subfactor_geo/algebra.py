@@ -10,6 +10,7 @@ trace-preserving expectation.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -120,23 +121,24 @@ class AlgebraDescriptor:
 
 
 def orthonormalize(candidates, weights, real: bool = False) -> np.ndarray:
-    """Orthonormal basis of the span of a stack of candidates, in order.
+    """Orthonormal basis of the span of the candidates, in order.
 
-    The inner product is <a, b> = sum conj(b) a w over the trailing axes,
+    ``candidates`` is a stack or any iterable of arrays of one shape.  The
+    inner product is <a, b> = sum conj(b) a w over the candidate's axes,
     where ``weights`` broadcasts against them (a trace weight vector, or
     1/D for tau1); ``real`` keeps only its real part.  Classical
     Gram-Schmidt with one re-orthogonalization pass, each pass two
     matrix-vector products against the basis built so far; a candidate
     whose residual norm is at most GRAM_DROP_TOL is dropped as dependent.
     """
-    cands = np.asarray(candidates, dtype=complex)
-    shape = cands.shape[1:]
-    flat = cands.reshape(len(cands), -1)
-    w = np.broadcast_to(np.asarray(weights, dtype=float), shape).reshape(-1)
+    cands = iter(candidates)
+    first = np.asarray(next(cands), dtype=complex)
+    w = np.broadcast_to(np.asarray(weights, dtype=float), first.shape).reshape(-1)
     # rows are added by doubling: the rank is often far below min(n, N)
-    basis = np.empty((min(len(flat), 64), flat.shape[1]), dtype=complex)
+    basis = np.empty((64, first.size), dtype=complex)
     k = 0
-    for v in flat:
+    for cand in itertools.chain([first], cands):
+        v = np.asarray(cand, dtype=complex).reshape(-1)
         for _ in range(2):
             # conj(<v, b_i>) for every basis element b_i at once
             c = basis[:k] @ np.conj(v * w)
@@ -147,7 +149,7 @@ def orthonormalize(candidates, weights, real: bool = False) -> np.ndarray:
                 basis = np.concatenate([basis, np.empty_like(basis)])
             basis[k] = v / nrm
             k += 1
-    return basis[:k].reshape((k,) + shape).copy()
+    return basis[:k].reshape((k,) + first.shape).copy()
 
 
 # The span kernel: every coordinate, projection, residual and *-closure

@@ -35,6 +35,7 @@ run on the compression.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -313,14 +314,12 @@ def _compress(bc: BasicConstruction) -> BasicConstruction:
     return small
 
 
-def _m1_generators(left_cache: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Spanning stack of M1: left(b_i) for every basis element of M, then
-    left(b_i) p left(b_j) in i-major order."""
-    d = left_cache.shape[0]
-    gens = np.empty((d + d * d, d, d), dtype=complex)
-    gens[:d] = left_cache
-    np.matmul((left_cache @ p)[:, None], left_cache[None], out=gens[d:].reshape(d, d, d, d))
-    return gens
+def _m1_generators(left_cache: np.ndarray, p: np.ndarray) -> Iterator[np.ndarray]:
+    """Spanning family of M1, made one row of D products at a time: left(b_i)
+    for every basis element of M, then left(b_i) p left(b_j) in i-major order."""
+    yield from left_cache
+    for lp in left_cache @ p:
+        yield from lp @ left_cache
 
 
 def _m1_frame(bc: BasicConstruction) -> np.ndarray:
