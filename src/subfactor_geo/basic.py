@@ -1,37 +1,49 @@
 """The extension algebra of an inclusion: trace projection, left regular
 representation, and the downward expectation.
 
-M acts on itself as a Hilbert space under <a,b> = tau(b*a); the projection
-p onto the image of the subalgebra generates, together with M, the
-extension algebra M1 = span(M u MpM).  The normalized matrix trace of the
-D x D representation restricted to M1 plays the role of the canonical trace
-tau1; its compatibility tau1(left_rep(x)) = tau(x) is validated at build
-time and the construction refuses to proceed otherwise.
+M acts on itself as a Hilbert space L2(M) under <a,b> = tau(b*a); the
+projection p onto the image of the subalgebra generates, together with M,
+the extension algebra M1 = <M, p> = span(M u MpM).  The normalized matrix
+trace tau1 = tr/D of the D x D representation restricted to M1 plays the
+role of the canonical trace; its compatibility tau1(left_rep(x)) = tau(x) is
+validated at build time and the construction refuses to proceed otherwise.
 
-M1 acts on L2(M) with multiplicity: its commutant there is the right action
-of N (Jones 1983), so each block of M1 appears once per copy of the matching
-block of N.  The construction therefore compresses to one copy of each
-block (``BasicConstruction.compressed``).  Let e be a projection of N
-minimal in each block of N, and V a D x r isometry onto the range of right
-multiplication by e.  That right multiplication lies in the commutant of
-M1, and its central support is 1, since e meets every block of N and the
-center of M1 is the right action of the center of N.  So x -> V* x V is an
-injective *-homomorphism of M1 into the r x r matrices, hence isometric:
-operator norms, products, adjoints and spectral functions of elements of M1
-are those of their compressions, on r x r matrices instead of D x D ones
-(r = 8 of D = 16 for tensor(2,2), 27 of 81 for tensor(3,3)).  The frame V
-is gated once, when the compression is built: V* V = 1, its range is
-invariant under M1, and the compressed basis of M1 keeps rank K.
+M1 is built from the matrix units of N, with no Gram-Schmidt.  Its
+commutant on L2(M) is the right action of N (Jones 1983); R_x is right
+multiplication by x, read from left_cache.  For each block j of N, of size
+n_j, let f^j_ab be its matrix units mapped into M, and V_j the s_j
+eigenvalue-1 eigenvectors of the projection R_{f^j_11}.  Right
+multiplication reverses products, so R_{f^j_1a} V_j is an isometry onto the
+range of R_{f^j_aa}; over j and a these ranges sum to L2(M).  So the frame
+W = [R_{f^j_1a} V_j over j, a] is a D x D unitary, and
+S = W (+_j M_{s_j} (x) 1_{n_j}) W* is a *-algebra of dimension
+K = sum_j s_j^2, traced by tr.  ``_gate_frame`` makes S = M1 from three
+facts: W is unitary (FRAME_TOL), so S is an algebra; p and every left(b_i)
+lie in S (CLOSURE_TOL), so M1, the algebra they generate, lies in S; and
+the compressions V* g V of the D + D^2 generators g of span(M u MpM) have
+rank K, where V = [V_j over j] is the first copy of each block.
+Compression to V is injective on S, so that rank is the dimension of
+span(M u MpM), which lies in M1 and so in S: rank K leaves no room.
 
-The compressed construction's left images, trace projection and basis of M1
-are V* . V of these.  When N is a factor, every block of M1 has
-multiplicity D/r on L2(M), so tr(x) = (D/r) tr(V* x V) on M1 and tau1 is
-tr/r on the compression, where the Markov check confirms it.  The
-verification suites run there, all but the construction suite, which
-verifies the construction on L2(M); so do the CLI's log and sweeps.  What
-reads L2(M) itself -- the frame (right multiplication by N, from
-left_cache), the center of M1 and verify_construction_properties -- is not
-run on the compression.
+Nothing of K x D x D is kept.  Membership in M1 averages W* y W over the
+n_j copies of each block.  The tau1-orthonormal basis of M1 is
+sqrt(D/n_j) W (E (x) 1_{n_j}) W*, E running over the matrix units of each
+block, row-major, block by block: ``from_m1_coords`` expands coefficients
+over it through the blocks, and ``m1_basis`` forms it when read.
+
+``BasicConstruction.compressed`` is the first copy in W's coordinates:
+x -> V* x V, an injective *-homomorphism of M1 into the r x r matrices
+(r = sum_j s_j), hence isometric.  Operator norms, products, adjoints and
+spectral functions of elements of M1 are those of their compressions, on
+r x r matrices instead of D x D ones (r = 8 of D = 16 for tensor(2,2), 27
+of 81 for tensor(3,3)).  Its frame is the identity, its blocks have
+multiplicity 1, and its basis of M1 is the scaled matrix units.  When every
+block of M1 has multiplicity D/r on L2(M) (as when N is a factor),
+tr(x) = (D/r) tr(V* x V) on M1 and tau1 is tr/r on the compression, where
+the Markov check confirms it.  The verification suites run there, all but
+the construction suite, which verifies the construction on L2(M); so do the
+CLI's log and sweeps.  The frame, the center of M1 and
+verify_construction_properties read L2(M) itself.
 """
 from __future__ import annotations
 
@@ -43,15 +55,13 @@ import numpy as np
 
 from .algebra import (
     Inclusion,
-    closure_defects,
     expectation_E,
-    orthonormalize,
     pimsner_popa_validate,
     seeded_elements,
     span_coords,
     span_project,
     span_residual,
-    span_residuals,
+    weighted_norms,
 )
 from .errors import (
     ConstructionError,
@@ -63,8 +73,10 @@ from .errors import (
 )
 from .linalg import dagger, norm_gate, op_norm
 from .tolerances import (
-    GRAM_DROP_TOL,
+    CLOSURE_TOL,
+    FRAME_TOL,
     MEMBERSHIP_TOL,
+    RANK_TOL,
     REDUCTION_TOL,
     SPECTRAL_TOL,
     WITNESS_TOL,
@@ -89,7 +101,8 @@ class BasicConstruction:
     inc: Inclusion
     left_cache: np.ndarray      # (D, D, D): left multiplication by each basis element
     jones_p: np.ndarray         # (D, D) projection onto the image of the subalgebra
-    m1_basis: np.ndarray        # (K, D, D) tau1-orthonormal basis of M1
+    frame: np.ndarray           # (D, D) unitary W with M1 = W (+_j M_{s_j} (x) 1_{n_j}) W*
+    blocks: tuple[tuple[int, int], ...]  # (s_j, n_j): size and multiplicity of each block of M1
     lam: float
 
     @property
@@ -98,7 +111,34 @@ class BasicConstruction:
 
     @property
     def dim_m1(self) -> int:
-        return self.m1_basis.shape[0]
+        return sum(s * s for s, _ in self.blocks)
+
+    @property
+    def m1_basis(self) -> np.ndarray:
+        """(K, D, D) tau1-orthonormal basis of M1 (see the module
+        docstring), formed on each read and never kept."""
+        d = self.dim_l2
+        parts = []
+        for s, n, copies in self._copies():
+            # element (a, b) of block j: the sum over its copies of the outer
+            # products of their columns a and b
+            wj = self.frame[:, copies[0]:copies[-1] + s].reshape(d, n, s).transpose(2, 0, 1)
+            parts.append((np.sqrt(d / n) * (wj[:, None] @ dagger(wj)[None])).reshape(s * s, d, d))
+        return np.concatenate(parts)
+
+    @property
+    def copy_frame(self) -> np.ndarray:
+        """V: the D x r columns of the frame that carry the first copy of each
+        block of M1."""
+        return np.concatenate([self.frame[:, c[0]:c[0] + s] for s, _, c in self._copies()], axis=1)
+
+    def _copies(self) -> Iterator[tuple[int, int, range]]:
+        """Per block j of M1: s_j, n_j, and the first index in W's
+        coordinates of each of its n_j copies."""
+        o = 0
+        for s, n in self.blocks:
+            yield s, n, range(o, o + n * s, s)
+            o += n * s
 
     def left(self, x: np.ndarray) -> np.ndarray:
         """Left multiplication by x in L2 coordinates (D x D matrix), slice
@@ -124,13 +164,36 @@ class BasicConstruction:
         norms = np.sqrt(sq[..., 0, 0]) / np.sqrt(self.dim_l2)
         return float(norms) if a.ndim == 2 else norms
 
+    def from_m1_coords(self, c: np.ndarray) -> np.ndarray:
+        """The element sum_k c_k m_k over ``m1_basis``, or one per row of a
+        (..., K) array of coefficients: block j's s_j^2 coefficients, scaled
+        by sqrt(D/n_j), form its matrix X_j, and the element is
+        W (+_j 1_{n_j} (x) X_j) W*."""
+        d = self.dim_l2
+        x = np.zeros(c.shape[:-1] + (d, d), dtype=complex)
+        k = 0
+        for s, n, copies in self._copies():
+            xj = np.sqrt(d / n) * c[..., k:k + s * s].reshape(c.shape[:-1] + (s, s))
+            for a in copies:
+                x[..., a:a + s, a:a + s] = xj
+            k += s * s
+        return self.frame @ x @ dagger(self.frame)
+
     def membership_defect(self, y: np.ndarray) -> float:
         """Largest tau1 2-norm distance of y, or of a slice of a stack, from M1."""
         return float(self.membership_defects(y).max())
 
     def membership_defects(self, y: np.ndarray) -> np.ndarray:
-        """tau1 2-norm distance of y, or of each slice of a stack, from M1."""
-        return span_residuals(self.m1_basis, y, 1.0 / self.dim_l2)
+        """tau1 2-norm distance of y, or of each slice of a stack, from M1:
+        the 2-norm of what is left of W* y W once every diagonal copy of each
+        block of M1 loses their average, the projection onto M1."""
+        yw = dagger(self.frame) @ y @ self.frame
+        for s, n, copies in self._copies():
+            views = [yw[..., a:a + s, a:a + s] for a in copies]
+            mean = sum(views) / n
+            for view in views:
+                view -= mean
+        return weighted_norms(yw, 1.0 / self.dim_l2)
 
     def membership_gate(self, ys: np.ndarray, what: str = "input") -> Gate:
         """The gate of E1 for an (n, D, D) stack: a slice in M1 within
@@ -145,9 +208,19 @@ class BasicConstruction:
     def compressed(self) -> BasicConstruction:
         """This construction on one copy of each block of M1 (see the module
         docstring); built and gated on the first read, then shared.  It is
-        the construction itself when the frame is square or when the
-        compression fails the Markov check."""
+        the construction itself when the first copy of each block is all of
+        L2(M) or when the compression fails the Markov check."""
         return _compress(self)
+
+    def to_compressed(self, y: np.ndarray) -> np.ndarray:
+        """y in M1 as an element of ``compressed``: V* y V, or y itself when
+        the compression is the construction.  y outside M1 within
+        MEMBERSHIP_TOL is refused with a MembershipError."""
+        require_one(refusals(1, self.membership_gate(y[None])))
+        if self.compressed is self:
+            return y
+        v = self.copy_frame
+        return dagger(v) @ y @ v
 
     def _e1_coords(self, y: np.ndarray) -> np.ndarray:
         """Coefficients of the projection of y (or of each slice of a stack)
@@ -270,13 +343,11 @@ def build_basic_construction(inc: Inclusion) -> BasicConstruction:
     ):
         raise ConstructionError("trace projection is not a projection")
 
+    frame, blocks = _m1_frame(inc, left_cache)
     bc = BasicConstruction(
-        inc=inc,
-        left_cache=left_cache,
-        jones_p=jones_p,
-        m1_basis=orthonormalize(_m1_generators(left_cache, jones_p), 1.0 / d),
-        lam=inc.lam,
+        inc=inc, left_cache=left_cache, jones_p=jones_p, frame=frame, blocks=blocks, lam=inc.lam
     )
+    _gate_frame(bc)
     _gate_properties(bc)
     return bc
 
@@ -289,11 +360,11 @@ def _markov_defect(inc: Inclusion, left_cache: np.ndarray) -> float:
 
 
 def _compress(bc: BasicConstruction) -> BasicConstruction:
-    """The construction carried by V* . V on the frame V of one copy of each
-    block of M1; bc itself when V is square or when the compressed
-    representation fails the Markov check (blocks of M1 with unequal
-    multiplicities).  Gated by the build's property gates."""
-    v = _m1_frame(bc)
+    """The construction carried by V* . V on the first copy V of each block
+    of M1; bc itself when V is square or when the compressed representation
+    fails the Markov check (blocks of M1 with unequal multiplicities).
+    Gated by the build's property gates."""
+    v = bc.copy_frame
     if v.shape[1] == bc.dim_l2:
         return bc
     vh = dagger(v)
@@ -304,7 +375,8 @@ def _compress(bc: BasicConstruction) -> BasicConstruction:
         inc=bc.inc,
         left_cache=left_cache,
         jones_p=vh @ bc.jones_p @ v,
-        m1_basis=vh @ bc.m1_basis @ v,
+        frame=np.eye(v.shape[1], dtype=complex),
+        blocks=tuple((s, 1) for s, _ in bc.blocks),
         lam=bc.lam,
     )
     # compressing again changes nothing, and may not be derived from the
@@ -314,60 +386,93 @@ def _compress(bc: BasicConstruction) -> BasicConstruction:
     return small
 
 
-def _m1_generators(left_cache: np.ndarray, p: np.ndarray) -> Iterator[np.ndarray]:
-    """Spanning family of M1, made one row of D products at a time: left(b_i)
-    for every basis element of M, then left(b_i) p left(b_j) in i-major order."""
-    yield from left_cache
-    for lp in left_cache @ p:
-        yield from lp @ left_cache
+def _m1_frame(inc: Inclusion, left_cache: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The frame W of M1 and its blocks (s_j, n_j), read from the blocks
+    that the inclusion declares for N (see the module docstring).
 
-
-def _m1_frame(bc: BasicConstruction) -> np.ndarray:
-    """The frame of the compression, a D x r isometry onto one copy of each
-    block of M1, read from the blocks that the inclusion declares for N.
-
-    For each block j of N, e_j is the image in M of its first diagonal
-    matrix unit, through the coordinates over ``sub_basis`` applied to
-    ``embed_basis``: a projection minimal in block j.  Right multiplication
-    by e_j is a projection whose range carries one copy of block j of M1,
-    and these ranges are orthogonal, since e_j e_k = 0 for j != k.  The
-    frame is the eigenvalue-1 eigenvectors of each, block by block.
+    The matrix units f^j_1a of each block j of N are mapped into M through
+    their coordinates over ``sub_basis`` applied to ``embed_basis``.  V_j is
+    the eigenvalue-1 eigenvectors of R_{f^j_11}, and block j's columns of W
+    are R_{f^j_1a} V_j, copy a after copy a - 1.
     """
-    inc = bc.inc
     dims = inc.sub.block_dims
-    starts = np.cumsum((0,) + dims[:-1])
-    units = np.zeros((len(dims),) + inc.sub_basis.shape[1:], dtype=complex)
-    units[np.arange(len(dims)), starts, starts] = 1.0
-    e = np.tensordot(span_coords(inc.sub_basis, units, inc.sub.weight_vector), inc.embed_basis, 1)
+    rows = np.repeat(np.cumsum((0,) + dims[:-1]), dims)
+    cols = rows + np.concatenate([np.arange(n) for n in dims])
+    units = np.zeros((len(rows),) + inc.sub_basis.shape[1:], dtype=complex)
+    units[np.arange(len(rows)), rows, cols] = 1.0
+    f = np.tensordot(span_coords(inc.sub_basis, units, inc.sub.weight_vector), inc.embed_basis, 1)
     # right multiplication by basis element k of M is left_cache[:, :, k].T
-    r_e = np.swapaxes(np.tensordot(inc.coords(e), bc.left_cache, axes=([1], [2])), -1, -2)
-    w, u = np.linalg.eigh((r_e + dagger(r_e)) / 2.0)
-    # each spectrum is {0, 1}; _gate_frame refuses anything else
-    v = np.concatenate([u_j[:, w_j > 0.5] for w_j, u_j in zip(w, u)], axis=1)
-    _gate_frame(bc, v)
-    return v
+    r_f = np.swapaxes(np.tensordot(inc.coords(f), left_cache, axes=([1], [2])), -1, -2)
+    columns, blocks = [], []
+    for r_j in np.split(r_f, np.cumsum(dims)[:-1]):
+        w, u = np.linalg.eigh((r_j[0] + dagger(r_j[0])) / 2.0)
+        # the spectrum is {0, 1}; the frame gate refuses anything else
+        v = u[:, w > 0.5]
+        columns += list(r_j @ v)
+        blocks.append((v.shape[1], len(r_j)))
+    return np.concatenate(columns, axis=1), tuple(blocks)
 
 
-def _gate_frame(bc: BasicConstruction, v: np.ndarray) -> None:
-    """Refuse a frame that is not an isometry, whose range M1 leaves, or
-    on which the compression of M1 loses rank (a block of M1 is missing)."""
-    isometry = op_norm(dagger(v) @ v - np.eye(v.shape[1]))
-    if isometry > SPECTRAL_TOL:
-        raise ConstructionError(f"M1 frame is not an isometry (defect {isometry:.3e})")
-    mv = bc.m1_basis @ v
-    vmv = dagger(v) @ mv
-    leak = float(op_norm(mv - v @ vmv).max(initial=0.0))
-    if leak > SPECTRAL_TOL:
-        raise ConstructionError(
-            f"M1 does not leave the frame's range invariant (defect {leak:.3e})"
+def _unitary_defect(bc: BasicConstruction) -> float:
+    """How far the frame W is from a unitary: the larger of ||W*W - 1|| and
+    ||WW* - 1||, so a frame missing columns reads 1."""
+    w = bc.frame
+    return max(
+        op_norm(dagger(w) @ w - np.eye(w.shape[1])), op_norm(w @ dagger(w) - np.eye(len(w)))
+    )
+
+
+def _generator_defects(bc: BasicConstruction) -> np.ndarray:
+    """tau1 2-norm distance from the frame's algebra S of p, then of each
+    left(b_i): the generators of M1."""
+    return bc.membership_defects(np.concatenate([bc.jones_p[None], bc.left_cache]))
+
+
+def _generator_rank(bc: BasicConstruction) -> int:
+    """Rank of the compressions V* g V of the D + D^2 generators g of
+    span(M u MpM), left(b_i) and then left(b_i) p left(b_j): each is read
+    as its K coordinates, the diagonal blocks of V* g V, and the rank is
+    counted from their K x K Gram matrix, accumulated one row i of D
+    products at a time.  An eigenvalue counts when it exceeds RANK_TOL
+    times the largest."""
+    v = bc.copy_frame
+    lv = bc.left_cache @ v
+    sizes = [s for s, _ in bc.blocks]
+    ends = np.cumsum(sizes)
+
+    def coords(x: np.ndarray) -> np.ndarray:
+        return np.concatenate(
+            [x[:, e - s:e, e - s:e].reshape(len(x), -1) for s, e in zip(sizes, ends)], axis=1
         )
-    # rank of the compressions V* m V of the basis of M1, as K vectors
-    s = np.linalg.svd(vmv.reshape(bc.dim_m1, -1), compute_uv=False)
-    rank = int((s > GRAM_DROP_TOL * max(1.0, s.max(initial=0.0))).sum())
+
+    c = coords(dagger(v) @ lv)
+    gram = dagger(c) @ c
+    for vlp in dagger(v) @ bc.left_cache @ bc.jones_p:
+        c = coords(vlp @ lv)
+        gram += dagger(c) @ c
+    ev = np.linalg.eigvalsh(gram)
+    return int((ev > RANK_TOL * ev[-1]).sum())
+
+
+def _gate_frame(bc: BasicConstruction) -> None:
+    """Refuse a frame whose algebra S = W (+_j M_{s_j} (x) 1_{n_j}) W* is
+    not M1: W is not unitary, a generator of M1 lies outside S, or the
+    generators span less than S (see the module docstring)."""
+    unitary = _unitary_defect(bc)
+    if unitary > FRAME_TOL:
+        raise ConstructionError(f"M1 frame is not unitary (defect {unitary:.3e})")
+    outside = _generator_defects(bc)
+    k = int(np.argmax(outside))
+    if outside[k] > CLOSURE_TOL:
+        what = "p" if k == 0 else f"left(b_{k - 1})"
+        raise ConstructionError(
+            f"{what} is outside the algebra of the M1 frame (defect {outside[k]:.3e})"
+        )
+    rank = _generator_rank(bc)
     if rank != bc.dim_m1:
         raise ConstructionError(
-            f"M1 compressed to the frame has rank {rank}, expected {bc.dim_m1}: "
-            "a block of M1 is missing"
+            f"the generators of M1 compressed to the frame have rank {rank}, "
+            f"expected {bc.dim_m1}: the frame's algebra is larger than M1"
         )
 
 
@@ -427,9 +532,9 @@ def _e1p_defect(bc: BasicConstruction) -> float:
 def _gate_properties(bc: BasicConstruction) -> None:
     """Refuse a construction failing property 2-7 on the basis of M.
 
-    Property 1 is left to the verifier: its closure clause multiplies all
-    K^2 pairs of basis elements of M1.  Property 8 already ran at the top of
-    the build.
+    Property 1's frame clauses are ``_gate_frame``, which runs first on
+    L2(M); its center count is left to the verifier.  Property 8 already
+    ran at the top of the build.
     """
     basis = bc.inc.amb_basis
     for index, what, defect in (
@@ -474,28 +579,12 @@ def _nullspace(a: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def _algebra_defects(bc: BasicConstruction) -> tuple[float, float, float]:
-    """Property 1, its algebra and trace clauses, over all pairs (a, b) of
-    basis elements of M1: the largest tau1 2-norm distance of m_a m_b and
-    of m_a* from span(m1_basis), and the largest
-    |tau1(m_a m_b) - tau1(m_b m_a)|."""
-    basis = bc.m1_basis
-    k = bc.dim_m1
-    product, adjoint = closure_defects(basis, 1.0 / bc.dim_l2)
-    # t[a, b] = trace(m_a m_b), one K x K product of the flattened stacks
-    t = basis.reshape(k, -1) @ np.swapaxes(basis, 1, 2).reshape(k, -1).T
-    trace = float(np.abs(t - t.T).max()) / bc.dim_l2
-    return product, adjoint, trace
-
-
 def _center_dim(bc: BasicConstruction) -> int:
     """Dimension of the center of span(m1_basis), computed from the
     generators of M1.
 
-    M1 is the algebra generated by left(M) and p (Jones 1983), and
-    m1_basis spans left(M) + left(M) p left(M), which holds those
-    generators and lies in M1.  Once the closure clause of property 1
-    holds, that span is closed under products, so it is M1, and an element
+    M1 is the algebra generated by left(M) and p (Jones 1983).  Once the
+    frame clauses of property 1 hold, span(m1_basis) is M1, and an element
     of it is central exactly when it commutes with p and with left(b_i) for
     every basis element b_i of M: commuting with a generating set means
     commuting with every product and sum of its members.  The commutant of
@@ -503,14 +592,14 @@ def _center_dim(bc: BasicConstruction) -> int:
     coordinates over m1_basis: V starts as the identity, and each generator
     g replaces V by V times the nullspace of the D^2 x v matrix of the
     commutators [g, z], z running over the tau1-orthonormal elements that
-    the columns of V give.  No step is larger than D^2 x K.  When the
-    closure clause fails, property 1 already fails, and the count is the
-    dimension of the commutant of the generators within the span.
+    the columns of V give.  No step is larger than D^2 x K.  The count does
+    not read the block structure of the frame, only the span of its basis.
     """
     d = bc.dim_l2
+    basis = bc.m1_basis
     v = np.eye(bc.dim_m1)
     for g in (bc.jones_p, *bc.left_cache):
-        z = np.tensordot(v.T, bc.m1_basis, axes=1)
+        z = np.tensordot(v.T, basis, axes=1)
         comm = (g @ z - z @ g).reshape(len(z), d * d).T
         v = v @ _nullspace(comm, rtol=1e-9)
         if v.shape[1] == 0:
@@ -529,15 +618,18 @@ def verify_construction_properties(
 
     records: list[PropertyRecord] = []
 
-    # 1: span(m1_basis) is an algebra on which tau1 is a trace; center
+    # 1: M1 is the frame's algebra S, closed and traced by tr because W is
+    # unitary, holding the generators of M1 and spanned by them; center
     # dimension recorded (trivial iff a factor)
-    prod_defect, adj_defect, trace_defect = _algebra_defects(bc)
+    unitary_defect = _unitary_defect(bc)
+    generator_defect = float(_generator_defects(bc).max())
+    rank = _generator_rank(bc)
     center_dim = _center_dim(bc)
     predicted = len(inc.sub.block_dims)
     ok1 = (
-        prod_defect <= 1e-9
-        and adj_defect <= 1e-9
-        and trace_defect <= SPECTRAL_TOL
+        unitary_defect <= FRAME_TOL
+        and generator_defect <= CLOSURE_TOL
+        and rank == bc.dim_m1
         and center_dim == predicted
     )
     records.append(
@@ -546,13 +638,14 @@ def verify_construction_properties(
             "extension algebra, trace, center",
             "[M:N] = λ⁻¹",
             ok1,
-            max(prod_defect, adj_defect, trace_defect),
+            max(unitary_defect, generator_defect),
             {
                 "center_dim": center_dim,
                 "predicted_center_dim": predicted,
-                "product_defect": prod_defect,
-                "adjoint_defect": adj_defect,
-                "trace_defect": trace_defect,
+                "unitary_defect": unitary_defect,
+                "generator_defect": generator_defect,
+                "rank": rank,
+                "dim_m1": bc.dim_m1,
             },
         )
     )

@@ -232,11 +232,13 @@ def cmd_log(cfg: RunConfig, q0_path: str, q1_path: str) -> int:
             q1 = load_matrix(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read projection file: {exc}") from exc
-    # the files hold D x D projections on L2(M); their witnesses are
-    # unitaries of M, which make the same points on the compression
+    # the files hold D x D projections on L2(M); each is checked in M1 there
+    # and compressed, and its section is taken on the compression
     small = bc.compressed
-    pt0 = orbit_point_from_witness(small, orbit_section_theta(bc, q0))
-    pt1 = orbit_point_from_witness(small, orbit_section_theta(bc, q1))
+    pt0, pt1 = (
+        orbit_point_from_witness(small, orbit_section_theta(small, bc.to_compressed(q)))
+        for q in (q0, q1)
+    )
     try:
         res = orbit_log(pt0, pt1)
     except ConvergenceError as exc:

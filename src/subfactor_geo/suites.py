@@ -82,8 +82,7 @@ def _child_seed(rng: np.random.Generator) -> int:
 def _m1_antihermitian(bc: BasicConstruction, rng: np.random.Generator) -> np.ndarray:
     """A Gaussian anti-Hermitian element of the extension algebra."""
     k = bc.dim_m1
-    c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    y = np.tensordot(c, bc.m1_basis, axes=1)
+    y = bc.from_m1_coords(rng.standard_normal(k) + 1j * rng.standard_normal(k))
     return 0.5 * (y - dagger(y))
 
 

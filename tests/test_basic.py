@@ -7,18 +7,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from m1_reference import algebra_defects, gram_schmidt_basis
 from subfactor_geo.algebra import (
     make_custom_inclusion,
     make_group_flip_inclusion,
     make_tensor_inclusion,
     random_element,
     random_unitary,
+    span_residual,
+    span_residuals,
     AlgebraDescriptor,
 )
 from subfactor_geo import basic, family_construction
 from subfactor_geo.basic import (
+    BasicConstruction,
     _gate_frame,
-    _m1_frame,
+    _unitary_defect,
     build_basic_construction,
     expectation_E1,
     recover_unitary,
@@ -27,6 +31,7 @@ from subfactor_geo.basic import (
 )
 from subfactor_geo.errors import ConstructionError, DomainError, MembershipError
 from subfactor_geo.linalg import dagger, op_norm, spectral_function
+from subfactor_geo.tolerances import CLOSURE_TOL, FRAME_TOL, SPECTRAL_TOL
 
 
 def gram_solve_expectation(bc, y):
@@ -257,6 +262,8 @@ def diagonal_m2_pair_construction():
 
 
 def test_property1_matches_full_commutator_reference(constructions):
+    # the frame clauses of property 1 pass where the pair-by-pair closure,
+    # adjoint and trace clauses do, and the center counts agree
     cases = dict(constructions)
     cases["diagonal C+C in M2"] = diagonal_pair_construction()
     center_dims = {}
@@ -264,10 +271,10 @@ def test_property1_matches_full_commutator_reference(constructions):
         rec = verify_construction_properties(bc, n_samples=4, seed=1).records[0]
         product, adjoint, trace, center_dim = full_property1_reference(bc)
         assert rec.detail["center_dim"] == center_dim, name
-        assert abs(rec.detail["product_defect"] - product) <= 1e-12, name
-        assert abs(rec.detail["adjoint_defect"] - adjoint) <= 1e-12, name
-        assert abs(rec.detail["trace_defect"] - trace) <= 1e-12, name
-        assert abs(rec.worst_defect - max(product, adjoint, trace)) <= 1e-12, name
+        assert max(product, adjoint) <= CLOSURE_TOL and trace <= SPECTRAL_TOL, name
+        assert rec.detail["rank"] == rec.detail["dim_m1"] == bc.dim_m1, name
+        worst = max(rec.detail["unitary_defect"], rec.detail["generator_defect"])
+        assert rec.worst_defect == worst <= 1e-13, name
         assert rec.passed, name
         center_dims[name] = center_dim
     assert center_dims["diagonal C+C in M2"] == 2
@@ -291,11 +298,15 @@ def test_property1_checks_the_center_of_custom_inclusions(monkeypatch):
 
 
 def test_property1_fails_loudly_on_a_truncated_basis(constructions):
+    # the frame loses its last column, and the basis one direction of it
     bc = constructions["tensor(2,2)"]
-    cut = dataclasses.replace(bc, m1_basis=bc.m1_basis[:-1])
+    frame = bc.frame.copy()
+    frame[:, -1] = 0.0
+    cut = dataclasses.replace(bc, frame=frame)
     rec = verify_construction_properties(cut, n_samples=4, seed=1).records[0]
     assert not rec.passed
     assert rec.worst_defect > 1e-3
+    assert rec.detail["unitary_defect"] == rec.worst_defect
 
 
 def test_property_verifier_memory_stays_below_the_commutator_matrix(constructions):
@@ -364,7 +375,7 @@ FRAME_WIDTHS = {
 def test_frame_compression_keeps_op_norm_on_m1(frame_cases):
     rng = np.random.default_rng(31)
     for name, bc in frame_cases.items():
-        v = _m1_frame(bc)
+        v = bc.copy_frame
         assert v.shape == (bc.dim_l2, FRAME_WIDTHS[name]), name
         c = rng.standard_normal((6, bc.dim_m1)) + 1j * rng.standard_normal((6, bc.dim_m1))
         xs = np.tensordot(c, bc.m1_basis, axes=1)
@@ -375,16 +386,28 @@ def test_frame_compression_keeps_op_norm_on_m1(frame_cases):
             assert np.all(np.abs(op_norm(dagger(v) @ stack @ v) - exact) <= 1e-13 * exact), name
 
 
-def test_m1_frame_keeps_every_block_of_a_non_factor():
+def test_m1_frame_keeps_every_block_of_a_non_factor(monkeypatch):
     # M1 of C+C in M2 is M2 + M2, one block per block of N; the range of
     # right multiplication by one minimal projection of N holds one block only
     bc = diagonal_pair_construction()
-    v = _m1_frame(bc)
-    _gate_frame(bc, v)
-    with pytest.raises(ConstructionError, match="rank 4, expected 8: a block of M1 is missing"):
-        _gate_frame(bc, v[:, :2])
+    assert bc.blocks == ((2, 1), (2, 1))
+    _gate_frame(bc)
+    # a frame missing one block is refused, alone and in the build
+    missing = dataclasses.replace(bc, frame=bc.frame[:, :2], blocks=bc.blocks[:1])
+    refusal = "M1 frame is not unitary (defect 1.000e+00)"
+    with pytest.raises(ConstructionError, match=re.escape(refusal)):
+        _gate_frame(missing)
+    monkeypatch.setattr(basic, "_m1_frame", lambda inc, lc: (bc.frame[:, :2], bc.blocks[:1]))
+    with pytest.raises(ConstructionError, match=re.escape(refusal)):
+        build_basic_construction(bc.inc)
+    # the two blocks taken as one: the frame is unitary and holds every
+    # generator, but its algebra M4 is larger than M1
+    merged = dataclasses.replace(bc, blocks=((4, 1),))
+    with pytest.raises(ConstructionError, match="have rank 8, expected 16"):
+        _gate_frame(merged)
     # the dropped block is invisible to the compression: its central
     # projection reads norm 0 there
+    v = bc.copy_frame
     blocks = [v[:, :2] @ dagger(v[:, :2]), v[:, 2:] @ dagger(v[:, 2:])]
     assert op_norm(dagger(v[:, :2]) @ blocks[1] @ v[:, :2]) < 1e-13
     assert abs(op_norm(blocks[1]) - 1.0) < 1e-13
@@ -400,7 +423,7 @@ def test_m1_frame_columns_are_the_ranges_of_the_blocks_minimal_projections(frame
     ):
         bc = frame_cases[name]
         inc = bc.inc
-        v = _m1_frame(bc)
+        v = bc.copy_frame
         blocks = [v[:, k * width:(k + 1) * width] for k in range(len(units))]
         for i, vj in zip(units, blocks):
             e = np.zeros_like(inc.identity())
@@ -414,14 +437,34 @@ def test_m1_frame_columns_are_the_ranges_of_the_blocks_minimal_projections(frame
                 assert op_norm(gram - (np.eye(width) if j == k else 0.0)) <= 1e-13, name
 
 
-def test_m1_frame_gates_refuse_bad_frames(constructions):
+def test_m1_frame_gates_refuse_bad_frames(constructions, monkeypatch):
     bc = constructions["tensor(2,2)"]
-    v = _m1_frame(bc)
-    with pytest.raises(ConstructionError, match="not an isometry"):
-        _gate_frame(bc, 1.01 * v)
-    q, _ = np.linalg.qr(np.random.default_rng(33).standard_normal((bc.dim_l2, 8)))
-    with pytest.raises(ConstructionError, match="does not leave the frame's range invariant"):
-        _gate_frame(bc, q.astype(complex))
+    _gate_frame(bc)
+    # W scaled by 1.01, alone and in the build
+    scaled = dataclasses.replace(bc, frame=1.01 * bc.frame)
+    defect = _unitary_defect(scaled)
+    assert abs(defect - (1.01**2 - 1.0)) <= 1e-12
+    refusal = f"M1 frame is not unitary (defect {defect:.3e})"
+    with pytest.raises(ConstructionError, match=re.escape(refusal)):
+        _gate_frame(scaled)
+    monkeypatch.setattr(basic, "_m1_frame", lambda inc, lc: (1.01 * bc.frame, bc.blocks))
+    with pytest.raises(ConstructionError, match=re.escape(refusal)):
+        build_basic_construction(bc.inc)
+    # p moved out of the frame's algebra by a generic unitary of L2(M)
+    rng = np.random.default_rng(33)
+    d = bc.dim_l2
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    u = spectral_function(0.1 * (a - dagger(a)), "exp")
+    moved = dataclasses.replace(bc, jones_p=u @ bc.jones_p @ dagger(u))
+    defect = moved.membership_defect(moved.jones_p)
+    assert defect > 1e-3
+    refusal = f"p is outside the algebra of the M1 frame (defect {defect:.3e})"
+    with pytest.raises(ConstructionError, match=re.escape(refusal)):
+        _gate_frame(moved)
+    # a generic unitary frame: left(b_1) is the first generator it loses
+    q, _ = np.linalg.qr(rng.standard_normal((bc.dim_l2, bc.dim_l2)))
+    with pytest.raises(ConstructionError, match=r"left\(b_\d+\) is outside the algebra"):
+        _gate_frame(dataclasses.replace(bc, frame=q.astype(complex)))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +499,7 @@ def test_compression_commutes_with_the_operations_of_m1(frame_cases):
     for name in ("tensor(2,2)", "group_flip(m2)", "tensor(3,2)", "diagonal M2+M2 in M4"):
         bc = frame_cases[name]
         small = bc.compressed
-        v = _m1_frame(bc)
+        v = bc.copy_frame
 
         def squeeze(a):
             return dagger(v) @ a @ v
@@ -474,7 +517,8 @@ def test_compression_commutes_with_the_operations_of_m1(frame_cases):
         assert np.abs(op_norm(squeeze(x)) - op_norm(x)).max() <= 1e-13, name
         # the compressed arrays are the compressions of the construction's
         assert op_norm(small.jones_p - squeeze(bc.jones_p)) == 0.0, name
-        assert np.array_equal(small.m1_basis, squeeze(bc.m1_basis)), name
+        # the compressed basis is the scaled matrix units, W's first copy
+        assert op_norm(small.m1_basis - squeeze(bc.m1_basis)).max() <= 1e-13, name
         assert small.membership_defects(squeeze(x)).max() <= 1e-13, name
 
 
@@ -483,8 +527,8 @@ def test_compressed_falls_back_when_the_markov_check_fails(constructions, monkey
     # construction then stays on L2(M)
     bc = constructions["tensor(2,2)"]
     q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((8, 8)))
-    half = _m1_frame(bc) @ q[:, :4]
-    monkeypatch.setattr(basic, "_m1_frame", lambda _: half)
+    half = bc.copy_frame @ q[:, :4]
+    monkeypatch.setattr(BasicConstruction, "copy_frame", property(lambda _: half))
     clone = dataclasses.replace(bc)
     assert clone.compressed is clone
 
@@ -520,3 +564,85 @@ def test_suites_on_the_compression_keep_every_status(constructions):
                 (r.name, r.status, r.samples) for r in on_l2
             ], (name, suite)
             assert all(r.status == "pass" for r in on_small), (name, suite)
+
+
+# ---------------------------------------------------------------------------
+# M1 from the frame against the Gram-Schmidt basis it replaced
+
+
+REFERENCE_CASES = [
+    "tensor(1,2)",
+    "tensor(1,3)",
+    "tensor(2,2)",
+    "group_flip(scalars)",
+    "group_flip(m2)",
+    "tensor(1,4)",
+    "tensor(2,3)",
+    "diagonal C+C in M2",
+    "diagonal M2+M2 in M4",
+]
+
+
+@pytest.fixture(scope="module")
+def reference_case(request, constructions):
+    name = request.param
+    if name in constructions:
+        return constructions[name]
+    if name == "diagonal C+C in M2":
+        return diagonal_pair_construction()
+    if name == "diagonal M2+M2 in M4":
+        return diagonal_m2_pair_construction()
+    return family_construction(name)
+
+
+@pytest.mark.parametrize("reference_case", REFERENCE_CASES, indirect=True)
+def test_frame_basis_spans_the_gram_schmidt_basis(reference_case):
+    bc = reference_case
+    d = bc.dim_l2
+    old = gram_schmidt_basis(bc)
+    new = bc.m1_basis
+    assert new.shape == old.shape
+    gram = np.einsum("ars,brs->ab", new.conj(), new) / d
+    assert op_norm(gram - np.eye(bc.dim_m1)) <= 1e-12
+    assert span_residual(old, new, 1.0 / d) <= 1e-12
+    assert span_residual(new, old, 1.0 / d) <= 1e-12
+    # property 1's K^2 clause holds on the frame's basis at its bound
+    product, adjoint, trace = algebra_defects(bc, new)
+    assert max(product, adjoint) <= CLOSURE_TOL and trace <= SPECTRAL_TOL
+    # membership in M1, averaged over the copies of each block, is the
+    # distance from the Gram-Schmidt span, for elements in M1 and not
+    rng = np.random.default_rng(47)
+    inside = np.tensordot(rng.standard_normal((4, len(old))), old, axes=1)
+    generic = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+    ys = np.concatenate([inside, generic, inside + 1e-6 * generic])
+    assert np.abs(bc.membership_defects(ys) - span_residuals(old, ys, 1.0 / d)).max() <= 1e-12
+    # an element is expanded through the blocks as over the basis
+    c = rng.standard_normal((3, bc.dim_m1)) + 1j * rng.standard_normal((3, bc.dim_m1))
+    assert op_norm(bc.from_m1_coords(c) - np.tensordot(c, new, axes=1)).max() <= 1e-12
+
+
+def test_built_construction_keeps_no_basis_of_m1():
+    # read before ``compressed`` is touched: the construction holds
+    # left_cache and a few D x D matrices, and nothing of K D^2 entries
+    bc = build_basic_construction(make_tensor_inclusion(2, 3))
+    d, k = bc.dim_l2, bc.dim_m1
+    assert (d, k) == (36, 324)
+    held = {
+        name: value
+        for name, value in vars(bc).items()
+        if name != "inc" and isinstance(value, np.ndarray)
+    }
+    assert set(held) == {"left_cache", "jones_p", "frame"}
+    assert sum(a.nbytes for a in held.values()) <= bc.left_cache.nbytes + 4 * d * d * 16
+    assert all(a.size < k * d * d for a in held.values())
+
+
+def test_tensor_2_4_builds_from_its_frame():
+    # D = 64 and K = 1024: the build that Gram-Schmidt over its 4,160
+    # generators made a matter of tens of seconds
+    bc = build_basic_construction(make_tensor_inclusion(2, 4))
+    assert bc.dim_l2 == 64 and bc.dim_m1 == 1024
+    assert bc.blocks == ((32, 2),)
+    assert _unitary_defect(bc) <= FRAME_TOL
+    generators = np.concatenate([bc.jones_p[None], bc.left_cache])
+    assert bc.membership_defects(generators).max() <= CLOSURE_TOL
