@@ -17,19 +17,21 @@ multiplication reverses products, so R_{f^j_1a} V_j is an isometry onto the
 range of R_{f^j_aa}; over j and a these ranges sum to L2(M).  So the frame
 W = [R_{f^j_1a} V_j over j, a] is a D x D unitary, and
 S = W (+_j M_{s_j} (x) 1_{n_j}) W* is a *-algebra of dimension
-K = sum_j s_j^2, traced by tr.  ``_gate_frame`` makes S = M1 from three
-facts: W is unitary (FRAME_TOL), so S is an algebra; p and every left(b_i)
-lie in S (CLOSURE_TOL), so M1, the algebra they generate, lies in S; and
-the compressions V* g V of the D + D^2 generators g of span(M u MpM) have
-rank K, where V = [V_j over j] is the first copy of each block.
-Compression to V is injective on S, so that rank is the dimension of
-span(M u MpM), which lies in M1 and so in S: rank K leaves no room.
+K = sum_j s_j^2, traced by tr.
 
-Nothing of K x D x D is kept.  Membership in M1 averages W* y W over the
-n_j copies of each block.  The tau1-orthonormal basis of M1 is
-sqrt(D/n_j) W (E (x) 1_{n_j}) W*, E running over the matrix units of each
-block, row-major, block by block: ``from_m1_coords`` expands coefficients
-over it through the blocks, and ``m1_basis`` forms it when read.
+An element of S is held as W, the blocks and K coordinates that
+``_block_coords`` reads: per block j, V_j* x V_j scaled by sqrt(n_j/D),
+row-major, where V = [V_j over j] is the first copy of each block.  On S
+this is a tau1-isometry onto C^K, the coordinates over the never-formed
+basis sqrt(D/n_j) W (E (x) 1_{n_j}) W*, E over the matrix units of each
+block; ``from_m1_coords`` is its inverse.  Products in S multiply blocks,
+and membership in S averages W* y W over the n_j copies of each block.
+
+``_gate_frame`` makes S = M1 from three facts: W is unitary (FRAME_TOL),
+so S is an algebra; p and every left(b_i) lie in S (CLOSURE_TOL), so M1,
+the algebra they generate, lies in S; and the coordinates of the D + D^2
+generators of span(M u MpM) have rank K.  That rank is the dimension of
+span(M u MpM), which lies in M1 and so in S: rank K leaves no room.
 
 ``BasicConstruction.compressed`` is the first copy in W's coordinates:
 x -> V* x V, an injective *-homomorphism of M1 into the r x r matrices
@@ -73,7 +75,10 @@ from .errors import (
 )
 from .linalg import dagger, norm_gate, op_norm
 from .tolerances import (
+    CENTER_CUT,
     CLOSURE_TOL,
+    COMMUTANT_CUT,
+    COMMUTANT_SPAN_TOL,
     FRAME_TOL,
     MEMBERSHIP_TOL,
     RANK_TOL,
@@ -114,19 +119,6 @@ class BasicConstruction:
         return sum(s * s for s, _ in self.blocks)
 
     @property
-    def m1_basis(self) -> np.ndarray:
-        """(K, D, D) tau1-orthonormal basis of M1 (see the module
-        docstring), formed on each read and never kept."""
-        d = self.dim_l2
-        parts = []
-        for s, n, copies in self._copies():
-            # element (a, b) of block j: the sum over its copies of the outer
-            # products of their columns a and b
-            wj = self.frame[:, copies[0]:copies[-1] + s].reshape(d, n, s).transpose(2, 0, 1)
-            parts.append((np.sqrt(d / n) * (wj[:, None] @ dagger(wj)[None])).reshape(s * s, d, d))
-        return np.concatenate(parts)
-
-    @property
     def copy_frame(self) -> np.ndarray:
         """V: the D x r columns of the frame that carry the first copy of each
         block of M1."""
@@ -165,10 +157,10 @@ class BasicConstruction:
         return float(norms) if a.ndim == 2 else norms
 
     def from_m1_coords(self, c: np.ndarray) -> np.ndarray:
-        """The element sum_k c_k m_k over ``m1_basis``, or one per row of a
-        (..., K) array of coefficients: block j's s_j^2 coefficients, scaled
-        by sqrt(D/n_j), form its matrix X_j, and the element is
-        W (+_j 1_{n_j} (x) X_j) W*."""
+        """The element of M1 with block coordinates c, or one per row of a
+        (..., K) array (see the module docstring): block j's s_j^2
+        coordinates, scaled by sqrt(D/n_j), form its matrix X_j, and the
+        element is W (+_j 1_{n_j} (x) X_j) W*."""
         d = self.dim_l2
         x = np.zeros(c.shape[:-1] + (d, d), dtype=complex)
         k = 0
@@ -428,27 +420,38 @@ def _generator_defects(bc: BasicConstruction) -> np.ndarray:
     return bc.membership_defects(np.concatenate([bc.jones_p[None], bc.left_cache]))
 
 
+def _blocks(bc: BasicConstruction, xs: np.ndarray) -> list[np.ndarray]:
+    """V_j* x V_j, the first-copy block j of x (or of each slice of a
+    stack) in W's coordinates, for each block j of M1."""
+    y = dagger(bc.copy_frame) @ xs @ bc.copy_frame
+    ends = np.cumsum([s for s, _ in bc.blocks])
+    return [y[..., e - s:e, e - s:e] for (s, _), e in zip(bc.blocks, ends)]
+
+
+def _coords(bc: BasicConstruction, blocks: list[np.ndarray]) -> np.ndarray:
+    """The K coordinates of the element of M1 with blocks X_j: each
+    sqrt(n_j/D) X_j row-major, block by block."""
+    parts = [np.sqrt(n / bc.dim_l2) * x for (_, n), x in zip(bc.blocks, blocks)]
+    return np.concatenate([x.reshape(x.shape[:-2] + (-1,)) for x in parts], axis=-1)
+
+
+def _block_coords(bc: BasicConstruction, xs: np.ndarray) -> np.ndarray:
+    """The K block coordinates of x, or of each slice of a stack (see the
+    module docstring); ``from_m1_coords`` is their inverse on M1."""
+    return _coords(bc, _blocks(bc, xs))
+
+
 def _generator_rank(bc: BasicConstruction) -> int:
-    """Rank of the compressions V* g V of the D + D^2 generators g of
-    span(M u MpM), left(b_i) and then left(b_i) p left(b_j): each is read
-    as its K coordinates, the diagonal blocks of V* g V, and the rank is
-    counted from their K x K Gram matrix, accumulated one row i of D
-    products at a time.  An eigenvalue counts when it exceeds RANK_TOL
-    times the largest."""
-    v = bc.copy_frame
-    lv = bc.left_cache @ v
-    sizes = [s for s, _ in bc.blocks]
-    ends = np.cumsum(sizes)
-
-    def coords(x: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [x[:, e - s:e, e - s:e].reshape(len(x), -1) for s, e in zip(sizes, ends)], axis=1
-        )
-
-    c = coords(dagger(v) @ lv)
+    """Rank of the coordinates of the D + D^2 generators of span(M u MpM),
+    left(b_i) and then left(b_i) p left(b_j) (its blocks the products of
+    the blocks of its factors, in S by the membership clause), from their
+    K x K Gram matrix, one row i of D products at a time.  An eigenvalue
+    counts when it exceeds RANK_TOL times the largest."""
+    left, p = _blocks(bc, bc.left_cache), _blocks(bc, bc.jones_p)
+    c = _coords(bc, left)
     gram = dagger(c) @ c
-    for vlp in dagger(v) @ bc.left_cache @ bc.jones_p:
-        c = coords(vlp @ lv)
+    for i in range(bc.dim_l2):
+        c = _coords(bc, [x[i] @ q @ x for x, q in zip(left, p)])
         gram += dagger(c) @ c
     ev = np.linalg.eigvalsh(gram)
     return int((ev > RANK_TOL * ev[-1]).sum())
@@ -494,6 +497,24 @@ def _commutation_defect(bc: BasicConstruction) -> float:
     return float(op_norm(ln @ p - p @ ln).max())
 
 
+def _times_p_defect(bc: BasicConstruction, span: np.ndarray, corner: bool) -> float:
+    """Largest coordinate distance of m_k p (p m_k p with ``corner``) from
+    the span of the orthonormal stack ``span``, m_k over the basis of the
+    coordinates.  For k = (j, a, b) and X_j the block of p, the coordinates
+    are E_ab X_j (p m_k p: X_j E_ab X_j), the outer product of e_a (column
+    a of X_j) and row b of X_j, taken s_j rows at a time."""
+    basis = _block_coords(bc, span)[:, None]
+    worst, k = 0.0, 0
+    for (s, _), x in zip(bc.blocks, _blocks(bc, bc.jones_p)):
+        for a in range(s):
+            col = x[:, a] if corner else np.eye(s)[a]
+            rows = np.zeros((s, 1, bc.dim_m1), dtype=complex)
+            rows[:, 0, k:k + s * s] = (col[None, :, None] * x[:, None, :]).reshape(s, -1)
+            worst = max(worst, span_residual(basis, rows, 1.0))
+        k += s * s
+    return worst
+
+
 def _corner_defect(bc: BasicConstruction) -> float:
     """Property 4: n -> n p is multiplicative and p M1 p lies in N p."""
     p = bc.jones_p
@@ -502,14 +523,13 @@ def _corner_defect(bc: BasicConstruction) -> float:
     lnp = bc.left(e) @ p
     prods = (e[:, None] @ e[None]).reshape((n * n,) + e.shape[1:])
     mult = (lnp[:, None] @ lnp[None]).reshape((n * n,) + p.shape) - bc.left(prods) @ p
-    corner = span_residual(lnp / np.sqrt(bc.lam), p @ bc.m1_basis @ p, 1.0 / bc.dim_l2)
+    corner = _times_p_defect(bc, lnp / np.sqrt(bc.lam), corner=True)
     return max(float(op_norm(mult).max()), corner)
 
 
 def _module_defect(bc: BasicConstruction) -> float:
     """Property 5: M1 p = M p."""
-    p = bc.jones_p
-    return span_residual(bc.left_cache @ p / np.sqrt(bc.lam), bc.m1_basis @ p, 1.0 / bc.dim_l2)
+    return _times_p_defect(bc, bc.left_cache @ bc.jones_p / np.sqrt(bc.lam), corner=False)
 
 
 def _norm_bound_defect(bc: BasicConstruction, xs: np.ndarray) -> float:
@@ -569,7 +589,7 @@ class ConstructionReport:
         return all(r.passed for r in self.records)
 
 
-def _nullspace(a: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+def _nullspace(a: np.ndarray, rtol: float) -> np.ndarray:
     """Orthonormal basis (columns) of the nullspace of a tall matrix."""
     # economy SVD keeps the full row space whenever rows >= cols, without
     # materializing the (rows x rows) left factor
@@ -580,31 +600,31 @@ def _nullspace(a: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
 
 
 def _center_dim(bc: BasicConstruction) -> int:
-    """Dimension of the center of span(m1_basis), computed from the
-    generators of M1.
+    """Dimension of the center of M1, read block by block from the blocks
+    of its generators.
 
-    M1 is the algebra generated by left(M) and p (Jones 1983).  Once the
-    frame clauses of property 1 hold, span(m1_basis) is M1, and an element
-    of it is central exactly when it commutes with p and with left(b_i) for
-    every basis element b_i of M: commuting with a generating set means
-    commuting with every product and sum of its members.  The commutant of
-    these D + 1 generators is cut down one generator at a time, in
-    coordinates over m1_basis: V starts as the identity, and each generator
-    g replaces V by V times the nullspace of the D^2 x v matrix of the
-    commutators [g, z], z running over the tau1-orthonormal elements that
-    the columns of V give.  No step is larger than D^2 x K.  The count does
-    not read the block structure of the frame, only the span of its basis.
+    M1 is generated by p and left(b_i) over the basis of M (Jones 1983), so
+    its center is the commutant of these generators within M1.  Once the
+    frame clauses of property 1 hold, M1 is the frame's algebra S, and for
+    g and z in S the commutator [g, z] has blocks [G_j, Z_j]: the commutant
+    splits over the blocks, and the count is the sum over the blocks j of
+    the dimension of the commutant of the generators' blocks in M_{s_j}.
+    Each is cut down one generator at a time on s_j^2 unknowns: V starts
+    as the identity, and each G_j replaces V by V times the nullspace of
+    the s_j^2 x v matrix of the commutators [G_j, Z], Z over the columns
+    of V; the identity stays.  left(b_0), the identity (gated by the
+    build), is skipped.
     """
-    d = bc.dim_l2
-    basis = bc.m1_basis
-    v = np.eye(bc.dim_m1)
-    for g in (bc.jones_p, *bc.left_cache):
-        z = np.tensordot(v.T, basis, axes=1)
-        comm = (g @ z - z @ g).reshape(len(z), d * d).T
-        v = v @ _nullspace(comm, rtol=1e-9)
-        if v.shape[1] == 0:
-            break
-    return v.shape[1]
+    count = 0
+    generators = np.concatenate([bc.jones_p[None], bc.left_cache[1:]])
+    for (s, _), gs in zip(bc.blocks, _blocks(bc, generators)):
+        v = np.eye(s * s)
+        for g in gs:
+            z = v.T.reshape(-1, s, s)
+            comm = (g @ z - z @ g).reshape(len(z), s * s).T
+            v = v @ _nullspace(comm, CENTER_CUT)
+        count += v.shape[1]
+    return count
 
 
 def verify_construction_properties(
@@ -650,23 +670,23 @@ def verify_construction_properties(
         )
     )
 
+    def record(index: int, name: str, anchor: str, defect: float) -> PropertyRecord:
+        return PropertyRecord(index, name, anchor, defect <= SPECTRAL_TOL, defect)
+
     # 2: p x p = E(x) p
     defect2 = _compression_defect(bc, inc.amb_basis)
-    records.append(
-        PropertyRecord(
-            2, "compression to the subalgebra", "E: M → N", defect2 <= SPECTRAL_TOL, defect2
-        )
-    )
+    records.append(record(2, "compression to the subalgebra", "E: M → N", defect2))
 
     # 3: relative commutant of p in M equals N
-    null = _nullspace((bc.left_cache @ p - p @ bc.left_cache).reshape(d, d * d).T)
+    commutators = (bc.left_cache @ p - p @ bc.left_cache).reshape(d, d * d).T
+    null = _nullspace(commutators, COMMUTANT_CUT)
     comm_dim = null.shape[1]
     xs = inc.from_coords(null.T)
     span_defect = span_residual(inc.embed_basis, xs, inc.amb.weight_vector)
     reverse_defect = _commutation_defect(bc)
     ok3 = (
         comm_dim == inc.embed_basis.shape[0]
-        and span_defect <= 1e-9
+        and span_defect <= COMMUTANT_SPAN_TOL
         and reverse_defect <= SPECTRAL_TOL
     )
     records.append(
@@ -680,42 +700,15 @@ def verify_construction_properties(
         )
     )
 
-    # 4: N -> Np is a *-isomorphism onto p M1 p
-    defect4 = _corner_defect(bc)
-    records.append(
-        PropertyRecord(
-            4,
-            "corner algebra is the subalgebra",
-            "R(x) = (1/λ)E₁(xp)",
-            defect4 <= SPECTRAL_TOL,
-            defect4,
-        )
-    )
-
-    # 5: M1 p = M p
-    defect5 = _module_defect(bc)
-    records.append(
-        PropertyRecord(
-            5, "compressed module", "R(x) = (1/λ)E₁(xp)", defect5 <= SPECTRAL_TOL, defect5
-        )
-    )
-
-    # 6: norm bounds for the compression, basis plus samples
+    # 4-7: the corner N p = p M1 p, the module M1 p = M p, the norm bounds
+    # of the compression on the basis plus samples, and E1(p) = lam
     probes = np.concatenate([inc.amb_basis, seeded_elements(inc.amb_basis, n_samples, seed)])
-    defect6 = _norm_bound_defect(bc, probes)
-    records.append(
-        PropertyRecord(
-            6, "compression norm bounds", "E(x*x) ≥ λ x*x", defect6 <= SPECTRAL_TOL, defect6
-        )
-    )
-
-    # 7: E1(p) = lam
-    defect7 = _e1p_defect(bc)
-    records.append(
-        PropertyRecord(
-            7, "trace of the projection", "E₁(p) = λ", defect7 <= SPECTRAL_TOL, defect7
-        )
-    )
+    records += [
+        record(4, "corner algebra is the subalgebra", "R(x) = (1/λ)E₁(xp)", _corner_defect(bc)),
+        record(5, "compressed module", "R(x) = (1/λ)E₁(xp)", _module_defect(bc)),
+        record(6, "compression norm bounds", "E(x*x) ≥ λ x*x", _norm_bound_defect(bc, probes)),
+        record(7, "trace of the projection", "E₁(p) = λ", _e1p_defect(bc)),
+    ]
 
     # 8: the index inequality at the declared constant
     pp = pimsner_popa_validate(inc, n_samples=n_samples, lam=lam, seed=seed)

@@ -41,6 +41,12 @@ CLOSURE_TOL = 1e-9
 # Relative cut of a rank count: an eigenvalue of a Gram matrix counts when
 # it exceeds this fraction of the largest.
 RANK_TOL = 1e-9
+# Relative nullspace cuts of property 3's commutant of p in M and of the center
+# count of M1: a singular value below this fraction of the largest (or of 1) is 0.
+COMMUTANT_CUT = 1e-10
+CENTER_CUT = 1e-9
+# Weighted 2-norm distance allowed between property 3's commutant and N.
+COMMUTANT_SPAN_TOL = 1e-9
 # Consistency defect allowed for the reduction left_rep(m) p = y p.
 REDUCTION_TOL = 1e-8
 # Codiagonality, expectation and reconstruction defect allowed for the

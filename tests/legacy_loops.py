@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from m1_reference import frame_basis
 from subfactor_geo.algebra import (
     Inclusion,
     expectation_E,
@@ -75,7 +76,7 @@ def _random_m1_antihermitian(
 ) -> np.ndarray:
     k = bc.dim_m1
     c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    y = np.tensordot(c, bc.m1_basis, axes=1)
+    y = np.tensordot(c, frame_basis(bc), axes=1)
     y = 0.5 * (y - dagger(y))
     nrm = op_norm(y)
     return (scale / nrm) * y if nrm > 0 else y

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from m1_reference import frame_basis
 from subfactor_geo.algebra import (
     expectation_E,
     random_antihermitian,
@@ -186,7 +187,7 @@ def test_kappa_matches_closed_form_at_base(bc, rng):
 
 def test_tangent_projection_properties(bc, rng):
     pt = random_orbit_point(bc, rng)
-    flat = bc.m1_basis.reshape(bc.dim_m1, -1)
+    flat = frame_basis(bc).reshape(bc.dim_m1, -1)
 
     def herm():
         # Hermitian element of the extension algebra, the projection's domain
@@ -513,7 +514,7 @@ def test_orbit_log_counts_the_backtracks_of_a_stall(constructions):
     rng = np.random.default_rng(31)
     pt = random_orbit_point(bc, rng)
     q1 = geodesic_at(pt, random_horizontal_at(pt, rng, op_scale=0.3), 1.0).q
-    h = np.tensordot(rng.standard_normal(bc.dim_m1), bc.m1_basis, axes=1)
+    h = np.tensordot(rng.standard_normal(bc.dim_m1), frame_basis(bc), axes=1)
     h = (h + dagger(h)) / 2.0
     target = q1 + 2e-8 * h / bc.two_norm1(h)
     with pytest.raises(ConvergenceError, match="stalled") as got:
