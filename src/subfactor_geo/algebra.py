@@ -247,6 +247,17 @@ class Inclusion:
         return np.tensordot(c, self.amb_basis, axes=1)
 
     @cached_property
+    def left_regular(self) -> np.ndarray:
+        """(D, D, D), read-only: [i, r, s] = <b_i b_s, b_r>, so slice i is left
+        multiplication by b_i on L2(M); filled by the factory and shared by
+        every construction built from this inclusion."""
+        basis = self.amb_basis
+        coords_prod = span_coords(basis, basis[:, None] @ basis[None], self.amb.weight_vector)
+        left = np.ascontiguousarray(np.swapaxes(coords_prod, 1, 2))
+        left.flags.writeable = False
+        return left
+
+    @cached_property
     def pp_report(self) -> PPReport:
         """The feasibility probe at the declared lam (32 samples, seed 0), run
         by the factory, or by the build for an inclusion made otherwise."""
@@ -486,13 +497,14 @@ def make_custom_inclusion(
 
 def _validated(inc: Inclusion) -> Inclusion:
     """inc, once it passes ``validate`` and the feasibility probe at its
-    declared lam; every factory ends here, so builds read a cached report."""
+    declared lam; every factory ends here, so builds read cached results."""
     inc.validate()
     report = inc.pp_report
     if not report.feasible:
         raise DomainError(
             f"declared lambda {inc.lam} is infeasible (worst margin {report.worst_margin:.3e})"
         )
+    inc.left_regular  # filled here, so no build of inc pays for it
     return inc
 
 

@@ -27,11 +27,16 @@ basis sqrt(D/n_j) W (E (x) 1_{n_j}) W*, E over the matrix units of each
 block; ``from_m1_coords`` is its inverse.  Products in S multiply blocks,
 and membership in S averages W* y W over the n_j copies of each block.
 
-``_gate_frame`` makes S = M1 from three facts: W is unitary (FRAME_TOL),
-so S is an algebra; p and every left(b_i) lie in S (CLOSURE_TOL), so M1,
-the algebra they generate, lies in S; and the coordinates of the D + D^2
-generators of span(M u MpM) have rank K.  That rank is the dimension of
-span(M u MpM), which lies in M1 and so in S: rank K leaves no room.
+``_gate_frame`` makes S = M1 from three facts (Jones 1983; Jones-Sunder
+1997).  W is unitary (FRAME_TOL), so S is an algebra with commutant
+S' = W (+_j 1_{s_j} (x) M_{n_j}) W*, of dimension sum_j n_j^2.  p and every
+left(b_i) lie in S (CLOSURE_TOL), so M1, the algebra they generate, lies
+in S, and S' lies in M1'.  And dim M1' = dim S': on L2(M) the commutant of
+left(M) is R_M, so M1' = R_M cap {p}' is the nullspace of m -> [R_m, p] on
+the D coordinates of m (M1_COMMUTANT_CUT), and its span must be R_N
+(COMMUTANT_SPAN_TOL).  Equal dimensions give M1' = S', so M1 = M1'' = S''
+= S by the double commutant theorem.  The center of M1 is then
+S cap M1' = S cap R_N, read on the dim N coordinates of N.
 
 ``BasicConstruction.compressed`` is the first copy in W's coordinates:
 x -> V* x V, an injective *-homomorphism of M1 into the r x r matrices
@@ -73,15 +78,14 @@ from .errors import (
     require_each,
     require_one,
 )
-from .linalg import dagger, norm_gate, op_norm
+from .linalg import dagger, norm_gate, op_norm, op_norm_within
 from .tolerances import (
-    CENTER_CUT,
     CLOSURE_TOL,
     COMMUTANT_CUT,
     COMMUTANT_SPAN_TOL,
     FRAME_TOL,
+    M1_COMMUTANT_CUT,
     MEMBERSHIP_TOL,
-    RANK_TOL,
     REDUCTION_TOL,
     SPECTRAL_TOL,
     WITNESS_TOL,
@@ -104,7 +108,7 @@ class BasicConstruction:
     """Immutable result of the extension-algebra build; safe to share."""
 
     inc: Inclusion
-    left_cache: np.ndarray      # (D, D, D): left multiplication by each basis element
+    left_cache: np.ndarray      # (D, D, D): inc.left_regular, left multiplication by each b_i
     jones_p: np.ndarray         # (D, D) projection onto the image of the subalgebra
     frame: np.ndarray           # (D, D) unitary W with M1 = W (+_j M_{s_j} (x) 1_{n_j}) W*
     blocks: tuple[tuple[int, int], ...]  # (s_j, n_j): size and multiplicity of each block of M1
@@ -117,6 +121,11 @@ class BasicConstruction:
     @property
     def dim_m1(self) -> int:
         return sum(s * s for s, _ in self.blocks)
+
+    @property
+    def dim_commutant(self) -> int:
+        """dim S': the frame's algebra S has commutant +_j 1_{s_j} (x) M_{n_j}."""
+        return sum(n * n for _, n in self.blocks)
 
     @property
     def copy_frame(self) -> np.ndarray:
@@ -171,21 +180,9 @@ class BasicConstruction:
             k += s * s
         return self.frame @ x @ dagger(self.frame)
 
-    def membership_defect(self, y: np.ndarray) -> float:
-        """Largest tau1 2-norm distance of y, or of a slice of a stack, from M1."""
-        return float(self.membership_defects(y).max())
-
     def membership_defects(self, y: np.ndarray) -> np.ndarray:
-        """tau1 2-norm distance of y, or of each slice of a stack, from M1:
-        the 2-norm of what is left of W* y W once every diagonal copy of each
-        block of M1 loses their average, the projection onto M1."""
-        yw = dagger(self.frame) @ y @ self.frame
-        for s, n, copies in self._copies():
-            views = [yw[..., a:a + s, a:a + s] for a in copies]
-            mean = sum(views) / n
-            for view in views:
-                view -= mean
-        return weighted_norms(yw, 1.0 / self.dim_l2)
+        """tau1 2-norm distance of y, or of each slice of a stack, from M1."""
+        return weighted_norms(_off_m1(self, y), 1.0 / self.dim_l2)
 
     def membership_gate(self, ys: np.ndarray, what: str = "input") -> Gate:
         """The gate of E1 for an (n, D, D) stack: a slice in M1 within
@@ -295,29 +292,26 @@ def build_basic_construction(inc: Inclusion) -> BasicConstruction:
     basis = inc.amb_basis
     d = inc.dim
     w = inc.amb.weight_vector
-    # coords_prod[i, s, r] = <b_i b_s, b_r>, and left multiplication
-    # matrices L[i][r, s] = coords_prod[i, s, r]
-    coords_prod = span_coords(basis, basis[:, None] @ basis[None], w)
-    left_cache = np.ascontiguousarray(np.swapaxes(coords_prod, 1, 2))
+    # left_cache[i, r, s] = <b_i b_s, b_r> = coords_prod[i, s, r]
+    left_cache = inc.left_regular
+    coords_prod = np.swapaxes(left_cache, 1, 2)
 
-    # unital *-homomorphism checks
+    # unital *-homomorphism checks, decided through the Frobenius bounds;
+    # the exact defect is computed for a refusal's text only
     if op_norm(left_cache[0] - np.eye(d)) > SPECTRAL_TOL:
         raise ConstructionError("left_rep(1) is not the identity")
     left_adj = np.tensordot(span_coords(basis, dagger(basis), w), left_cache, axes=1)
-    star_defect = float(op_norm(left_adj - dagger(left_cache)).max())
-    if star_defect > SPECTRAL_TOL:
-        raise ConstructionError(f"left_rep does not intertwine adjoints (defect {star_defect:.3e})")
+    star = left_adj - dagger(left_cache)
+    if not np.all(op_norm_within(star, SPECTRAL_TOL)):
+        defect = float(op_norm(star).max())
+        raise ConstructionError(f"left_rep does not intertwine adjoints (defect {defect:.3e})")
     # left(b_i b_j) = left(b_i) left(b_j), one row i (D matrices) at a time
-    homo_defect = max(
-        float(
-            op_norm(left_cache[i] @ left_cache - np.tensordot(coords_prod[i], left_cache, 1)).max()
-        )
-        for i in range(d)
-    )
-    if homo_defect > SPECTRAL_TOL:
-        raise ConstructionError(
-            f"left_rep is not multiplicative (defect {homo_defect:.3e})"
-        )
+    def homo_row(i: int) -> np.ndarray:
+        return left_cache[i] @ left_cache - np.tensordot(coords_prod[i], left_cache, 1)
+
+    if not all(np.all(op_norm_within(homo_row(i), SPECTRAL_TOL)) for i in range(d)):
+        defect = max(float(op_norm(homo_row(i)).max()) for i in range(d))
+        raise ConstructionError(f"left_rep is not multiplicative (defect {defect:.3e})")
 
     markov = _markov_defect(inc, left_cache)
     if markov > SPECTRAL_TOL:
@@ -342,6 +336,24 @@ def build_basic_construction(inc: Inclusion) -> BasicConstruction:
     _gate_frame(bc)
     _gate_properties(bc)
     return bc
+
+
+def _off_m1(bc: BasicConstruction, y: np.ndarray) -> np.ndarray:
+    """y less its projection onto M1, or each slice of a stack, in W's
+    coordinates: every diagonal copy of each block of M1 less their average."""
+    yw = dagger(bc.frame) @ y @ bc.frame
+    for s, n, copies in bc._copies():
+        views = [yw[..., a:a + s, a:a + s] for a in copies]
+        mean = sum(views) / n
+        for view in views:
+            view -= mean
+    return yw
+
+
+def _right(left_cache: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """R_x, right multiplication on L2(M) by the x with coordinates c over
+    the basis of M, for each row of c: R_x[r, s] = sum_k c_k left_cache[s, r, k]."""
+    return np.swapaxes(np.tensordot(c, left_cache, axes=([1], [2])), -1, -2)
 
 
 def _markov_defect(inc: Inclusion, left_cache: np.ndarray) -> float:
@@ -393,8 +405,7 @@ def _m1_frame(inc: Inclusion, left_cache: np.ndarray) -> tuple[np.ndarray, tuple
     units = np.zeros((len(rows),) + inc.sub_basis.shape[1:], dtype=complex)
     units[np.arange(len(rows)), rows, cols] = 1.0
     f = np.tensordot(span_coords(inc.sub_basis, units, inc.sub.weight_vector), inc.embed_basis, 1)
-    # right multiplication by basis element k of M is left_cache[:, :, k].T
-    r_f = np.swapaxes(np.tensordot(inc.coords(f), left_cache, axes=([1], [2])), -1, -2)
+    r_f = _right(left_cache, inc.coords(f))
     columns, blocks = [], []
     for r_j in np.split(r_f, np.cumsum(dims)[:-1]):
         w, u = np.linalg.eigh((r_j[0] + dagger(r_j[0])) / 2.0)
@@ -428,39 +439,33 @@ def _blocks(bc: BasicConstruction, xs: np.ndarray) -> list[np.ndarray]:
     return [y[..., e - s:e, e - s:e] for (s, _), e in zip(bc.blocks, ends)]
 
 
-def _coords(bc: BasicConstruction, blocks: list[np.ndarray]) -> np.ndarray:
-    """The K coordinates of the element of M1 with blocks X_j: each
-    sqrt(n_j/D) X_j row-major, block by block."""
-    parts = [np.sqrt(n / bc.dim_l2) * x for (_, n), x in zip(bc.blocks, blocks)]
+def _block_coords(bc: BasicConstruction, xs: np.ndarray) -> np.ndarray:
+    """The K block coordinates of x, or of each slice of a stack (see the
+    module docstring): each sqrt(n_j/D) V_j* x V_j row-major, block by
+    block; ``from_m1_coords`` is their inverse on M1."""
+    parts = [np.sqrt(n / bc.dim_l2) * x for (_, n), x in zip(bc.blocks, _blocks(bc, xs))]
     return np.concatenate([x.reshape(x.shape[:-2] + (-1,)) for x in parts], axis=-1)
 
 
-def _block_coords(bc: BasicConstruction, xs: np.ndarray) -> np.ndarray:
-    """The K block coordinates of x, or of each slice of a stack (see the
-    module docstring); ``from_m1_coords`` is their inverse on M1."""
-    return _coords(bc, _blocks(bc, xs))
+def _p_commutant(bc: BasicConstruction, ops: np.ndarray, cut: float) -> tuple[int, float]:
+    """The m in M with [op_m, p] = 0, ops[k] the operator of basis element k:
+    the nullspace dimension of the D^2 x D commutator matrix at the relative
+    cut, and the largest distance of its elements from N."""
+    inc, p = bc.inc, bc.jones_p
+    null = _nullspace((ops @ p - p @ ops).reshape(len(ops), -1).T, cut)
+    span = span_residual(inc.embed_basis, inc.from_coords(null.T), inc.amb.weight_vector)
+    return null.shape[1], span
 
 
-def _generator_rank(bc: BasicConstruction) -> int:
-    """Rank of the coordinates of the D + D^2 generators of span(M u MpM),
-    left(b_i) and then left(b_i) p left(b_j) (its blocks the products of
-    the blocks of its factors, in S by the membership clause), from their
-    K x K Gram matrix, one row i of D products at a time.  An eigenvalue
-    counts when it exceeds RANK_TOL times the largest."""
-    left, p = _blocks(bc, bc.left_cache), _blocks(bc, bc.jones_p)
-    c = _coords(bc, left)
-    gram = dagger(c) @ c
-    for i in range(bc.dim_l2):
-        c = _coords(bc, [x[i] @ q @ x for x, q in zip(left, p)])
-        gram += dagger(c) @ c
-    ev = np.linalg.eigvalsh(gram)
-    return int((ev > RANK_TOL * ev[-1]).sum())
+def _commutant(bc: BasicConstruction) -> tuple[int, float]:
+    """M1' = R_M cap {p}' (see the module docstring); R_k is left_cache[:, :, k].T."""
+    return _p_commutant(bc, np.swapaxes(bc.left_cache, 0, 2), M1_COMMUTANT_CUT)
 
 
 def _gate_frame(bc: BasicConstruction) -> None:
     """Refuse a frame whose algebra S = W (+_j M_{s_j} (x) 1_{n_j}) W* is
     not M1: W is not unitary, a generator of M1 lies outside S, or the
-    generators span less than S (see the module docstring)."""
+    commutant of M1 is larger than S' (see the module docstring)."""
     unitary = _unitary_defect(bc)
     if unitary > FRAME_TOL:
         raise ConstructionError(f"M1 frame is not unitary (defect {unitary:.3e})")
@@ -471,12 +476,14 @@ def _gate_frame(bc: BasicConstruction) -> None:
         raise ConstructionError(
             f"{what} is outside the algebra of the M1 frame (defect {outside[k]:.3e})"
         )
-    rank = _generator_rank(bc)
-    if rank != bc.dim_m1:
+    dim, span = _commutant(bc)
+    if dim != bc.dim_commutant:
         raise ConstructionError(
-            f"the generators of M1 compressed to the frame have rank {rank}, "
-            f"expected {bc.dim_m1}: the frame's algebra is larger than M1"
+            f"M1' has dimension {dim} against dim S' = {bc.dim_commutant}: "
+            "the frame's algebra is larger than M1"
         )
+    if span > COMMUTANT_SPAN_TOL:
+        raise ConstructionError(f"M1' is not the right action of N (defect {span:.3e})")
 
 
 # Defects of the defining properties of the trace projection, shared by the
@@ -599,32 +606,13 @@ def _nullspace(a: np.ndarray, rtol: float) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def _center_dim(bc: BasicConstruction) -> int:
-    """Dimension of the center of M1, read block by block from the blocks
-    of its generators.
-
-    M1 is generated by p and left(b_i) over the basis of M (Jones 1983), so
-    its center is the commutant of these generators within M1.  Once the
-    frame clauses of property 1 hold, M1 is the frame's algebra S, and for
-    g and z in S the commutator [g, z] has blocks [G_j, Z_j]: the commutant
-    splits over the blocks, and the count is the sum over the blocks j of
-    the dimension of the commutant of the generators' blocks in M_{s_j}.
-    Each is cut down one generator at a time on s_j^2 unknowns: V starts
-    as the identity, and each G_j replaces V by V times the nullspace of
-    the s_j^2 x v matrix of the commutators [G_j, Z], Z over the columns
-    of V; the identity stays.  left(b_0), the identity (gated by the
-    build), is skipped.
-    """
-    count = 0
-    generators = np.concatenate([bc.jones_p[None], bc.left_cache[1:]])
-    for (s, _), gs in zip(bc.blocks, _blocks(bc, generators)):
-        v = np.eye(s * s)
-        for g in gs:
-            z = v.T.reshape(-1, s, s)
-            comm = (g @ z - z @ g).reshape(len(z), s * s).T
-            v = v @ _nullspace(comm, CENTER_CUT)
-        count += v.shape[1]
-    return count
+def _m1_center_dim(bc: BasicConstruction) -> int:
+    """Dimension of the center of M1, S cap M1' = S cap R_N once the clauses
+    of property 1 hold: the nullspace of n -> (R_n less its projection onto
+    S), on the dim N coordinates of n over N's basis."""
+    right = _right(bc.left_cache, bc.inc.coords(bc.inc.embed_basis))
+    off = _off_m1(bc, right).reshape(len(right), -1).T
+    return _nullspace(off, M1_COMMUTANT_CUT).shape[1]
 
 
 def verify_construction_properties(
@@ -632,24 +620,23 @@ def verify_construction_properties(
 ) -> ConstructionReport:
     """Report on the eight defining properties of the construction."""
     inc = bc.inc
-    p = bc.jones_p
-    d = bc.dim_l2
     lam = bc.lam
 
     records: list[PropertyRecord] = []
 
     # 1: M1 is the frame's algebra S, closed and traced by tr because W is
-    # unitary, holding the generators of M1 and spanned by them; center
-    # dimension recorded (trivial iff a factor)
+    # unitary, holding the generators of M1, and with the commutant S' of S;
+    # center dimension recorded (trivial iff a factor)
     unitary_defect = _unitary_defect(bc)
     generator_defect = float(_generator_defects(bc).max())
-    rank = _generator_rank(bc)
-    center_dim = _center_dim(bc)
+    commutant_dim, commutant_defect = _commutant(bc)
+    center_dim = _m1_center_dim(bc)
     predicted = len(inc.sub.block_dims)
     ok1 = (
         unitary_defect <= FRAME_TOL
         and generator_defect <= CLOSURE_TOL
-        and rank == bc.dim_m1
+        and commutant_dim == bc.dim_commutant
+        and commutant_defect <= COMMUTANT_SPAN_TOL
         and center_dim == predicted
     )
     records.append(
@@ -664,7 +651,8 @@ def verify_construction_properties(
                 "predicted_center_dim": predicted,
                 "unitary_defect": unitary_defect,
                 "generator_defect": generator_defect,
-                "rank": rank,
+                "commutant_dim": commutant_dim,
+                "commutant_defect": commutant_defect,
                 "dim_m1": bc.dim_m1,
             },
         )
@@ -678,11 +666,7 @@ def verify_construction_properties(
     records.append(record(2, "compression to the subalgebra", "E: M → N", defect2))
 
     # 3: relative commutant of p in M equals N
-    commutators = (bc.left_cache @ p - p @ bc.left_cache).reshape(d, d * d).T
-    null = _nullspace(commutators, COMMUTANT_CUT)
-    comm_dim = null.shape[1]
-    xs = inc.from_coords(null.T)
-    span_defect = span_residual(inc.embed_basis, xs, inc.amb.weight_vector)
+    comm_dim, span_defect = _p_commutant(bc, bc.left_cache, COMMUTANT_CUT)
     reverse_defect = _commutation_defect(bc)
     ok3 = (
         comm_dim == inc.embed_basis.shape[0]

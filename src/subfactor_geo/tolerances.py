@@ -38,14 +38,16 @@ FRAME_TOL = 1e-10
 # algebra (p, or a left multiplication) and the algebra of the frame; also
 # the product and adjoint closure bound of a basis of it.
 CLOSURE_TOL = 1e-9
-# Relative cut of a rank count: an eigenvalue of a Gram matrix counts when
-# it exceeds this fraction of the largest.
-RANK_TOL = 1e-9
-# Relative nullspace cuts of property 3's commutant of p in M and of the center
-# count of M1: a singular value below this fraction of the largest (or of 1) is 0.
+# Relative nullspace cut of property 3's commutant of p in M: a singular
+# value below this fraction of the largest (or of 1) is 0.
 COMMUTANT_CUT = 1e-10
-CENTER_CUT = 1e-9
-# Weighted 2-norm distance allowed between property 3's commutant and N.
+# Relative nullspace cut of the commutant of M1 and of its center.  Their
+# nonzero singular values equal the largest (>= 1.41) on the test families;
+# the commutant's null ones read up to 1.6e-9 of the largest once p is moved
+# off the frame's algebra within CLOSURE_TOL, where COMMUTANT_CUT would refuse
+# it.  This cut sits four decades above that reading and five below 1.
+M1_COMMUTANT_CUT = 1e-5
+# Weighted 2-norm distance allowed between N and the commutant of p in M, or of M1.
 COMMUTANT_SPAN_TOL = 1e-9
 # Consistency defect allowed for the reduction left_rep(m) p = y p.
 REDUCTION_TOL = 1e-8

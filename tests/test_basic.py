@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from m1_reference import (
-    algebra_defects,
+    block_center_dim,
     corner_defect_reference,
     frame_basis,
+    generated_defect,
+    generator_rank,
     gram_schmidt_basis,
     module_defect_reference,
 )
@@ -29,6 +31,7 @@ from subfactor_geo.basic import (
     BasicConstruction,
     _block_coords,
     _gate_frame,
+    _nullspace,
     _unitary_defect,
     build_basic_construction,
     expectation_E1,
@@ -165,7 +168,7 @@ def test_e1_rejects_outside_elements(constructions, rng):
     y = rng.standard_normal((bc.dim_l2, bc.dim_l2)) + 1j * rng.standard_normal(
         (bc.dim_l2, bc.dim_l2)
     )
-    defect = bc.membership_defect(y)
+    defect = bc.membership_defects(y).max()
     assert defect > 1e-6
     # E1 and the reduction refuse with one text; a stack names its trial
     for refuse in (expectation_E1, reduce_R):
@@ -270,23 +273,46 @@ def diagonal_m2_pair_construction():
 
 def test_property1_matches_full_commutator_reference(frame_cases):
     # the frame clauses of property 1 pass where the pair-by-pair closure,
-    # adjoint and trace clauses do, and the center counted block by block
-    # is the center of the K*D^2 x K commutator matrix; tensor(3,2) is left
-    # out, its commutator matrix having 26.9M entries
-    cases = {name: bc for name, bc in frame_cases.items() if name != "tensor(3,2)"}
+    # adjoint and trace clauses do; M1' has the dimension of S', which is
+    # dim N, and the generators have rank K; the center S cap R_N is the
+    # center counted block by block and that of the K*D^2 x K commutator
+    # matrix, which tensor(3,2) leaves out, its matrix having 26.9M entries
     center_dims = {}
-    for name, bc in cases.items():
+    for name, bc in frame_cases.items():
         rec = verify_construction_properties(bc, n_samples=4, seed=1).records[0]
-        product, adjoint, trace, center_dim = full_property1_reference(bc)
-        assert rec.detail["center_dim"] == center_dim, name
-        assert max(product, adjoint) <= CLOSURE_TOL and trace <= SPECTRAL_TOL, name
-        assert rec.detail["rank"] == rec.detail["dim_m1"] == bc.dim_m1, name
+        dim_n = len(bc.inc.embed_basis)
+        assert rec.detail["commutant_dim"] == bc.dim_commutant == dim_n, name
+        assert rec.detail["commutant_defect"] <= 1e-13, name
+        assert generator_rank(bc) == rec.detail["dim_m1"] == bc.dim_m1, name
+        assert rec.detail["center_dim"] == block_center_dim(bc), name
+        if name != "tensor(3,2)":
+            product, adjoint, trace, center_dim = full_property1_reference(bc)
+            assert rec.detail["center_dim"] == center_dim, name
+            assert max(product, adjoint) <= CLOSURE_TOL and trace <= SPECTRAL_TOL, name
         worst = max(rec.detail["unitary_defect"], rec.detail["generator_defect"])
         assert rec.worst_defect == worst <= 1e-13, name
         assert rec.passed, name
-        center_dims[name] = center_dim
+        center_dims[name] = rec.detail["center_dim"]
     assert center_dims["diagonal C+C in M2"] == center_dims["diagonal M2+M2 in M4"] == 2
-    assert all(center_dims[name] == 1 for name in cases if not name.startswith("diagonal"))
+    assert all(center_dims[name] == 1 for name in frame_cases if not name.startswith("diagonal"))
+
+
+def test_commutant_of_left_m_is_right_m_by_brute_force(frame_cases):
+    # on L2(M), the X with [left(b_k), X] = 0 for every k, on all D^2
+    # unknowns, are exactly the right multiplications R_M: the fact the
+    # commutant clause of property 1 reads M1' = R_M cap {p}' from
+    for name, bc in frame_cases.items():
+        d = bc.dim_l2
+        if d > 16:
+            continue
+        # [L, X] row-major: (L (x) 1 - 1 (x) L^T) vec(X)
+        eye = np.eye(d)
+        a = np.concatenate([np.kron(lk, eye) - np.kron(eye, lk.T) for lk in bc.left_cache])
+        null = _nullspace(a, 1e-10)
+        assert null.shape[1] == d, name
+        right = np.swapaxes(bc.left_cache, 0, 2).reshape(d, -1).T
+        assert np.linalg.matrix_rank(right) == d, name
+        assert op_norm(right - null @ (dagger(null) @ right)) <= 1e-12, name
 
 
 def test_property1_checks_the_center_of_custom_inclusions(monkeypatch):
@@ -298,7 +324,7 @@ def test_property1_checks_the_center_of_custom_inclusions(monkeypatch):
         rec = verify_construction_properties(bc, n_samples=4, seed=1).records[0]
         assert rec.passed
         assert rec.detail["center_dim"] == rec.detail["predicted_center_dim"] == 2
-    monkeypatch.setattr(basic, "_center_dim", lambda bc: 1)
+    monkeypatch.setattr(basic, "_m1_center_dim", lambda bc: 1)
     for bc in cases:
         rec = verify_construction_properties(bc, n_samples=4, seed=1).records[0]
         assert not rec.passed
@@ -409,9 +435,12 @@ def test_m1_frame_keeps_every_block_of_a_non_factor(monkeypatch):
     with pytest.raises(ConstructionError, match=re.escape(refusal)):
         build_basic_construction(bc.inc)
     # the two blocks taken as one: the frame is unitary and holds every
-    # generator, but its algebra M4 is larger than M1
+    # generator, but its algebra M4 is larger than M1, whose commutant R_N
+    # is two-dimensional against the scalars, the commutant of M4
     merged = dataclasses.replace(bc, blocks=((4, 1),))
-    with pytest.raises(ConstructionError, match="have rank 8, expected 16"):
+    assert len(bc.inc.embed_basis) == 2 and merged.dim_commutant == 1
+    refusal = "M1' has dimension 2 against dim S' = 1: the frame's algebra is larger than M1"
+    with pytest.raises(ConstructionError, match=re.escape(refusal)):
         _gate_frame(merged)
     # the dropped block is invisible to the compression: its central
     # projection reads norm 0 there
@@ -464,7 +493,7 @@ def test_m1_frame_gates_refuse_bad_frames(constructions, monkeypatch):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     u = spectral_function(0.1 * (a - dagger(a)), "exp")
     moved = dataclasses.replace(bc, jones_p=u @ bc.jones_p @ dagger(u))
-    defect = moved.membership_defect(moved.jones_p)
+    defect = moved.membership_defects(moved.jones_p).max()
     assert defect > 1e-3
     refusal = f"p is outside the algebra of the M1 frame (defect {defect:.3e})"
     with pytest.raises(ConstructionError, match=re.escape(refusal)):
@@ -508,7 +537,7 @@ def test_p_moved_off_the_frame_below_closure_tol_is_refused_by_property_2(
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         u = spectral_function(1e-10 * (a - dagger(a)), "exp")
         moved = dataclasses.replace(bc, jones_p=u @ bc.jones_p @ dagger(u))
-        assert SPECTRAL_TOL < moved.membership_defect(moved.jones_p) < CLOSURE_TOL, name
+        assert SPECTRAL_TOL < moved.membership_defects(moved.jones_p).max() < CLOSURE_TOL, name
         _gate_frame(moved)
         defect = basic._compression_defect(moved, bc.inc.amb_basis)
         refusal = f"property 2 fails: p x p differs from E(x) p by {defect:.3e}"
@@ -661,9 +690,9 @@ def test_frame_basis_spans_the_gram_schmidt_basis(reference_case):
     assert op_norm(gram - np.eye(bc.dim_m1)) <= 1e-12
     assert span_residual(old, new, 1.0 / d) <= 1e-12
     assert span_residual(new, old, 1.0 / d) <= 1e-12
-    # property 1's K^2 clause holds on the frame's basis at its bound
-    product, adjoint, trace = algebra_defects(bc, new)
-    assert max(product, adjoint) <= CLOSURE_TOL and trace <= SPECTRAL_TOL
+    # the frame's basis holds 1 and is mapped into itself by p and every
+    # left(b_i), so it holds M1, the algebra they generate
+    assert generated_defect(bc, new) <= CLOSURE_TOL
     # membership in M1, averaged over the copies of each block, is the
     # distance from the Gram-Schmidt span, for elements in M1 and not
     rng = np.random.default_rng(47)
@@ -674,6 +703,20 @@ def test_frame_basis_spans_the_gram_schmidt_basis(reference_case):
     # an element is expanded through the blocks as over the basis
     c = rng.standard_normal((3, bc.dim_m1)) + 1j * rng.standard_normal((3, bc.dim_m1))
     assert op_norm(bc.from_m1_coords(c) - np.tensordot(c, new, axes=1)).max() <= 1e-12
+
+
+def test_generated_defect_refuses_a_truncated_frame(frame_cases):
+    # negative controls of the generator statement above: a frame missing
+    # its last column, or the basis missing one off-diagonal unit of its
+    # first block, spans less than M1, and the statement refuses it
+    for name, bc in frame_cases.items():
+        if bc.dim_l2 > 16:
+            continue
+        cut = bc.frame.copy()
+        cut[:, -1] = 0.0
+        truncated = frame_basis(dataclasses.replace(bc, frame=cut))
+        assert generated_defect(bc, truncated) > 1e-3, name
+        assert generated_defect(bc, np.delete(frame_basis(bc), 1, axis=0)) > 1e-3, name
 
 
 def test_built_construction_keeps_no_basis_of_m1():
@@ -690,6 +733,42 @@ def test_built_construction_keeps_no_basis_of_m1():
     assert set(held) == {"left_cache", "jones_p", "frame"}
     assert sum(a.nbytes for a in held.values()) <= bc.left_cache.nbytes + 4 * d * d * 16
     assert all(a.size < k * d * d for a in held.values())
+
+
+def test_inclusion_shares_one_read_only_left_regular(monkeypatch):
+    # every factory fills the left regular representation, read-only; the
+    # builds of one inclusion hold that one array, and a replaced inclusion
+    # computes its own, with the same bits and no LAPACK call, so the first
+    # build of an inclusion made otherwise makes the LAPACK calls of any other
+    incs = (
+        make_tensor_inclusion(1, 2),
+        make_group_flip_inclusion(AlgebraDescriptor((2,), (0.5,))),
+        diagonal_pair_construction().inc,
+    )
+    for inc in incs:
+        assert "left_regular" in vars(inc), inc.family_tag
+        assert inc.left_regular.shape == (inc.dim,) * 3
+        assert not inc.left_regular.flags.writeable, inc.family_tag
+    inc = incs[0]
+    first, second = build_basic_construction(inc), build_basic_construction(inc)
+    assert first.left_cache is second.left_cache is inc.left_regular
+    copy = dataclasses.replace(inc)
+    assert "left_regular" not in vars(copy)
+
+    def lapack(*args, **kwargs):
+        raise AssertionError("left_regular made a LAPACK call")
+
+    for name in ("svd", "eig", "eigh", "eigvals", "eigvalsh", "qr", "solve", "inv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, lapack)
+    own = copy.left_regular
+    monkeypatch.undo()
+    assert own is not inc.left_regular and not own.flags.writeable
+    assert np.array_equal(own, inc.left_regular)
+    assert build_basic_construction(copy).left_cache is own
+    # slice i is left multiplication by b_i: column s holds the coordinates of b_i b_s
+    basis = inc.amb_basis
+    for i, b in enumerate(basis):
+        assert np.abs(own[i] - inc.coords(b @ basis).T).max() <= 1e-14
 
 
 def test_tensor_2_4_builds_from_its_frame():
