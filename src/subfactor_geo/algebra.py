@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .linalg import dagger, op_norm, spectral_function
-from .tolerances import GRAM_DROP_TOL, PP_MARGIN_TOL, SPECTRAL_TOL
+from .tolerances import BASIS_TOL, EMBEDDING_TOL, GRAM_DROP_TOL, PP_MARGIN_TOL, SPECTRAL_TOL
 
 __all__ = [
     "AlgebraDescriptor",
@@ -206,6 +206,12 @@ def closure_defects(stack: np.ndarray, weights) -> tuple[float, float]:
     return product, span_residual(stack, dagger(stack), weights)
 
 
+def _right(left_regular: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """R_x, right multiplication on L2(M) by the x with coordinates c over
+    the basis of M, for each row of c: R_x[r, s] = sum_k c_k left_regular[s, r, k]."""
+    return np.swapaxes(np.tensordot(c, left_regular, axes=([1], [2])), -1, -2)
+
+
 @dataclass(frozen=True, eq=False)
 class Inclusion:
     """A unital trace-preserving inclusion N <= M realized in a matrix arena.
@@ -258,21 +264,61 @@ class Inclusion:
         return left
 
     @cached_property
+    def jones_projection(self) -> np.ndarray:
+        """(D, D), read-only: p, the projection of L2(M) onto the image of N;
+        filled by the factory and shared by the constructions built from it."""
+        c = span_coords(self.amb_basis, self.embed_basis, self.amb.weight_vector)
+        p = c.T @ c.conj()
+        p.flags.writeable = False
+        return p
+
+    @cached_property
+    def m1_frame(self) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+        """(W, blocks), W read-only: the frame of M1 and its blocks (s_j, n_j)
+        (``basic`` module docstring), filled as ``jones_projection`` is.  The
+        matrix units f^j_1a of each block j that ``sub`` declares for N map
+        into M through their coordinates over ``sub_basis``; V_j is the
+        eigenvalue-1 eigenvectors of R_{f^j_11}, and block j's columns of W
+        are R_{f^j_1a} V_j, copy a after copy a - 1."""
+        dims = self.sub.block_dims
+        rows = np.repeat(np.cumsum((0,) + dims[:-1]), dims)
+        cols = rows + np.concatenate([np.arange(n) for n in dims])
+        units = np.zeros((len(rows),) + self.sub_basis.shape[1:], dtype=complex)
+        units[np.arange(len(rows)), rows, cols] = 1.0
+        c = span_coords(self.sub_basis, units, self.sub.weight_vector)
+        r_f = _right(self.left_regular, self.coords(np.tensordot(c, self.embed_basis, 1)))
+        columns, blocks = [], []
+        for r_j in np.split(r_f, np.cumsum(dims)[:-1]):
+            w, u = np.linalg.eigh((r_j[0] + dagger(r_j[0])) / 2.0)
+            # the spectrum is {0, 1}; the frame gate refuses anything else
+            v = u[:, w > 0.5]
+            columns += list(r_j @ v)
+            blocks.append((v.shape[1], len(r_j)))
+        frame = np.concatenate(columns, axis=1)
+        frame.flags.writeable = False
+        return frame, tuple(blocks)
+
+    @cached_property
     def pp_report(self) -> PPReport:
         """The feasibility probe at the declared lam (32 samples, seed 0), run
         by the factory, or by the build for an inclusion made otherwise."""
         return pimsner_popa_validate(self, n_samples=32, lam=self.lam, seed=0)
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[float, float, float]:
+        """Refuse an inclusion that is not what the class states, and return
+        bounds (unit, star, product) on the defects of left(.) of ``basic``
+        as a unital *-homomorphism (derived there).  The unit bound is at most
+        2e-11 by BASIS_TOL; the others are gated at SPECTRAL_TOL."""
         for name, stack, desc in (
             ("sub", self.sub_basis, self.sub),
             ("embed", self.embed_basis, self.amb),
             ("amb", self.amb_basis, self.amb),
         ):
-            gram = span_coords(stack, stack, desc.weight_vector)
-            if op_norm(gram - np.eye(len(stack))) > 1e-11:
+            gamma = op_norm(span_coords(stack, stack, desc.weight_vector) - np.eye(len(stack)))
+            eps0 = op_norm(stack[0] - desc.identity())
+            if gamma > BASIS_TOL:
                 raise DomainError(f"{name} basis is not trace-orthonormal")
-            if op_norm(stack[0] - desc.identity()) > 1e-11:
+            if eps0 > BASIS_TOL:
                 raise DomainError(f"{name} basis must start with the identity")
         if self.sub_basis.shape[0] != self.embed_basis.shape[0]:
             raise DomainError("sub and embed bases must be aligned")
@@ -283,7 +329,8 @@ class Inclusion:
             raise DomainError("sub basis does not span the algebra its descriptor declares")
         if not 0.0 < self.lam <= 1.0:
             raise DomainError(f"index constant must lie in (0, 1], got {self.lam}")
-        if np.abs(self.sub.trace(self.sub_basis) - self.amb.trace(self.embed_basis)).max() > 1e-11:
+        sub, emb = self.sub_basis, self.embed_basis
+        if np.abs(self.sub.trace(sub) - self.amb.trace(emb)).max() > BASIS_TOL:
             raise DomainError("embedding does not preserve the trace")
         wv = self.amb.weight_vector
         defect = span_residual(self.amb_basis, self.embed_basis, wv)
@@ -297,11 +344,18 @@ class Inclusion:
                 raise DomainError(f"{what} is not adjoint-closed")
             if product > SPECTRAL_TOL:
                 raise DomainError(f"{what} is not closed under products")
-        sub, emb = self.sub_basis, self.embed_basis
         c_sub = span_coords(sub, sub[:, None] @ sub[None], self.sub.weight_vector)
         c_emb = span_coords(emb, emb[:, None] @ emb[None], wv)
-        if np.abs(c_sub - c_emb).max() > 1e-9:
+        if np.abs(c_sub - c_emb).max() > EMBEDDING_TOL:
             raise DomainError("embedding is not multiplicative")
+        # gamma, eps0, product and adjoint are M's, by the last passes above
+        scale = (1.0 + gamma) / np.sqrt(wv.min())
+        star, mult = scale * adjoint, scale * (np.sqrt(self.dim) + 1.0) * product
+        for what, bound in (("adjoint-preserving", star), ("multiplicative", mult)):
+            if bound > SPECTRAL_TOL:
+                raise DomainError(
+                    f"M's left regular representation is not certified {what} (bound {bound:.3e})")
+        return float(gamma + (1.0 + gamma) * eps0), float(star), float(mult)
 
 
 def expectation_E(inc: Inclusion, x: np.ndarray) -> np.ndarray:
@@ -433,7 +487,7 @@ def make_group_flip_inclusion(
         raise DomainError("theta does not preserve the subalgebra")
     if op_norm(th(tbs) - sub_basis).max() > SPECTRAL_TOL:
         raise DomainError("theta is not of order two")
-    if np.abs(n_desc.trace(tbs) - n_desc.trace(sub_basis)).max() > 1e-11:
+    if np.abs(n_desc.trace(tbs) - n_desc.trace(sub_basis)).max() > BASIS_TOL:
         raise DomainError("theta does not preserve the trace")
 
     def diag_type(b):
@@ -504,7 +558,7 @@ def _validated(inc: Inclusion) -> Inclusion:
         raise DomainError(
             f"declared lambda {inc.lam} is infeasible (worst margin {report.worst_margin:.3e})"
         )
-    inc.left_regular  # filled here, so no build of inc pays for it
+    inc.left_regular, inc.jones_projection, inc.m1_frame  # filled here, for every build of inc
     return inc
 
 

@@ -8,6 +8,18 @@ trace tau1 = tr/D of the D x D representation restricted to M1 plays the
 role of the canonical trace; its compatibility tau1(left_rep(x)) = tau(x) is
 validated at build time and the construction refuses to proceed otherwise.
 
+left(x) = Q* L_{QQ* x} Q (Q: C^D -> arena the basis of M, L_x left
+multiplication on the arena) is a unital *-homomorphism when the basis is
+orthonormal and spans a *-algebra (Jones 1983); ``Inclusion.validate``
+certifies it and the build does not check it again.  With gamma =
+||Q*Q - 1||, eps0 = ||b_0 - 1||, d_x and d_* the basis's product and adjoint
+closure defects and w the least trace weight, left(b_i) left(b_j) -
+left(b_i b_j) = -Q* L_{b_i} (1 - QQ*) L_{b_j} Q + Q* L_{(1 - QQ*) b_i b_j} Q;
+as ||L_x|| <= ||x|| <= ||x||_2 / sqrt(w), ||Q||^2 <= 1 + gamma and the middle
+factor has Hilbert-Schmidt norm <= sqrt(D) d_x, the defect is at most
+(1 + gamma)(sqrt(D) + 1) d_x / sqrt(w).  Likewise left(b_i*) = left(b_i)*
+within (1 + gamma) d_* / sqrt(w), and left(1) = 1 within gamma + (1 + gamma) eps0.
+
 M1 is built from the matrix units of N, with no Gram-Schmidt.  Its
 commutant on L2(M) is the right action of N (Jones 1983); R_x is right
 multiplication by x, read from left_cache.  For each block j of N, of size
@@ -62,6 +74,7 @@ import numpy as np
 
 from .algebra import (
     Inclusion,
+    _right,
     expectation_E,
     pimsner_popa_validate,
     seeded_elements,
@@ -78,7 +91,7 @@ from .errors import (
     require_each,
     require_one,
 )
-from .linalg import dagger, norm_gate, op_norm, op_norm_within
+from .linalg import dagger, norm_gate, op_norm
 from .tolerances import (
     CLOSURE_TOL,
     COMMUTANT_CUT,
@@ -109,8 +122,8 @@ class BasicConstruction:
 
     inc: Inclusion
     left_cache: np.ndarray      # (D, D, D): inc.left_regular, left multiplication by each b_i
-    jones_p: np.ndarray         # (D, D) projection onto the image of the subalgebra
-    frame: np.ndarray           # (D, D) unitary W with M1 = W (+_j M_{s_j} (x) 1_{n_j}) W*
+    jones_p: np.ndarray         # (D, D): inc.jones_projection, onto the image of the subalgebra
+    frame: np.ndarray           # (D, D): inc.m1_frame's W, M1 = W (+_j M_{s_j} (x) 1_{n_j}) W*
     blocks: tuple[tuple[int, int], ...]  # (s_j, n_j): size and multiplicity of each block of M1
     lam: float
 
@@ -279,9 +292,11 @@ def recover_unitary(bc: BasicConstruction, omega: np.ndarray) -> np.ndarray:
 def build_basic_construction(inc: Inclusion) -> BasicConstruction:
     """Build the extension algebra for a validated inclusion.
 
-    Fails loudly (ConstructionError) on Markov incompatibility or when any
-    of the defining properties of the trace projection is violated on basis
-    elements.
+    Trusts an inclusion made by a factory, or ``dataclasses.replace``d from
+    one with only ``lam`` or the tag changed (``config.build_inclusion``),
+    and holds its left(.), p and frame.  Fails loudly (ConstructionError) on
+    Markov incompatibility or when any of the defining properties of the
+    trace projection is violated on basis elements.
     """
     pp = inc.pp_report
     if not pp.feasible:
@@ -289,30 +304,7 @@ def build_basic_construction(inc: Inclusion) -> BasicConstruction:
             f"E(x*x) >= lam x*x fails at declared lam {inc.lam} "
             f"(worst margin {pp.worst_margin:.3e})"
         )
-    basis = inc.amb_basis
-    d = inc.dim
-    w = inc.amb.weight_vector
-    # left_cache[i, r, s] = <b_i b_s, b_r> = coords_prod[i, s, r]
     left_cache = inc.left_regular
-    coords_prod = np.swapaxes(left_cache, 1, 2)
-
-    # unital *-homomorphism checks, decided through the Frobenius bounds;
-    # the exact defect is computed for a refusal's text only
-    if op_norm(left_cache[0] - np.eye(d)) > SPECTRAL_TOL:
-        raise ConstructionError("left_rep(1) is not the identity")
-    left_adj = np.tensordot(span_coords(basis, dagger(basis), w), left_cache, axes=1)
-    star = left_adj - dagger(left_cache)
-    if not np.all(op_norm_within(star, SPECTRAL_TOL)):
-        defect = float(op_norm(star).max())
-        raise ConstructionError(f"left_rep does not intertwine adjoints (defect {defect:.3e})")
-    # left(b_i b_j) = left(b_i) left(b_j), one row i (D matrices) at a time
-    def homo_row(i: int) -> np.ndarray:
-        return left_cache[i] @ left_cache - np.tensordot(coords_prod[i], left_cache, 1)
-
-    if not all(np.all(op_norm_within(homo_row(i), SPECTRAL_TOL)) for i in range(d)):
-        defect = max(float(op_norm(homo_row(i)).max()) for i in range(d))
-        raise ConstructionError(f"left_rep is not multiplicative (defect {defect:.3e})")
-
     markov = _markov_defect(inc, left_cache)
     if markov > SPECTRAL_TOL:
         raise ConstructionError(
@@ -320,16 +312,14 @@ def build_basic_construction(inc: Inclusion) -> BasicConstruction:
             f"differs from tau by {markov:.3e}"
         )
 
-    # trace projection onto the image of the subalgebra
-    embed_coords = span_coords(basis, inc.embed_basis, w)
-    jones_p = embed_coords.T @ embed_coords.conj()
+    jones_p = inc.jones_projection
     if (
         op_norm(jones_p @ jones_p - jones_p) > SPECTRAL_TOL
         or op_norm(jones_p - dagger(jones_p)) > SPECTRAL_TOL
     ):
         raise ConstructionError("trace projection is not a projection")
 
-    frame, blocks = _m1_frame(inc, left_cache)
+    frame, blocks = inc.m1_frame
     bc = BasicConstruction(
         inc=inc, left_cache=left_cache, jones_p=jones_p, frame=frame, blocks=blocks, lam=inc.lam
     )
@@ -348,12 +338,6 @@ def _off_m1(bc: BasicConstruction, y: np.ndarray) -> np.ndarray:
         for view in views:
             view -= mean
     return yw
-
-
-def _right(left_cache: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """R_x, right multiplication on L2(M) by the x with coordinates c over
-    the basis of M, for each row of c: R_x[r, s] = sum_k c_k left_cache[s, r, k]."""
-    return np.swapaxes(np.tensordot(c, left_cache, axes=([1], [2])), -1, -2)
 
 
 def _markov_defect(inc: Inclusion, left_cache: np.ndarray) -> float:
@@ -388,32 +372,6 @@ def _compress(bc: BasicConstruction) -> BasicConstruction:
     vars(small)["compressed"] = small
     _gate_properties(small)
     return small
-
-
-def _m1_frame(inc: Inclusion, left_cache: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """The frame W of M1 and its blocks (s_j, n_j), read from the blocks
-    that the inclusion declares for N (see the module docstring).
-
-    The matrix units f^j_1a of each block j of N are mapped into M through
-    their coordinates over ``sub_basis`` applied to ``embed_basis``.  V_j is
-    the eigenvalue-1 eigenvectors of R_{f^j_11}, and block j's columns of W
-    are R_{f^j_1a} V_j, copy a after copy a - 1.
-    """
-    dims = inc.sub.block_dims
-    rows = np.repeat(np.cumsum((0,) + dims[:-1]), dims)
-    cols = rows + np.concatenate([np.arange(n) for n in dims])
-    units = np.zeros((len(rows),) + inc.sub_basis.shape[1:], dtype=complex)
-    units[np.arange(len(rows)), rows, cols] = 1.0
-    f = np.tensordot(span_coords(inc.sub_basis, units, inc.sub.weight_vector), inc.embed_basis, 1)
-    r_f = _right(left_cache, inc.coords(f))
-    columns, blocks = [], []
-    for r_j in np.split(r_f, np.cumsum(dims)[:-1]):
-        w, u = np.linalg.eigh((r_j[0] + dagger(r_j[0])) / 2.0)
-        # the spectrum is {0, 1}; the frame gate refuses anything else
-        v = u[:, w > 0.5]
-        columns += list(r_j @ v)
-        blocks.append((v.shape[1], len(r_j)))
-    return np.concatenate(columns, axis=1), tuple(blocks)
 
 
 def _unitary_defect(bc: BasicConstruction) -> float:

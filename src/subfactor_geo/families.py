@@ -3,9 +3,9 @@
 Each entry pairs a family name with a zero-argument builder and the facts
 declared about the family; ``tensor(m,k)`` names of any size resolve here
 too, and this is the one place that reads a family name.  Construction
-results are memoized because building the extension algebra (basis of the
-generated algebra, Gram-Schmidt, property gates) is the expensive step and
-every suite wants the same five instances.
+results are memoized because building the extension algebra (the frame of
+M1 and the property gates) is the expensive step and every suite wants the
+same five instances.
 """
 
 from __future__ import annotations

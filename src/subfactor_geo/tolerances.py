@@ -6,6 +6,10 @@ run, config or environment changes them.
 
 # Absolute spectral-norm tolerance for algebraic identity checks.
 SPECTRAL_TOL = 1e-10
+# Defects ``Inclusion.validate`` allows: of each basis's Gram matrix from 1,
+# first element from 1 and of N's traces (BASIS_TOL), and of its structure constants.
+BASIS_TOL = 1e-11
+EMBEDDING_TOL = 1e-9
 # Radians of clearance required between unitary spectrum and -1 before the
 # principal logarithm refuses to pick a branch.
 ANGLE_GUARD = 1e-8

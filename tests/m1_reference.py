@@ -12,13 +12,15 @@ gates 4 and 5 computed over it, in D x D.  ``generator_rank`` and
 frame gate and property 1 read before they read the commutant of M1: the
 rank of the generators' block coordinates from their K x K Gram matrix,
 and the commutant of the generators' blocks narrowed block by block.
+``homomorphism_defects`` are the unit, star and multiplicativity checks of
+left(.) that the build ran before ``Inclusion.validate`` certified them.
 """
 
 from collections.abc import Iterator
 
 import numpy as np
 
-from subfactor_geo.algebra import orthonormalize, span_residual
+from subfactor_geo.algebra import orthonormalize, span_coords, span_residual
 from subfactor_geo.basic import BasicConstruction, _blocks, _nullspace
 from subfactor_geo.linalg import dagger, op_norm
 
@@ -138,3 +140,26 @@ def block_center_dim(bc: BasicConstruction) -> int:
             v = v @ _nullspace(comm, CENTER_CUT)
         count += v.shape[1]
     return count
+
+
+def homomorphism_defects(inc) -> tuple[float, float, float]:
+    """(unit, star, product): the exact defects of left(.) on the basis of M
+    as a unital *-homomorphism, ||left(b_0) - 1||, the largest
+    ||left(b_i*) - left(b_i)*|| and the largest ||left(b_i b_j) -
+    left(b_i) left(b_j)||, one row i (D matrices) at a time: D^5."""
+    basis = inc.amb_basis
+    d = inc.dim
+    w = inc.amb.weight_vector
+    # left_cache[i, r, s] = <b_i b_s, b_r> = coords_prod[i, s, r]
+    left_cache = inc.left_regular
+    coords_prod = np.swapaxes(left_cache, 1, 2)
+    unit = op_norm(left_cache[0] - np.eye(d))
+    left_adj = np.tensordot(span_coords(basis, dagger(basis), w), left_cache, axes=1)
+    star = left_adj - dagger(left_cache)
+
+    # left(b_i b_j) = left(b_i) left(b_j), one row i (D matrices) at a time
+    def homo_row(i: int) -> np.ndarray:
+        return left_cache[i] @ left_cache - np.tensordot(coords_prod[i], left_cache, 1)
+
+    product = max(float(op_norm(homo_row(i)).max()) for i in range(d))
+    return float(unit), float(op_norm(star).max()), product

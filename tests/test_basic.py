@@ -14,14 +14,18 @@ from m1_reference import (
     generated_defect,
     generator_rank,
     gram_schmidt_basis,
+    homomorphism_defects,
     module_defect_reference,
 )
 from subfactor_geo.algebra import (
+    closure_defects,
     make_custom_inclusion,
     make_group_flip_inclusion,
     make_tensor_inclusion,
+    orthonormalize,
     random_element,
     random_unitary,
+    span_coords,
     span_residual,
     span_residuals,
     AlgebraDescriptor,
@@ -420,7 +424,14 @@ def test_frame_compression_keeps_op_norm_on_m1(frame_cases):
             assert np.all(np.abs(op_norm(dagger(v) @ stack @ v) - exact) <= 1e-13 * exact), name
 
 
-def test_m1_frame_keeps_every_block_of_a_non_factor(monkeypatch):
+def inclusion_with_frame(inc, frame, blocks):
+    """A replaced copy of inc whose M1 frame reads (frame, blocks)."""
+    bad = dataclasses.replace(inc)
+    vars(bad)["m1_frame"] = (frame, blocks)
+    return bad
+
+
+def test_m1_frame_keeps_every_block_of_a_non_factor():
     # M1 of C+C in M2 is M2 + M2, one block per block of N; the range of
     # right multiplication by one minimal projection of N holds one block only
     bc = diagonal_pair_construction()
@@ -431,9 +442,8 @@ def test_m1_frame_keeps_every_block_of_a_non_factor(monkeypatch):
     refusal = "M1 frame is not unitary (defect 1.000e+00)"
     with pytest.raises(ConstructionError, match=re.escape(refusal)):
         _gate_frame(missing)
-    monkeypatch.setattr(basic, "_m1_frame", lambda inc, lc: (bc.frame[:, :2], bc.blocks[:1]))
     with pytest.raises(ConstructionError, match=re.escape(refusal)):
-        build_basic_construction(bc.inc)
+        build_basic_construction(inclusion_with_frame(bc.inc, bc.frame[:, :2], bc.blocks[:1]))
     # the two blocks taken as one: the frame is unitary and holds every
     # generator, but its algebra M4 is larger than M1, whose commutant R_N
     # is two-dimensional against the scalars, the commutant of M4
@@ -474,7 +484,7 @@ def test_m1_frame_columns_are_the_ranges_of_the_blocks_minimal_projections(frame
                 assert op_norm(gram - (np.eye(width) if j == k else 0.0)) <= 1e-13, name
 
 
-def test_m1_frame_gates_refuse_bad_frames(constructions, monkeypatch):
+def test_m1_frame_gates_refuse_bad_frames(constructions):
     bc = constructions["tensor(2,2)"]
     _gate_frame(bc)
     # W scaled by 1.01, alone and in the build
@@ -484,9 +494,8 @@ def test_m1_frame_gates_refuse_bad_frames(constructions, monkeypatch):
     refusal = f"M1 frame is not unitary (defect {defect:.3e})"
     with pytest.raises(ConstructionError, match=re.escape(refusal)):
         _gate_frame(scaled)
-    monkeypatch.setattr(basic, "_m1_frame", lambda inc, lc: (1.01 * bc.frame, bc.blocks))
     with pytest.raises(ConstructionError, match=re.escape(refusal)):
-        build_basic_construction(bc.inc)
+        build_basic_construction(inclusion_with_frame(bc.inc, 1.01 * bc.frame, bc.blocks))
     # p moved out of the frame's algebra by a generic unitary of L2(M)
     rng = np.random.default_rng(33)
     d = bc.dim_l2
@@ -733,27 +742,39 @@ def test_built_construction_keeps_no_basis_of_m1():
     assert set(held) == {"left_cache", "jones_p", "frame"}
     assert sum(a.nbytes for a in held.values()) <= bc.left_cache.nbytes + 4 * d * d * 16
     assert all(a.size < k * d * d for a in held.values())
+    # and no D x D array of its own: each is the inclusion's, read-only
+    inc = bc.inc
+    shared = (inc.left_regular, inc.jones_projection, inc.m1_frame[0])
+    assert all(any(a is b for b in shared) and not a.flags.writeable for a in held.values())
 
 
 def test_inclusion_shares_one_read_only_left_regular(monkeypatch):
-    # every factory fills the left regular representation, read-only; the
-    # builds of one inclusion hold that one array, and a replaced inclusion
-    # computes its own, with the same bits and no LAPACK call, so the first
-    # build of an inclusion made otherwise makes the LAPACK calls of any other
+    # every factory fills the left regular representation, p and the M1
+    # frame, read-only; the builds of one inclusion hold those arrays, and a
+    # replaced inclusion computes its own, with the same bits (left_regular
+    # with no LAPACK call), so the first build of an inclusion made otherwise
+    # makes the LAPACK calls of any other
     incs = (
         make_tensor_inclusion(1, 2),
         make_group_flip_inclusion(AlgebraDescriptor((2,), (0.5,))),
         diagonal_pair_construction().inc,
     )
     for inc in incs:
-        assert "left_regular" in vars(inc), inc.family_tag
+        for name in ("left_regular", "jones_projection", "m1_frame"):
+            assert name in vars(inc), (inc.family_tag, name)
         assert inc.left_regular.shape == (inc.dim,) * 3
-        assert not inc.left_regular.flags.writeable, inc.family_tag
+        assert inc.jones_projection.shape == inc.m1_frame[0].shape == (inc.dim,) * 2
+        for a in (inc.left_regular, inc.jones_projection, inc.m1_frame[0]):
+            assert not a.flags.writeable, inc.family_tag
     inc = incs[0]
     first, second = build_basic_construction(inc), build_basic_construction(inc)
     assert first.left_cache is second.left_cache is inc.left_regular
+    assert first.jones_p is second.jones_p is inc.jones_projection
+    assert first.frame is second.frame is inc.m1_frame[0]
+    assert first.blocks == inc.m1_frame[1]
     copy = dataclasses.replace(inc)
-    assert "left_regular" not in vars(copy)
+    for name in ("left_regular", "jones_projection", "m1_frame"):
+        assert name not in vars(copy), name
 
     def lapack(*args, **kwargs):
         raise AssertionError("left_regular made a LAPACK call")
@@ -764,11 +785,73 @@ def test_inclusion_shares_one_read_only_left_regular(monkeypatch):
     monkeypatch.undo()
     assert own is not inc.left_regular and not own.flags.writeable
     assert np.array_equal(own, inc.left_regular)
-    assert build_basic_construction(copy).left_cache is own
+    built = build_basic_construction(copy)
+    assert built.left_cache is own
+    for mine, theirs in ((built.jones_p, inc.jones_projection), (built.frame, inc.m1_frame[0])):
+        assert mine is not theirs and not mine.flags.writeable
+        assert np.array_equal(mine, theirs)
+    assert built.jones_p is copy.jones_projection and built.frame is copy.m1_frame[0]
     # slice i is left multiplication by b_i: column s holds the coordinates of b_i b_s
     basis = inc.amb_basis
     for i, b in enumerate(basis):
         assert np.abs(own[i] - inc.coords(b @ basis).T).max() <= 1e-14
+
+
+def test_validate_certificate_bounds_the_homomorphism_defects(frame_cases):
+    # validate's certificate (unit, star, product) of left(.) against the
+    # build's former checks on the D x D x D array: the product bound holds
+    # the direct D^5 defect as it stands.  The unit and star bounds are
+    # bounds in exact arithmetic at rounding level (0 to 1e-15), and the
+    # direct readings carry the rounding of forming left(.) (up to 9.6e-16
+    # on tensor(1,5) against a bound of 5.0e-16): they get one D * eps more
+    for name, bc in frame_cases.items():
+        inc = bc.inc
+        certificate = inc.validate()
+        unit, star, product = homomorphism_defects(inc)
+        rounding = inc.dim * np.finfo(float).eps
+        assert unit <= certificate[0] + rounding, name
+        assert star <= certificate[1] + rounding, name
+        assert product <= certificate[2], name
+        assert max(certificate) <= 1e-13 < SPECTRAL_TOL, name
+
+
+def test_validate_refuses_a_basis_of_m_the_certificate_does_not_cover():
+    # M = M4 (x) 1_2 in M8 with one basis element tilted 1e-11 out of M: the
+    # basis is closed under products and adjoints within SPECTRAL_TOL, but
+    # the certificate's product bound, (1 + gamma)(sqrt(D) + 1) d_x / sqrt(w)
+    # = 5 sqrt(8) d_x, is not; the build's former checks read 1.6e-15 on it
+    sub = AlgebraDescriptor((1,), (1.0,))
+    amb = AlgebraDescriptor((8,), (0.125,))
+    span = [np.kron(b, np.eye(2)) for b in AlgebraDescriptor((4,), (0.25,)).canonical_basis()[1:]]
+    span[4] = span[4] + 1e-11 * np.kron(np.eye(4), np.diag([1.0, -1.0]))
+    basis = orthonormalize([amb.identity()] + span, amb.weight_vector)
+    product, adjoint = closure_defects(basis, amb.weight_vector)
+    assert product <= SPECTRAL_TOL and adjoint <= SPECTRAL_TOL
+    gamma = op_norm(span_coords(basis, basis, amb.weight_vector) - np.eye(16))
+    bound = (1.0 + gamma) / np.sqrt(0.125) * (np.sqrt(16) + 1.0) * product
+    assert bound > SPECTRAL_TOL
+    refusal = f"M's left regular representation is not certified multiplicative (bound {bound:.3e})"
+    with pytest.raises(DomainError, match=re.escape(refusal)):
+        make_custom_inclusion(
+            sub, amb, lambda b: b[0, 0] * np.eye(8, dtype=complex), 1.0 / 16, m_span=span
+        )
+
+
+def test_tensor_3_4_builds_from_its_factory():
+    # D = 144 and K = 2304: 26-28 s with one BLAS thread and a traced peak
+    # of 241 MB (five (D, D, D) arrays) while the build checked left(.) on
+    # its D x D x D array; 2.5-3.3 s and 145 MB with validate's certificate
+    inc = make_tensor_inclusion(3, 4)
+    assert max(inc.validate()) <= 1e-13
+    tracemalloc.start()
+    try:
+        bc = build_basic_construction(inc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bc.dim_l2 == 144 and bc.dim_m1 == 2304
+    assert bc.blocks == ((48, 3),)
+    assert peak < 4 * bc.left_cache.nbytes
 
 
 def test_tensor_2_4_builds_from_its_frame():
